@@ -381,8 +381,9 @@ def cmd_phasespace(args) -> int:
     rho = apply_loss(rho1, t) if t is not None else rho1
     if args.points is not None or args.half_width is not None:
         spec = default_grid(rho)
-        grid = GridSpec(half_width=args.half_width or spec.half_width,
-                        n=args.points or spec.n)
+        grid = GridSpec(
+            half_width=spec.half_width if args.half_width is None else args.half_width,
+            n=spec.n if args.points is None else args.points)
     else:
         grid = default_grid(rho)
     qgrid = quasi_prob_grid(rho, args.s, grid)

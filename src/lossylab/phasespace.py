@@ -2,11 +2,10 @@
 quasiprobabilities, Gaussian order conversion, and quadrature-based purity.
 
 Conventions. chi_rho(alpha, s) = Tr[rho D(alpha)] exp(s|alpha|^2 / 2). The
-s-ordered quasiprobability is P(alpha, s) = (2 / (pi (1-s))) sum_k u^k pop_k
-with u = (s+1)/(s-1) and pop_k the number populations of the displaced state
-D(-alpha) rho D(-alpha)^dag. Every displaced matrix element is an exact closed
-form (associated Laguerre), so the only truncation knob is the number of
-displaced levels summed, which is chosen from the support and |alpha|.
+s-ordered quasiprobability is P(alpha, s) = (2 / (pi (1-s))) Tr[rho X] with
+X = D(alpha) u^N D(alpha)^dag and u = (s+1)/(s-1). Both traces run over the
+finite support of rho, and every matrix element of D(alpha) and of X is an
+exact associated-Laguerre closed form, so neither has a truncation knob.
 s = -1 gives the Husimi function <alpha|rho|alpha>/pi, s = 0 the Wigner
 function, and s >= 1 pointwise is rejected (singular order).
 """
@@ -30,40 +29,61 @@ IMAG_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# exact displaced matrix elements
+# exact matrix elements, one Laguerre evaluation per unordered pair
 # ---------------------------------------------------------------------------
 
 
-def _disp_elements(row: int, col: int, beta: np.ndarray,
-                   log_scale: float = 0.0) -> np.ndarray:
-    """<row|D(beta)|col> times exp(log_scale), exact closed form.
+def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float,
+                c: float, flip: float) -> np.ndarray:
+    """Tr[rho K] at every alpha, for a kernel K given by its lower triangle.
 
-    The scale rides inside the log-domain magnitude so callers can attach
-    per-level growth factors without overflowing intermediate powers.
+    For m = n + k >= n the element is
+        <m|K|n> = e^{decay x} sqrt(n!/m!) (gain alpha)^k w^n L_n^(k)(-c x / w)
+    with x = |alpha|^2 and gain > 0; the upper triangle is
+    <n|K|m> = flip^k conj(<m|K|n>). The magnitude is formed in the log domain
+    so large powers and Laguerre values never overflow on their own. At w = 0
+    (which needs c > 0) the factor w^n L_n^(k)(-c x / w) takes its limit
+    (c x)^n / n!, and at alpha = 0 the kernel is diagonal with entries w^n.
+    Returns an array shaped like ``alpha``.
     """
-    if row >= col:
-        k, m, b, conjugate = row, col, beta, False
-    else:
-        # <r|D(b)|c> = conj(<c|D(-b)|r>)
-        k, m, b, conjugate = col, row, -beta, True
-    absb = np.abs(b)
-    x = absb ** 2
-    lag = eval_genlaguerre(m, k - m, x)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        logmag = (0.5 * (gammaln(m + 1) - gammaln(k + 1)) - x / 2.0
-                  + (k - m) * np.log(absb) + np.log(np.abs(lag)) + log_scale)
-        mag = np.exp(logmag)
-    phase = np.ones_like(b)
-    nz = absb > 0
-    phase[nz] = (b[nz] / absb[nz]) ** (k - m)
-    out = np.sign(lag) * mag * phase
-    zero = ~nz
-    if np.any(zero):
-        out = np.asarray(out, dtype=complex)
-        out[zero] = np.exp(log_scale) if k == m else 0.0
-    if conjugate:
-        out = np.conj(out)
-    return out
+    al = np.asarray(alpha, dtype=complex)
+    if not np.all(np.isfinite(al)):
+        raise ValueError("alpha must be finite")
+    shape = al.shape
+    al = al.ravel()
+    x = np.abs(al) ** 2
+    nz = x > 0.0
+    phase = np.ones_like(al)
+    phase[nz] = al[nz] / np.sqrt(x[nz])
+    with np.errstate(divide="ignore"):
+        log_gain_r = np.log(gain) + 0.5 * np.log(x)
+    cutoff = rho.cutoff
+    lg = gammaln(np.arange(cutoff + 1) + 1.0)
+    mat = rho.matrix
+    acc = np.zeros(al.shape, dtype=complex)
+    for k in range(cutoff):
+        upper = np.diagonal(mat, k)    # rho_{n, n+k}
+        lower = np.diagonal(mat, -k)   # rho_{n+k, n}
+        n = np.nonzero((np.abs(upper) >= 1e-18) | (np.abs(lower) >= 1e-18))[0]
+        if n.size == 0:
+            continue
+        col = n[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            logmag = (decay * x + 0.5 * (lg[col] - lg[col + k])
+                      + k * log_gain_r)
+            if w == 0.0:
+                logmag = logmag + col * np.log(c * x) - lg[col]
+                sign = 1.0
+            else:
+                lag = eval_genlaguerre(col, k, (-c / w) * x)
+                logmag = logmag + col * np.log(abs(w)) + np.log(np.abs(lag))
+                sign = np.sign(lag) * np.sign(w) ** col
+            elem = sign * np.exp(logmag) * phase ** k
+        elem[:, ~nz] = (w ** n)[:, None] if k == 0 else 0.0
+        acc += np.einsum("n,nP->P", upper[n], elem)
+        if k > 0:
+            acc += np.einsum("n,nP->P", flip ** k * lower[n], np.conj(elem))
+    return acc.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +92,15 @@ def _disp_elements(row: int, col: int, beta: np.ndarray,
 
 
 def char_fn(rho: DensityOperator, alpha, s: float):
-    """s-ordered characteristic function; exact for finite-support states."""
-    al = np.asarray(alpha, dtype=complex)
-    scalar = al.ndim == 0
-    al = np.atleast_1d(al)
-    tr = np.zeros(al.shape, dtype=complex)
-    m_rho = rho.matrix
-    for n in range(rho.cutoff):
-        for m in range(rho.cutoff):
-            if abs(m_rho[n, m]) < 1e-18:
-                continue
-            tr += m_rho[n, m] * _disp_elements(m, n, al)
-    out = tr * np.exp(s * np.abs(al) ** 2 / 2.0)
-    return complex(out[0]) if scalar else out
+    """s-ordered characteristic function; exact for finite-support states.
+
+    <m|D(alpha)|n> = e^{-x/2} sqrt(n!/m!) alpha^(m-n) L_n^(m-n)(x) for m >= n,
+    and <n|D(alpha)|m> = (-1)^(m-n) conj(<m|D(alpha)|n>); the ordering factor
+    e^{s x / 2} rides in the exponent.
+    """
+    out = _pair_trace(rho, alpha, decay=(s - 1.0) / 2.0, gain=1.0, w=1.0, c=-1.0,
+                      flip=-1.0)
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -92,93 +108,36 @@ def char_fn(rho: DensityOperator, alpha, s: float):
 # ---------------------------------------------------------------------------
 
 
-def _displaced_level_budget(rho: DensityOperator, max_abs_alpha: float, u_mag: float) -> int:
-    reach = np.sqrt(rho.support() + 1.0) + max_abs_alpha
-    base = reach ** 2 + 10.0 * reach + 30.0
-    if u_mag > 1.0:
-        base = np.e * u_mag * reach ** 2 + 10.0 * reach + 40.0
-    return int(np.ceil(base))
+def quasi_prob(rho: DensityOperator, alpha, s: float):
+    """P_rho(alpha, s) for s < 1; vectorized over alpha.
 
-
-def _quasi_gaussian_form(rho: DensityOperator, al: np.ndarray, s: float) -> np.ndarray:
-    """Quasiprobability by the finite Gaussian-operator sum.
-
-    Tr[rho D(alpha) u^N D(alpha)^dag] expands into a sum of at most
-    cutoff terms per matrix element; unlike the level series it never
-    alternates with growing terms, so it stays accurate when u < -1.
+    One exact route for every order (Cahill & Glauber, Phys. Rev. 177, 1882
+    (1969)): for m >= n,
+        <m|D(alpha) u^N D(alpha)^dag|n>
+            = e^{-(1-u) x} sqrt(n!/m!) (alpha (1-u))^(m-n) u^n
+              L_n^(m-n)(-x (1-u)^2 / u),
+    the other triangle being its conjugate. Raises ValueError for s >= 1,
+    non-finite alpha, or an imaginary residue above IMAG_TOL (a non-finite
+    value or a rho that is not Hermitian).
     """
-    u = (s + 1.0) / (s - 1.0)
-    x = np.abs(al) ** 2
-    decay = np.exp(-(1.0 - u) * x)
-    c = rho.cutoff
-    a_base = al * (1.0 - u)
-    b_base = np.conj(al) * (1.0 - u)
-    a_pow = np.ones((c, al.size), dtype=complex)
-    b_pow = np.ones((c, al.size), dtype=complex)
-    for p in range(1, c):
-        a_pow[p] = a_pow[p - 1] * a_base
-        b_pow[p] = b_pow[p - 1] * b_base
-    lg = gammaln(np.arange(c + 1) + 1.0)
-    m_rho = rho.matrix
-    acc = np.zeros(al.size, dtype=complex)
-    for m in range(c):
-        for n in range(c):
-            if abs(m_rho[n, m]) < 1e-18:
-                continue
-            coeff = np.zeros(al.size, dtype=complex)
-            for j in range(min(m, n) + 1):
-                weight = np.exp(0.5 * (lg[m] + lg[n]) - lg[j] - lg[m - j] - lg[n - j])
-                coeff += weight * u ** j * a_pow[m - j] * b_pow[n - j]
-            acc += m_rho[n, m] * coeff
-    vals = 2.0 / (np.pi * (1.0 - s)) * decay * acc
-    return vals
-
-
-def quasi_prob(rho: DensityOperator, alpha, s: float, k_levels: int | None = None):
-    """P_rho(alpha, s) for s < 1; vectorized over alpha."""
     if s >= 1.0:
         raise ValueError("quasiprobability order must satisfy s < 1")
-    al = np.asarray(alpha, dtype=complex)
-    scalar = al.ndim == 0
-    al = np.atleast_1d(al)
     u = (s + 1.0) / (s - 1.0)
-    if u < -1.0:
-        # s > 0: the level series alternates with growing terms; use the
-        # algebraically identical finite sum instead
-        vals = _quasi_gaussian_form(rho, al, s)
-        worst = float(np.max(np.abs(vals.imag)))
-        if worst > IMAG_TOL:
-            raise ValueError(f"quasiprobability has imaginary residue {worst:.3e}")
-        out = vals.real
-        return float(out[0]) if scalar else out
-    if k_levels is None:
-        k_levels = _displaced_level_budget(rho, float(np.max(np.abs(al))), abs(u))
-    if u == 0.0:
-        k_levels = 1
-    beta = -al
-    c = rho.cutoff
-    acc = np.zeros(al.shape, dtype=complex)
-    sgn = 1.0 if u >= 0 else -1.0
-    log_abs_u = np.log(abs(u)) if u != 0.0 else 0.0
-    for k in range(k_levels):
-        # rows carry |u|^(k/2) each, so the quadratic form is u^k pop_k
-        rows = np.stack([_disp_elements(k, m, beta, log_scale=0.5 * k * log_abs_u)
-                         for m in range(c)])
-        pop_k = np.einsum("mP,mn,nP->P", rows, rho.matrix, rows.conj())
-        acc += sgn ** k * pop_k
-    vals = 2.0 / (np.pi * (1.0 - s)) * acc
+    vals = 2.0 / (np.pi * (1.0 - s)) * _pair_trace(
+        rho, alpha, decay=-(1.0 - u), gain=1.0 - u, w=u, c=(1.0 - u) ** 2, flip=1.0)
     worst = float(np.max(np.abs(vals.imag)))
-    if worst > IMAG_TOL:
+    if not worst <= IMAG_TOL:
         raise ValueError(f"quasiprobability has imaginary residue {worst:.3e}")
     out = vals.real
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def wigner_from_parity(rho: DensityOperator, alpha: complex, working_cutoff: int) -> float:
     """Wigner value by the displaced-parity formula at an explicit cutoff.
 
-    Independent of the level-sum route: uses the square truncated displacement
-    matrix, so the caller must supply a cutoff generous for |alpha|.
+    Independent of the Laguerre pair kernel of quasi_prob: uses the square
+    truncated displacement matrix, so the caller must supply a cutoff generous
+    for |alpha|.
     """
     emb = rho.embedded(working_cutoff)
     d = displacement_matrix(alpha, working_cutoff)
@@ -199,6 +158,13 @@ class GridSpec:
     half_width: float
     n: int
     center: complex = 0.0
+
+    def __post_init__(self):
+        if not self.n >= 2:
+            raise ValueError(f"grid needs at least 2 points per axis, got {self.n}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
+            raise ValueError(f"grid half-width must be finite and positive, "
+                             f"got {self.half_width}")
 
     def re_axis(self) -> np.ndarray:
         return self.center.real + np.linspace(-self.half_width, self.half_width, self.n)
@@ -240,16 +206,9 @@ class QuasiProbGrid:
         return float(np.min(self.values.real))
 
 
-def quasi_prob_grid(rho: DensityOperator, s: float, grid: GridSpec,
-                    chunk: int = 8192) -> QuasiProbGrid:
-    al = grid.alphas()
-    budget = _displaced_level_budget(rho, float(np.max(np.abs(al))),
-                                     abs((s + 1.0) / (s - 1.0)))
-    out = np.empty(al.size)
-    for start in range(0, al.size, chunk):
-        stop = min(start + chunk, al.size)
-        out[start:stop] = quasi_prob(rho, al[start:stop], s, k_levels=budget)
-    return QuasiProbGrid(grid, s, out.reshape(grid.n, grid.n))
+def quasi_prob_grid(rho: DensityOperator, s: float, grid: GridSpec) -> QuasiProbGrid:
+    values = quasi_prob(rho, grid.alphas(), s)
+    return QuasiProbGrid(grid, s, values.reshape(grid.n, grid.n))
 
 
 def convolve_quasi(src: QuasiProbGrid, delta_s: float) -> QuasiProbGrid:

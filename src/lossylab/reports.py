@@ -24,19 +24,24 @@ class CheckReport:
     passed: bool
     claim: str = ""
 
+    def __post_init__(self):
+        # plain floats, so the CSV's repr never renders a NumPy scalar
+        for name in ("lhs", "rhs", "margin", "tolerance"):
+            setattr(self, name, float(getattr(self, name)))
+
 
 def inequality_report(check_name, state_id, params, lhs, rhs, tolerance, claim="") -> CheckReport:
     """Report for a claim of the form lhs <= rhs; margin = rhs - lhs."""
     margin = rhs - lhs
-    return CheckReport(check_name, state_id, dict(params), float(lhs), float(rhs),
-                       float(margin), float(tolerance), bool(margin >= -tolerance), claim)
+    return CheckReport(check_name, state_id, dict(params), lhs, rhs, margin, tolerance,
+                       bool(margin >= -tolerance), claim)
 
 
 def equality_report(check_name, state_id, params, lhs, rhs, tolerance, claim="") -> CheckReport:
     """Report for a claim lhs = rhs; margin = -|lhs - rhs|."""
     margin = -abs(lhs - rhs)
-    return CheckReport(check_name, state_id, dict(params), float(lhs), float(rhs),
-                       float(margin), float(tolerance), bool(margin >= -tolerance), claim)
+    return CheckReport(check_name, state_id, dict(params), lhs, rhs, margin, tolerance,
+                       bool(margin >= -tolerance), claim)
 
 
 def format_params(params: dict) -> str:

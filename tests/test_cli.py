@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV formats, config handling."""
 
+import csv
 import filecmp
 
 import numpy as np
@@ -81,6 +82,27 @@ def test_phasespace_wigner_of_lossy_photon(tmp_path, capsys):
     values2 = np.array([float(line.split(",")[2])
                         for line in out2.read_text().splitlines()[2:]])
     assert values2.min() == pytest.approx((2 / np.pi) * (1 - 2 * 0.75), abs=1e-6)
+
+
+def test_phasespace_rejects_degenerate_grids(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    for flags in (["--points", "1"], ["--half-width", "0"], ["--half-width", "nan"]):
+        assert run("phasespace", "--states", "fock:1", *flags, "--out", str(out)) == 2
+        assert "grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_inequalities_csv_cells_are_numbers(tmp_path):
+    out = tmp_path / "ineq.csv"
+    run("verify", "--states", "random:2", "--seed", "5", "--suite", "inequalities",
+        "--quadrature", "40:64", "--out", str(out))
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = list(csv.reader(lines[1:]))
+    assert rows
+    for row in rows:
+        for column in ("lhs", "rhs", "margin"):
+            float(row[header.index(column)])
 
 
 def test_conjecture_counterexamples_exit_nonzero(capsys):

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre, gammaln
 
-from lossylab.fock import make_coherent, make_fock, random_mixed, random_pure
+from lossylab.fock import (DensityOperator, displacement_matrix, make_coherent,
+                           make_fock, random_mixed, random_pure)
 from lossylab.loss import apply_loss
 from lossylab.phasespace import (GridSpec, char_fn, convolve_quasi,
                                  laplace_purity, loss_identity_chi,
@@ -49,16 +53,108 @@ def test_wigner_of_lossy_single_photon():
 
 
 def test_wigner_parity_route_agrees():
-    rho = apply_loss(random_mixed(7, 6, rank=3), 0.6)
-    for alpha in (0.0, 0.3 - 0.2j, 1.1j):
-        direct = quasi_prob(rho, np.array([alpha]), 0.0)[0]
-        parity = wigner_from_parity(rho, alpha, working_cutoff=40)
-        assert parity == pytest.approx(direct, abs=1e-9)
+    for rho in (apply_loss(random_mixed(7, 6, rank=3), 0.6), random_mixed(8, 12, rank=3)):
+        for alpha in (0.0, 0.3 - 0.2j, 1.1j, -1.7 + 0.9j, 2.4):
+            direct = quasi_prob(rho, np.array([alpha]), 0.0)[0]
+            parity = wigner_from_parity(rho, alpha, working_cutoff=60)
+            assert parity == pytest.approx(direct, abs=1e-9)
+
+
+def _fock_closed_form(n, alpha, s):
+    """P of |n><n| at order s: 2/(pi(1-s)) u^n e^{-2x/(1-s)} L_n(4x/(1-s^2))."""
+    u = (s + 1.0) / (s - 1.0)
+    x = np.abs(alpha) ** 2
+    return (2.0 / (np.pi * (1.0 - s)) * u ** n * np.exp(-2.0 * x / (1.0 - s))
+            * eval_genlaguerre(n, 0, 4.0 * x / (1.0 - s * s)))
+
+
+@pytest.mark.parametrize("n", [30, 60])
+@pytest.mark.parametrize("s", [-2.0, -0.5, 0.0, 0.3, 0.6])
+def test_large_fock_matches_closed_form(n, s):
+    rho = make_fock(n, n + 1).density()
+    radii = np.linspace(0.0, np.sqrt(n) + 3.0, 60)
+    pts = radii * np.exp(1j * np.linspace(0.0, 5.0, radii.size))
+    vals = quasi_prob(rho, pts, s)
+    ref = _fock_closed_form(n, pts, s)
+    # near the nodes of L_n the pointwise ratio is ill-conditioned, so the
+    # absolute floor is the same relative tolerance taken on the peak
+    np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_husimi_is_coherent_expectation():
+    # <alpha|rho|alpha>/pi with <n|alpha> = e^{-x/2} alpha^n / sqrt(n!)
+    rho = random_mixed(41, 9, rank=3)
+    pts = np.array([0.0, 0.4 - 0.3j, -1.2j, 1.9 + 0.5j, 3.0])
+    levels = np.arange(rho.cutoff)
+    kets = (np.exp(-np.abs(pts[None, :]) ** 2 / 2.0 - 0.5 * gammaln(levels[:, None] + 1.0))
+            * pts[None, :] ** levels[:, None])
+    expected = np.einsum("nP,nm,mP->P", kets.conj(), rho.matrix, kets).real / np.pi
+    np.testing.assert_allclose(quasi_prob(rho, pts, -1.0), expected, rtol=1e-12, atol=1e-15)
+
+
+def test_origin_is_weighted_population_sum():
+    # D(0) = 1, so P(0, s) = 2/(pi(1-s)) sum_n u^n rho_nn and chi(0, s) = 1
+    rho = random_mixed(43, 7, rank=3)
+    pops = np.diag(rho.matrix).real
+    for s in (-3.0, -1.0, -0.5, 0.0, 0.4):
+        u = (s + 1.0) / (s - 1.0)
+        expected = 2.0 / (np.pi * (1.0 - s)) * np.sum(u ** np.arange(rho.cutoff) * pops)
+        assert quasi_prob(rho, 0.0, s) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+        assert char_fn(rho, 0.0, s) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_char_fn_matches_displacement_trace():
+    rho = random_mixed(47, 8, rank=3)
+    pts = np.array([0.0, 0.3 + 0.1j, -1.1 + 0.8j, 2.2j, -2.9])
+    direct = char_fn(rho, pts, 0.0)
+    ref = np.array([np.trace(rho.matrix @ displacement_matrix(a, rho.cutoff)) for a in pts])
+    np.testing.assert_allclose(direct, ref, rtol=1e-12, atol=1e-14)
+    scaled = char_fn(rho, pts, -0.6)
+    np.testing.assert_allclose(scaled, ref * np.exp(-0.3 * np.abs(pts) ** 2),
+                               rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_alpha_rejected(bad):
+    rho = random_mixed(53, 4, rank=2)
+    for s in (-1.0, -0.5, 0.0, 0.5):
+        with pytest.raises(ValueError, match="finite"):
+            quasi_prob(rho, bad, s)
+        with pytest.raises(ValueError, match="finite"):
+            quasi_prob(rho, np.array([0.1, bad]), s)
+    with pytest.raises(ValueError, match="finite"):
+        char_fn(rho, np.array([0.2j, bad]), 0.0)
+
+
+@st.composite
+def _density_operators(draw):
+    cutoff = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, cutoff))
+    parts = [draw(st.floats(-1.0, 1.0)) for _ in range(2 * cutoff * rank)]
+    a = np.reshape(parts[: cutoff * rank], (cutoff, rank)) + 1j * np.reshape(
+        parts[cutoff * rank:], (cutoff, rank))
+    a[0, 0] += 1.0  # keeps the trace away from zero
+    m = a @ a.conj().T
+    m = 0.5 * (m + m.conj().T)
+    return DensityOperator(m / np.trace(m).real, cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho1=_density_operators(), radius=st.floats(0.0, 3.0),
+       angle=st.floats(0.0, 2.0 * np.pi), t=st.floats(0.05, 1.0),
+       s=st.floats(-3.0, 0.9))
+def test_quasi_prob_obeys_loss_identity(rho1, radius, angle, t, s):
+    alpha = radius * np.exp(1j * angle)
+    s_shift = (s + t - 1.0) / t
+    lhs = quasi_prob(apply_loss(rho1, t), alpha, s)
+    rhs = quasi_prob(rho1, alpha / np.sqrt(t), s_shift) / t
+    # orders near 1 amplify level n by |u|^n, so the tolerance scales with |P|
+    assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
 
 
 def test_positive_order_gaussian_path():
-    # s > 0 evaluation takes an alternate algebraic route; the loss identity
-    # exercised at s = 0.5 checks it against the ordinary path
+    # the loss identity at s = 0.5 maps a positive order onto another
+    # positive order, (s + T - 1) / T = 1/6
     rho1 = random_pure(13, 6).density()
     for alpha in (0.2, 0.4 + 0.3j):
         report = loss_identity_quasi(rho1, 0.6, alpha, 0.5)
