@@ -55,22 +55,20 @@ def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float
     nz = x > 0.0
     phase = np.ones_like(al)
     phase[nz] = al[nz] / np.sqrt(x[nz])
-    with np.errstate(divide="ignore"):
-        log_gain_r = np.log(gain) + 0.5 * np.log(x)
     cutoff = rho.cutoff
     lg = gammaln(np.arange(cutoff + 1) + 1.0)
     mat = rho.matrix
     acc = np.zeros(al.shape, dtype=complex)
-    for k in range(cutoff):
-        upper = np.diagonal(mat, k)    # rho_{n, n+k}
-        lower = np.diagonal(mat, -k)   # rho_{n+k, n}
-        n = np.nonzero((np.abs(upper) >= 1e-18) | (np.abs(lower) >= 1e-18))[0]
-        if n.size == 0:
-            continue
-        col = n[:, None]
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            logmag = (decay * x + 0.5 * (lg[col] - lg[col + k])
-                      + k * log_gain_r)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        log_gain_r = np.log(gain) + 0.5 * np.log(x)
+        for k in range(cutoff):
+            upper = np.diagonal(mat, k)    # rho_{n, n+k}
+            lower = np.diagonal(mat, -k)   # rho_{n+k, n}
+            n = np.nonzero((np.abs(upper) >= 1e-18) | (np.abs(lower) >= 1e-18))[0]
+            if n.size == 0:
+                continue
+            col = n[:, None]
+            logmag = decay * x + 0.5 * (lg[col] - lg[col + k]) + k * log_gain_r
             if w == 0.0:
                 logmag = logmag + col * np.log(c * x) - lg[col]
                 sign = 1.0
@@ -79,10 +77,10 @@ def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float
                 logmag = logmag + col * np.log(abs(w)) + np.log(np.abs(lag))
                 sign = np.sign(lag) * np.sign(w) ** col
             elem = sign * np.exp(logmag) * phase ** k
-        elem[:, ~nz] = (w ** n)[:, None] if k == 0 else 0.0
-        acc += np.einsum("n,nP->P", upper[n], elem)
-        if k > 0:
-            acc += np.einsum("n,nP->P", flip ** k * lower[n], np.conj(elem))
+            elem[:, ~nz] = (w ** n)[:, None] if k == 0 else 0.0
+            acc += np.einsum("n,nP->P", upper[n], elem)
+            if k > 0:
+                acc += np.einsum("n,nP->P", flip ** k * lower[n], np.conj(elem))
     return acc.reshape(shape)
 
 
