@@ -194,10 +194,10 @@ def _density(state) -> DensityOperator:
 def _purity_suite(state_id, state, t_grid, tol):
     rho1 = _density(state)
     pure = isinstance(state, PureState)
+    # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
+    # monomials in T cancels catastrophically at large cutoff
     poly = purity_polynomial(rho1)
-    base = poly.as_t_polynomial()
-    d2 = base.deriv(2)
-    values = base(t_grid)
+    values = poly.value(t_grid)
     # convexity holds everywhere for pure inputs but is only guaranteed up
     # to half transmissivity for mixed ones
     convex_grid = t_grid if pure else t_grid[t_grid <= 0.5]
@@ -209,10 +209,10 @@ def _purity_suite(state_id, state, t_grid, tol):
     if convex_grid.size:
         reports.append(inequality_report(
             "purity_convexity", state_id, {},
-            0.0, float(np.min(d2(convex_grid))), tol or 1e-9,
+            0.0, float(np.min(poly.derivative(convex_grid, 2))), tol or 1e-9,
             claim="P'' >= 0 on the applicable grid"))
     if pure:
-        mirrored = base(1.0 - t_grid)
+        mirrored = poly.value(1.0 - t_grid)
         reports.append(equality_report(
             "purity_symmetry", state_id, {},
             float(np.max(np.abs(values - mirrored))), 0.0, tol or 1e-10,

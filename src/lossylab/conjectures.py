@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import (DensityOperator, TwoModeOperator, beam_splitter_unitary,
-                   make_fock, mode_operators, partial_trace, tensor)
+from .fock import (DensityOperator, TwoModeOperator, beam_splitter_apply,
+                   beam_splitter_block, make_fock, tensor)
 from .purity import dark_port_distribution, purity_polynomial
 from .reports import CheckReport, ScanResult, equality_report, inequality_report
 
@@ -30,10 +30,11 @@ REFINE_FACTOR = 10
 
 
 def _log_convexity_margins(rho1: DensityOperator, t_grid: np.ndarray) -> np.ndarray:
-    poly = purity_polynomial(rho1).as_t_polynomial()
-    d1 = poly.deriv()
-    d2 = d1.deriv()
-    return poly(t_grid) * d2(t_grid) - d1(t_grid) ** 2
+    # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
+    # monomials in T cancels catastrophically at large cutoff
+    poly = purity_polynomial(rho1)
+    return (poly.value(t_grid) * poly.derivative(t_grid, 2)
+            - poly.derivative(t_grid, 1) ** 2)
 
 
 def log_convexity_scan(rho1: DensityOperator, t_grid, state_id: str = "state",
@@ -157,21 +158,6 @@ def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def beamsplit_pair(rho: DensityOperator, sigma: DensityOperator) -> TwoModeOperator:
-    """Two copies interfered on a balanced splitter, expressed in the
-    sum/difference mode basis (mode 2 is the difference port).
-
-    Both modes are enlarged to hold the full total photon number first so
-    the splitter acts on complete blocks only; the difference port of a
-    pair of cutoff-c states can be populated up to 2(c - 1) photons.
-    """
-    c1, c2 = rho.cutoff, sigma.cutoff
-    d = c1 + c2 - 1
-    pair = tensor(rho.embedded(d), sigma.embedded(d))
-    u = beam_splitter_unitary(d, d, 0.5)
-    return TwoModeOperator(u.conj().T @ pair.matrix @ u, pair.cutoffs)
-
-
 def unfairness_witness(phi: TwoModeOperator, lam: float,
                        state_id: str = "") -> CheckReport:
     """Moment witness on the difference-port distribution of Phi.
@@ -225,9 +211,8 @@ def _label_projector(amplitudes: dict, cutoff: int) -> TwoModeOperator:
     for (n_plus, n_minus), amp in amplitudes.items():
         vec[n_plus * cutoff + n_minus] = amp
     vec /= np.linalg.norm(vec)
-    u = beam_splitter_unitary(cutoff, cutoff, 0.5)
-    rotated = u @ np.outer(vec, vec.conj()) @ u.conj().T
-    return TwoModeOperator(rotated, (cutoff, cutoff))
+    labeled = TwoModeOperator(np.outer(vec, vec.conj()), (cutoff, cutoff))
+    return beam_splitter_apply(labeled, 0.5)
 
 
 def bell_like_pair(cutoff: int = 4) -> TwoModeOperator:
@@ -300,26 +285,56 @@ def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL,
 # ---------------------------------------------------------------------------
 
 
+def _difference_port_operator(rho1: DensityOperator) -> np.ndarray:
+    """R = Tr_sum[B^dag (rho1 x rho1) B] for the balanced splitter B.
+
+    Mode 1 of B^dag |n1, n2> is the sum port and mode 2 the difference
+    port. The pair is embedded in a box that holds its total photon number,
+    so every block is complete, and each block pair (n, m) of rho1 x rho1 is
+    rotated on its own: sum-port count a pairs difference counts n - a and
+    m - a. R does not depend on any later loss, so scans build it once.
+    """
+    c = rho1.cutoff
+    d = 2 * c - 1
+    rho = np.zeros((d, d), dtype=complex)
+    rho[:c, :c] = rho1.matrix
+    blocks = [beam_splitter_block(n, d, d, 0.5) for n in range(d)]
+    r = np.zeros((d, d), dtype=complex)
+    for n in range(d):
+        a = np.arange(n + 1)
+        left = blocks[n].conj().T
+        for m in range(n, d):
+            # <k, n - k| rho1 x rho1 |l, m - l> = rho1[k, l] rho1[n - k, m - l]
+            pair = rho[: n + 1, : m + 1] * rho[n::-1, m::-1]
+            # diagonal of B_n^dag pair B_m over the shared sum-port counts a <= n
+            rotated = np.sum((left @ pair) * blocks[m][:, : n + 1].T, axis=1)
+            r[n - a, m - a] += rotated
+            if m > n:
+                r[m - a, n - a] += rotated.conj()
+    return r
+
+
+def _reweighted(r: np.ndarray, transmissivity: float) -> DensityOperator:
+    """R reweighted by sqrt(1 - 2T) per difference-port photon, normalized."""
+    t = float(transmissivity)
+    if not t <= 0.5:
+        raise ValueError("the reweighting base needs T <= 1/2")
+    weights = np.sqrt(np.power(1.0 - 2.0 * t, np.arange(r.shape[0], dtype=float)))
+    weighted = weights[:, None] * r * weights[None, :]
+    norm = np.trace(weighted).real
+    if not norm > 1e-300:
+        raise ValueError("dark-port weight annihilated the state")
+    weighted /= norm
+    return DensityOperator((weighted + weighted.conj().T) / 2.0, r.shape[0])
+
+
 def dark_port_state(rho1: DensityOperator, transmissivity: float) -> DensityOperator:
     """Difference-port conditional state of two copies of rho1.
 
     The pair is interfered on a balanced splitter, the difference port is
     reweighted by sqrt(1 - 2T) per photon, and the sum port is traced out.
     """
-    t = float(transmissivity)
-    if t > 0.5:
-        raise ValueError("the reweighting base needs T <= 1/2")
-    phi = beamsplit_pair(rho1, rho1)  # sum/difference basis
-
-    c1, c2 = phi.cutoffs
-    base = 1.0 - 2.0 * t
-    weights = np.sqrt(np.power(base, np.arange(c2, dtype=float)))
-    w_full = np.tile(weights, c1)
-    weighted = w_full[:, None] * phi.matrix * w_full[None, :]
-    norm = np.trace(weighted).real
-    if norm <= 1e-300:
-        raise ValueError("dark-port weight annihilated the state")
-    return partial_trace(TwoModeOperator(weighted / norm, phi.cutoffs), keep=2)
+    return _reweighted(_difference_port_operator(rho1), transmissivity)
 
 
 def g2(rho: DensityOperator):
@@ -360,8 +375,9 @@ def dark_port_g2_scan(states, t_grid, tolerance: float = G2_TOL) -> ScanResult:
     min_margin = np.inf
     argmin = {}
     for state_id, rho1 in states:
+        r = _difference_port_operator(rho1)
         for t in grid:
-            value = g2(dark_port_state(rho1, float(t)))
+            value = g2(_reweighted(r, float(t)))
             if value is None:
                 continue
             margin = value - 1.0

@@ -2,8 +2,9 @@
 
 Everything lives on a finite photon-number ladder |0>, ..., |cutoff-1>. Two-mode
 operators use the row index n1 * cutoff2 + n2 (numpy kron convention). The beam
-splitter is built blockwise in the conserved total photon number, so circuits on
-finite-support inputs are exact whenever the cutoffs hold the total photon number.
+splitter conserves total photon number, so it is kept only as its blocks, one per
+total photon number; circuits on finite-support inputs are exact whenever the
+cutoffs hold the total photon number.
 """
 
 from __future__ import annotations
@@ -128,19 +129,6 @@ class TwoModeOperator:
         if m.shape != (c1 * c2, c1 * c2):
             raise ValueError(f"matrix must have shape ({c1 * c2}, {c1 * c2})")
         object.__setattr__(self, "matrix", _readonly(m))
-
-    def hermiticity_deviation(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def block_norms(self) -> np.ndarray:
-        """Trace weight in each total-photon-number block (diagonal blocks only)."""
-        c1, c2 = self.cutoffs
-        diag = np.diag(self.matrix).real
-        norms = np.zeros(c1 + c2 - 1)
-        for n1 in range(c1):
-            for n2 in range(c2):
-                norms[n1 + n2] += diag[n1 * c2 + n2]
-        return norms
 
 
 @dataclass(frozen=True)
@@ -271,48 +259,54 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block_indices(n: int, c1: int, c2: int) -> list[int]:
-    return list(range(max(0, n - c2 + 1), min(n, c1 - 1) + 1))
+def block_indices(n: int, c1: int, c2: int) -> np.ndarray:
+    """Mode-1 counts k of the states |k, n - k> that a c1 x c2 box holds."""
+    return np.arange(max(0, n - c2 + 1), min(n, c1 - 1) + 1)
 
 
-@lru_cache(maxsize=32)
-def beam_splitter_unitary(c1: int, c2: int, transmissivity: float) -> np.ndarray:
-    """B(T) = exp(arccos(sqrt(T)) (a1 a2^dag - a1^dag a2)), built per total-N block.
+@lru_cache(maxsize=256)
+def beam_splitter_block(n: int, c1: int, c2: int, transmissivity: float) -> np.ndarray:
+    """Block of B(T) = exp(arccos(sqrt(T)) (a1 a2^dag - a1^dag a2)) on total photon number n.
 
-    Exact (to eigensolver precision) within every block fully contained in the
-    cutoff box; blocks clipped by the corner stay unitary on their subspace.
+    Rows and columns run over |k, n - k> for k in ``block_indices(n, c1, c2)``.
+    A block with n < min(c1, c2) is complete and exact to eigensolver
+    precision; a block clipped by the corner of the box stays unitary on its
+    subspace.
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     theta = np.arccos(np.sqrt(transmissivity))
-    dim = c1 * c2
-    u = np.zeros((dim, dim), dtype=complex)
+    ks = block_indices(n, c1, c2)
+    size = ks.size
+    # H = i K is Hermitian tridiagonal; exp(theta K) = exp(-i theta H)
+    h = np.zeros((size, size), dtype=complex)
+    for idx, k in enumerate(ks):
+        if idx > 0:
+            h[idx - 1, idx] = 1j * np.sqrt(k * (n - k + 1))
+        if idx < size - 1:
+            h[idx + 1, idx] = -1j * np.sqrt((k + 1) * (n - k))
+    w, v = np.linalg.eigh(h)
+    return _readonly((v * np.exp(-1j * theta * w)) @ v.conj().T)
+
+
+def _apply_blocks(array: np.ndarray, cutoffs: tuple[int, int], transmissivity: float,
+                  adjoint: bool) -> np.ndarray:
+    """B(T) (or its adjoint) times ``array``, whose rows are two-mode indices."""
+    c1, c2 = cutoffs
+    out = np.empty_like(array)
     for n in range(c1 + c2 - 1):
-        ks = _block_indices(n, c1, c2)
-        size = len(ks)
-        # H = i K is Hermitian tridiagonal; exp(theta K) = exp(-i theta H)
-        h = np.zeros((size, size), dtype=complex)
-        for idx, k in enumerate(ks):
-            if idx > 0:
-                h[idx - 1, idx] = 1j * np.sqrt(k * (n - k + 1))
-            if idx < size - 1:
-                h[idx + 1, idx] = -1j * np.sqrt((k + 1) * (n - k))
-        w, v = np.linalg.eigh(h)
-        block = (v * np.exp(-1j * theta * w)) @ v.conj().T
-        rows = [k * c2 + (n - k) for k in ks]
-        u[np.ix_(rows, rows)] = block
-    return _readonly(u)
+        ks = block_indices(n, c1, c2)
+        rows = ks * c2 + (n - ks)
+        block = beam_splitter_block(n, c1, c2, transmissivity)
+        out[rows] = (block.conj().T if adjoint else block) @ array[rows]
+    return out
 
 
 def beam_splitter_apply(state: TwoModeOperator, transmissivity: float,
                         inverse: bool = False) -> TwoModeOperator:
-    """Conjugate a two-mode operator by B(T) (or its inverse)."""
-    c1, c2 = state.cutoffs
-    u = beam_splitter_unitary(c1, c2, transmissivity)
-    if inverse:
-        out = u.conj().T @ state.matrix @ u
-    else:
-        out = u @ state.matrix @ u.conj().T
+    """Conjugate a two-mode operator by B(T) (or its inverse), block by block."""
+    left = _apply_blocks(state.matrix, state.cutoffs, transmissivity, inverse)
+    out = _apply_blocks(left.conj().T, state.cutoffs, transmissivity, inverse).conj().T
     return TwoModeOperator(out, state.cutoffs)
 
 

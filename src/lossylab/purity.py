@@ -15,8 +15,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import gammaln
 
-from .fock import (DensityOperator, PureState, TwoModeOperator, beam_splitter_unitary,
-                   mode_operators)
+from .fock import (DensityOperator, PureState, TwoModeOperator, beam_splitter_block,
+                   block_indices)
 from .loss import apply_loss
 
 EIG_FLOOR = 1e-14
@@ -76,6 +76,9 @@ class PurityPolynomial:
         return (-2.0) ** order * npoly.polyval(lam, dcoeffs)
 
     def as_t_polynomial(self) -> np.polynomial.Polynomial:
+        """The polynomial expanded into monomials in T, for exact polynomial
+        algebra. Expanding (1 - 2T)^m cancels catastrophically at large
+        degree, so evaluate values and derivatives with value/derivative."""
         lam = np.polynomial.Polynomial([1.0, -2.0])
         acc = np.polynomial.Polynomial([0.0])
         for m, c in enumerate(self.coefficients):
@@ -91,10 +94,6 @@ class PurityPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _mode2_populations_of_vector(vec: np.ndarray, dim: int) -> np.ndarray:
-    return np.sum(np.abs(vec.reshape(dim, dim)) ** 2, axis=0)
-
-
 def _signed_eigenpairs(rho: DensityOperator):
     w, v = np.linalg.eigh(rho.matrix)
     keep = np.abs(w) > 1e-15
@@ -105,41 +104,42 @@ def pair_dark_populations(rho: DensityOperator, sigma: DensityOperator) -> np.nd
     """Number populations of the difference mode of rho x sigma after balanced mixing.
 
     Spectral path: each eigenvector pair is sent through B(1/2)^dag as a state
-    vector, which is exact because the embedding ladder holds the total photon
-    number. Signed eigenvalues are kept so indefinite operators work too.
+    vector, one total-photon-number block at a time; the blocks are complete
+    because the embedding ladder holds the total photon number. Signed
+    eigenvalues are kept so indefinite operators work too.
     """
-    d = rho.cutoff + sigma.cutoff - 1
-    u_conj = beam_splitter_unitary(d, d, 0.5).conj()
+    cr, cs = rho.cutoff, sigma.cutoff
     wr, vr = _signed_eigenpairs(rho)
     ws, vs = _signed_eigenpairs(sigma)
+    weights = np.outer(wr, ws).ravel()
+    d = cr + cs - 1
     pops = np.zeros(d)
-    for i, wi in enumerate(wr):
-        left = np.zeros(d, dtype=complex)
-        left[: rho.cutoff] = vr[:, i]
-        for j, wj in enumerate(ws):
-            right = np.zeros(d, dtype=complex)
-            right[: sigma.cutoff] = vs[:, j]
-            out = np.kron(left, right) @ u_conj  # row vector times conj(B) = B^dag |left, right>
-            pops += (wi * wj) * _mode2_populations_of_vector(out, d)
+    for n in range(d):
+        ks = block_indices(n, cr, cs)
+        # amplitudes <k, n - k | v_i, v_j> of every eigenvector pair (i, j)
+        amps = (vr[ks, :, None] * vs[n - ks, None, :]).reshape(ks.size, -1)
+        out = beam_splitter_block(n, d, d, 0.5)[ks].conj().T @ amps  # rows |a, n - a>
+        pops[n::-1] += np.abs(out) ** 2 @ weights
     return pops
 
 
 def dark_port_distribution(phi: TwoModeOperator) -> np.ndarray:
     """Difference-mode number populations of an arbitrary two-mode operator.
 
-    The operator is zero-padded so every populated total-photon-number block
-    is complete before rotating; on an incomplete block the truncated
-    splitter matrix is not unitary and the marginal would be corrupted.
+    B(1/2) conserves total photon number, so only the diagonal blocks
+    Phi[n, n] reach the diagonal of B^dag Phi B; each is rotated by its
+    own splitter block.
     """
     c1, c2 = phi.cutoffs
     d = c1 + c2 - 1
-    idx = (np.arange(c1)[:, None] * d + np.arange(c2)[None, :]).ravel()
-    big = np.zeros((d * d, d * d), dtype=complex)
-    big[np.ix_(idx, idx)] = phi.matrix
-    u = beam_splitter_unitary(d, d, 0.5)
-    rotated = u.conj().T @ big @ u
-    diag = np.diag(rotated).real.reshape(d, d)
-    return diag.sum(axis=0)
+    pops = np.zeros(d)
+    for n in range(d):
+        ks = block_indices(n, c1, c2)
+        rows = ks * c2 + (n - ks)
+        b = beam_splitter_block(n, d, d, 0.5)[ks]
+        diag = np.einsum("ka,kl,la->a", b.conj(), phi.matrix[np.ix_(rows, rows)], b)
+        pops[n::-1] += diag.real
+    return pops
 
 
 def purity_polynomial(rho: DensityOperator) -> PurityPolynomial:
@@ -203,43 +203,6 @@ def fock_purity_closed_form(n: int, transmissivity):
     return float(acc[0]) if scalar else acc
 
 
-def fock_basis_lossy_purity(rho: DensityOperator, transmissivity: float) -> float:
-    """Purity of E_T[rho] summed directly in the number basis.
-
-    Independent of the Kraus route: purity = sum_{l,l'} T^(l+l') / (l! l'!)
-    |Tr[a^dag^l (1-T)^(a^dag a) a^l' rho]|^2.
-    """
-    t = float(transmissivity)
-    c = rho.cutoff
-    ops = mode_operators(c)
-    decay = np.diag((1.0 - t) ** np.arange(c)).astype(complex)
-    total = 0.0
-    left = np.eye(c, dtype=complex)
-    for l in range(c):
-        if l > 0:
-            left = ops.create @ left
-        right = np.eye(c, dtype=complex)
-        for lp in range(c):
-            if lp > 0:
-                right = ops.annihilate @ right
-            tr = np.trace(left @ decay @ right @ rho.matrix)
-            weight = t ** (l + lp) * np.exp(-gammaln(l + 1) - gammaln(lp + 1))
-            total += weight * abs(tr) ** 2
-    return float(total)
-
-
 def purity_derivative(rho: DensityOperator, transmissivity: float, order: int = 1) -> float:
     """d^order Tr[rho_T^2] / dT^order via the dark-port polynomial."""
     return float(purity_polynomial(rho).derivative(transmissivity, order))
-
-
-def purity_rate_operator_form(rho: DensityOperator, transmissivity: float) -> float:
-    """dP/dT = (2/T)(Tr[N rho_T rho_T] - Tr[a rho_T a^dag rho_T]); T > 0."""
-    t = float(transmissivity)
-    if t <= 0:
-        raise ValueError("operator form of the purity rate needs T > 0")
-    rho_t = apply_loss(rho, t).matrix
-    ops = mode_operators(rho.cutoff)
-    term_n = np.einsum("ij,ji->", ops.number @ rho_t, rho_t).real
-    term_a = np.einsum("ij,ji->", ops.annihilate @ rho_t @ ops.create, rho_t).real
-    return float(2.0 / t * (term_n - term_a))

@@ -75,6 +75,15 @@ def qcs_purity_rate(rho1: DensityOperator, transmissivity: float) -> QcsResult:
     return QcsResult(t * rate / p + 1.0, ROUTE_PURITY_RATE, p)
 
 
+def _swap_matrix(c: int) -> np.ndarray:
+    """The swap |i, j> -> |j, i> on two cutoff-c ladders."""
+    swap = np.zeros((c * c, c * c), dtype=complex)
+    for i in range(c):
+        for j in range(c):
+            swap[i * c + j, j * c + i] = 1.0
+    return swap
+
+
 def qcs_two_copy(rho: DensityOperator) -> QcsResult:
     """C^2 from two copies: Tr[(rho x rho) Nhat] / Tr[(rho x rho) Shat].
 
@@ -87,10 +96,7 @@ def qcs_two_copy(rho: DensityOperator) -> QcsResult:
     eye = np.eye(c, dtype=complex)
     x1, x2 = np.kron(ops.x, eye), np.kron(eye, ops.x)
     p1, p2 = np.kron(ops.p, eye), np.kron(eye, ops.p)
-    swap = np.zeros((c * c, c * c), dtype=complex)
-    for i in range(c):
-        for j in range(c):
-            swap[i * c + j, j * c + i] = 1.0
+    swap = _swap_matrix(c)
     nhat = 0.5 * ((x1 - x2) @ (x1 - x2) + (p1 - p2) @ (p1 - p2)) @ swap
     pair = np.kron(emb.matrix, emb.matrix)
     num = float(np.einsum("ij,ji->", pair, nhat).real)
@@ -106,10 +112,7 @@ def two_copy_swap_identity_deviation(cutoff: int) -> float:
     x1, x2 = np.kron(ops.x, eye), np.kron(eye, ops.x)
     p1, p2 = np.kron(ops.p, eye), np.kron(eye, ops.p)
     a1, a2 = np.kron(ops.annihilate, eye), np.kron(eye, ops.annihilate)
-    swap = np.zeros((c * c, c * c), dtype=complex)
-    for i in range(c):
-        for j in range(c):
-            swap[i * c + j, j * c + i] = 1.0
+    swap = _swap_matrix(c)
     nhat = 0.5 * ((x1 - x2) @ (x1 - x2) + (p1 - p2) @ (p1 - p2)) @ swap
     lhs = (a1 - a2).conj().T @ (a1 - a2) @ swap
     # the identity is exact on the subspace that cannot reach the clipped corner

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from lossylab.fock import random_mixed, random_pure
+from lossylab.fock import mode_operators, random_mixed, random_pure
 
 
 @pytest.fixture
@@ -23,3 +24,21 @@ def mixed_corpus():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def dense_splitter():
+    """Oracle for the beam splitter: expm of theta (a1 a2^dag - a1^dag a2)
+    on a c x c box, theta = arccos(sqrt(T)).
+
+    The truncated generator still conserves total photon number, so every
+    block with n < c is exact and every clipped block is the exponential of
+    the clipped generator.
+    """
+    def build(c, transmissivity):
+        a = mode_operators(c).annihilate
+        eye = np.eye(c)
+        a1, a2 = np.kron(a, eye), np.kron(eye, a)
+        generator = a1 @ a2.conj().T - a1.conj().T @ a2
+        return expm(np.arccos(np.sqrt(transmissivity)) * generator)
+    return build

@@ -34,6 +34,20 @@ def test_verify_suite_selection(capsys):
     assert 0 < n_qcs < n_all
 
 
+def test_purity_suite_at_cutoff_24(tmp_path, capsys):
+    # the polynomial is evaluated in lambda = 1 - 2T; expanded into
+    # monomials in T it cancels catastrophically at this cutoff
+    out = tmp_path / "purity.csv"
+    assert run("verify", "--states", "random:4:24", "--seed", "1", "--grid",
+               "0:1:21", "--suite", "purity", "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    names = {"purity_symmetry", "purity_convexity", "pure_min_at_half"}
+    checked = [r for r in rows if r["check_name"] in names]
+    assert {r["check_name"] for r in checked} == names
+    assert all(r["pass"] == "true" for r in checked)
+
+
 def test_sweep_single_photon(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--states", "fock:1", "--grid", "0:1:5",

@@ -142,6 +142,31 @@ def test_dark_port_of_squeezed_pair_g2():
     assert g_factorial(dp, 1) == pytest.approx(1.0, abs=1e-12)
 
 
+def _dense_dark_port_state(rho, t, u):
+    """Oracle: conjugate the embedded pair by the dense balanced splitter u,
+    reweight the difference port, and trace out the sum port."""
+    c = rho.shape[0]
+    d = 2 * c - 1
+    big = np.zeros((d, d), dtype=complex)
+    big[:c, :c] = rho
+    phi = u.conj().T @ np.kron(big, big) @ u
+    w = np.tile(np.sqrt((1.0 - 2.0 * t) ** np.arange(d)), d)
+    weighted = (w[:, None] * phi * w[None, :]).reshape(d, d, d, d)
+    reduced = np.einsum("ijil->jl", weighted)
+    return reduced / np.trace(reduced).real
+
+
+def test_dark_port_state_matches_dense_oracle(dense_splitter):
+    u = dense_splitter(11, 0.5)
+    states = [random_mixed(23, 6, rank=3), random_pure(24, 6).density(),
+              make_fock(5, 6).density()]
+    for rho in states:
+        for t in (0.0, 0.2, 0.37, 0.5):
+            np.testing.assert_allclose(dark_port_state(rho, t).matrix,
+                                       _dense_dark_port_state(rho.matrix, t, u),
+                                       atol=1e-12)
+
+
 def test_dark_port_g2_scan_no_violation():
     states = [(f"mixed:{seed}", random_mixed(seed, 8, rank=2)) for seed in (2, 7)]
     states += [(f"pure:{seed}", random_pure(seed, 8).density()) for seed in (4,)]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from lossylab.fock import (DensityOperator, PureState, beam_splitter_apply,
-                           beam_splitter_unitary, displacement_matrix,
-                           make_coherent, make_fock, make_squeezed_vacuum,
-                           mode_operators, partial_trace, random_mixed,
-                           random_pure, tensor, thermal_state)
+                           beam_splitter_block, block_indices,
+                           displacement_matrix, make_coherent, make_fock,
+                           make_squeezed_vacuum, mode_operators, partial_trace,
+                           random_mixed, random_pure, tensor, thermal_state)
 
 
 def test_pure_state_normalizes_and_records_tail():
@@ -113,30 +113,48 @@ def test_displacement_is_unitary_on_interior():
     np.testing.assert_allclose(product, np.eye(inner), atol=1e-10)
 
 
+def _dense_block(u, n, c):
+    rows = [k * c + (n - k) for k in range(n + 1)]
+    return u[np.ix_(rows, rows)]
+
+
+@pytest.mark.parametrize("t", [0.13, 0.5, 0.9])
+def test_beam_splitter_blocks_match_dense_exponential(t, dense_splitter):
+    c = 21
+    u = dense_splitter(c, t)
+    for n in range(c):
+        block = beam_splitter_block(n, c, c, t)
+        np.testing.assert_allclose(block, _dense_block(u, n, c), atol=1e-12)
+        # a complete block does not depend on the box that holds it
+        np.testing.assert_array_equal(block, beam_splitter_block(n, n + 1, n + 1, t))
+
+
 def test_beam_splitter_blocks_and_single_photon_rule():
     c = 6
     t = 0.37
-    u = beam_splitter_unitary(c, c, t)
-    np.testing.assert_allclose(u.imag, 0.0, atol=1e-15)
-    np.testing.assert_allclose(u.T @ u, np.eye(c * c), atol=1e-12)
-    # |1,0> -> sqrt(T)|1,0> + sqrt(1-T)|0,1>
-    vec = np.zeros(c * c)
-    vec[1 * c + 0] = 1.0
-    out = u @ vec
-    np.testing.assert_allclose(out[1 * c + 0], np.sqrt(t), atol=1e-12)
-    np.testing.assert_allclose(out[0 * c + 1], np.sqrt(1 - t), atol=1e-12)
+    for n in range(2 * c - 1):
+        block = beam_splitter_block(n, c, c, t)
+        assert block.shape == (block_indices(n, c, c).size,) * 2
+        np.testing.assert_allclose(block.imag, 0.0, atol=1e-15)
+        # complete and corner-clipped blocks alike are unitary
+        np.testing.assert_allclose(block.T @ block, np.eye(block.shape[0]), atol=1e-12)
+    # |1,0> -> sqrt(T)|1,0> + sqrt(1-T)|0,1>; block 1 runs over |0,1>, |1,0>
+    out = beam_splitter_block(1, c, c, t) @ np.array([0.0, 1.0])
+    np.testing.assert_allclose(out[1], np.sqrt(t), atol=1e-12)
+    np.testing.assert_allclose(out[0], np.sqrt(1 - t), atol=1e-12)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        beam_splitter_block(1, c, c, 1.5)
+    with pytest.raises(ValueError):
+        beam_splitter_block(1, c, c, float("nan"))
 
 
 def test_hong_ou_mandel_cancellation():
-    c = 4
-    u = beam_splitter_unitary(c, c, 0.5)
-    vec = np.zeros(c * c)
-    vec[1 * c + 1] = 1.0
-    out = u @ vec
-    assert abs(out[1 * c + 1]) < 1e-12
-    np.testing.assert_allclose(abs(out[0 * c + 2]) ** 2, 0.5, atol=1e-12)
-    np.testing.assert_allclose(abs(out[2 * c + 0]) ** 2, 0.5, atol=1e-12)
+    # block 2 runs over |0,2>, |1,1>, |2,0>
+    out = beam_splitter_block(2, 4, 4, 0.5) @ np.array([0.0, 1.0, 0.0])
+    assert abs(out[1]) < 1e-12
+    np.testing.assert_allclose(abs(out[0]) ** 2, 0.5, atol=1e-12)
+    np.testing.assert_allclose(abs(out[2]) ** 2, 0.5, atol=1e-12)
 
 
 def test_tensor_and_partial_trace_roundtrip():
@@ -149,7 +167,7 @@ def test_tensor_and_partial_trace_roundtrip():
     np.testing.assert_allclose(back2.matrix, sig.matrix, atol=1e-12)
 
 
-def test_beam_splitter_apply_preserves_trace_and_inverts():
+def test_beam_splitter_apply_preserves_trace_and_inverts(dense_splitter):
     rho = random_mixed(11, 4, rank=2)
     sig = random_mixed(12, 4, rank=2)
     pair = tensor(rho, sig)
@@ -157,3 +175,8 @@ def test_beam_splitter_apply_preserves_trace_and_inverts():
     assert np.trace(rotated.matrix) == pytest.approx(1.0, abs=1e-12)
     undone = beam_splitter_apply(rotated, 0.3, inverse=True)
     np.testing.assert_allclose(undone.matrix, pair.matrix, atol=1e-12)
+    # the truncated generator exponentiates to the same clipped blocks, so
+    # the dense oracle matches on the whole 4 x 4 box
+    u = dense_splitter(4, 0.3)
+    np.testing.assert_allclose(rotated.matrix, u @ pair.matrix @ u.conj().T,
+                               atol=1e-12)

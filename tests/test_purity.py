@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 from lossylab.fock import (make_coherent, make_fock, random_mixed, random_pure,
@@ -55,6 +56,31 @@ def test_coherent_pair_dark_populations_are_poisson():
     mean = abs(beta - gamma) ** 2 / 2.0
     expected = poisson.pmf(np.arange(p.size), mean)
     np.testing.assert_allclose(p, expected, atol=1e-10)
+
+
+def test_twin_fock_pair_dark_populations_at_large_photon_number():
+    # |n, n> -> sum_j c_j |2j, 2n - 2j> with
+    # |c_j|^2 = (2j)! (2n - 2j)! / (4^n (j!)^2 ((n - j)!)^2)
+    n = 30
+    rho = make_fock(n, n + 1).density()
+    j = np.arange(n + 1)
+    expected = np.zeros(2 * n + 1)
+    expected[2 * n - 2 * j] = np.exp(
+        gammaln(2 * j + 1) + gammaln(2 * n - 2 * j + 1) - n * np.log(4.0)
+        - 2.0 * gammaln(j + 1) - 2.0 * gammaln(n - j + 1))
+    np.testing.assert_allclose(pair_dark_populations(rho, rho), expected, atol=1e-10)
+    np.testing.assert_allclose(dark_port_distribution(tensor(rho, rho)), expected,
+                               atol=1e-10)
+
+
+def test_coherent_pair_dark_populations_at_cutoff_48():
+    beta, gamma = 2.0, -1.5 + 1.0j
+    rho = make_coherent(beta, 48).density()
+    sig = make_coherent(gamma, 48).density()
+    expected = poisson.pmf(np.arange(95), abs(beta - gamma) ** 2 / 2.0)
+    np.testing.assert_allclose(pair_dark_populations(rho, sig), expected, atol=1e-10)
+    np.testing.assert_allclose(dark_port_distribution(tensor(rho, sig)), expected,
+                               atol=1e-10)
 
 
 def test_dark_port_distribution_agrees_with_spectral_engine():
