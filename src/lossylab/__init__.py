@@ -15,11 +15,9 @@ from .conjectures import (bell_like_pair, dark_port_g2_scan, dark_port_state,
                           separable_01_pair, twin_photon_pair,
                           unfairness_witness)
 from .fock import (DensityOperator, ModeOperatorSet, PureState,
-                   TwoModeOperator, beam_splitter_apply,
                    beam_splitter_block, block_indices, displacement_matrix,
                    make_coherent, make_fock, make_squeezed_vacuum,
-                   mode_operators, partial_trace, random_mixed, random_pure,
-                   tensor, thermal_state)
+                   mode_operators, random_mixed, random_pure, thermal_state)
 from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
                            fock_hypergeometric_identity, husimi_pair_check,
                            isotropic_gaussian, ladder_loss_inequality,

@@ -5,7 +5,8 @@ CSV, ``sweep`` tabulates purity, entropies, coherence scale, and mean
 photon number against transmissivity, ``phasespace`` exports a
 quasiprobability grid, and ``conjecture`` runs the conjecture scans.
 Exit status is 0 for success with no violations, 1 when any check or scan
-reports a violation, and 2 on configuration errors. Identical
+reports a violation or a scan has no rows, and 2 on configuration errors
+(including non-finite state entries). Identical
 configuration and seed produce byte-identical CSV files.
 """
 
@@ -437,7 +438,7 @@ def cmd_conjecture(args) -> int:
             raise ConfigError(f"unknown conjecture {args.name!r}")
     if args.out:
         write_scan_csv(args.out, results)
-    bad = [r for r in results if r.disposition == "violation"]
+    bad = [r for r in results if r.disposition in ("violation", "empty")]
     total = sum(len(r.rows) for r in results)
     row_tol = args.tol if args.tol is not None else 1e-9
     failed = sum(1 for r in results for (_, _, m) in r.rows if m < -row_tol)

@@ -3,18 +3,23 @@
 Log-convexity of purity under loss, the difference-port moment witness,
 and sub-Poissonian exclusion of interference dark ports are conjectures:
 scans report evidence, never proofs. The exponential-tilt log-convexity
-bound is proven, so its checks must always pass. The witness also admits
-exact counterexamples for operators that are not fair mixtures of twin
-pairs, and those are reproduced here bit-stably.
+bound is proven, so its checks must always pass.
+
+The witness and the tilt bound read one object: the difference-port
+number distribution q of a balanced two-copy interference, a plain 1-D
+array with q[m] the probability of m photons in the difference port.
+``fair_pair`` computes it for twin copies of a state with the spectral
+dark-port engine; the counterexample pairs, which are not fair mixtures
+of twin pairs, are given by their exact distributions and reproduce
+their witness margins bit-stably.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import (DensityOperator, TwoModeOperator, beam_splitter_apply,
-                   beam_splitter_block, make_fock, tensor)
-from .purity import dark_port_distribution, purity_polynomial
+from .fock import DensityOperator, beam_splitter_block, make_fock
+from .purity import pair_dark_populations, purity_polynomial
 from .reports import CheckReport, ScanResult, equality_report, inequality_report
 
 SCAN_TOL = 1e-9
@@ -104,6 +109,15 @@ def log_convexity_corpus(states, t_grid, tolerance: float = SCAN_TOL) -> ScanRes
 # ---------------------------------------------------------------------------
 
 
+def _ell_sides(q: np.ndarray, transmissivity: float) -> tuple:
+    t = float(transmissivity)
+    if not t < 0.5:
+        raise ValueError("the tilt base needs T < 1/2")
+    m = np.arange(q.size, dtype=float)
+    w = (1.0 - 2.0 * t) ** m
+    return float(q @ (m * w)) ** 2, float(q @ w) * float(q @ (m * m * w))
+
+
 def ell_log_convexity_check(rho1: DensityOperator, transmissivity: float,
                             state_id: str = "") -> CheckReport:
     """Second-moment bound on the tilted dark-port distribution.
@@ -112,16 +126,10 @@ def ell_log_convexity_check(rho1: DensityOperator, transmissivity: float,
     w = 1 - 2T the tilt base, (sum q m w^m)^2 <= (sum q w^m)(sum q m^2 w^m).
     This is a proven Cauchy-Schwarz case and must pass for every state.
     """
-    t = float(transmissivity)
-    if t >= 0.5:
-        raise ValueError("the tilt base needs T < 1/2")
-    q = dark_port_distribution(tensor(rho1, rho1))
-    m = np.arange(q.size, dtype=float)
-    w = (1.0 - 2.0 * t) ** m
-    lhs = float(q @ (m * w)) ** 2
-    rhs = float(q @ w) * float(q @ (m * m * w))
+    lhs, rhs = _ell_sides(purity_polynomial(rho1).coefficients, transmissivity)
     return inequality_report(
-        "ell_log_convexity", state_id, {"T": t}, lhs, rhs, PROVEN_TOL,
+        "ell_log_convexity", state_id, {"T": float(transmissivity)}, lhs, rhs,
+        PROVEN_TOL,
         claim="tilted dark-port first moment squared <= zeroth times second",
     )
 
@@ -133,14 +141,16 @@ def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
     argmin = {}
     grid = np.asarray(t_grid, dtype=float)
     for state_id, rho1 in states:
+        q = purity_polynomial(rho1).coefficients
         for t in grid:
-            rep = ell_log_convexity_check(rho1, float(t), state_id)
-            rows.append((state_id, float(t), rep.margin))
-            if rep.margin < min_margin:
-                min_margin = rep.margin
+            lhs, rhs = _ell_sides(q, t)
+            margin = rhs - lhs
+            rows.append((state_id, float(t), margin))
+            if margin < min_margin:
+                min_margin = margin
                 argmin = {"state_id": state_id, "T": float(t)}
-            if not rep.passed:
-                violations.append((state_id, float(t), rep.margin))
+            if not margin >= -PROVEN_TOL:
+                violations.append((state_id, float(t), margin))
     return ScanResult(
         conjecture="ell_log_convexity",
         corpus=f"{len(states)} states",
@@ -158,9 +168,9 @@ def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def unfairness_witness(phi: TwoModeOperator, lam: float,
+def unfairness_witness(q: np.ndarray, lam: float,
                        state_id: str = "") -> CheckReport:
-    """Moment witness on the difference-port distribution of Phi.
+    """Moment witness on a difference-port distribution q.
 
     With q_m the difference-port populations, the claim for fair mixtures
     of twin pairs is
@@ -171,7 +181,7 @@ def unfairness_witness(phi: TwoModeOperator, lam: float,
     """
     if abs(lam) > 1.0:
         raise ValueError("the tilt parameter must satisfy |lam| <= 1")
-    lhs, rhs = _witness_sides(dark_port_distribution(phi), lam)
+    lhs, rhs = _witness_sides(q, lam)
     return inequality_report(
         "unfairness_witness", state_id, {"lambda": float(lam)}, lhs, rhs,
         PROVEN_TOL,
@@ -191,10 +201,9 @@ def _witness_sides(q: np.ndarray, lam: float) -> tuple:
     return first ** 2, zeroth * second
 
 
-def lambda_zero_witness(phi: TwoModeOperator, state_id: str = "") -> CheckReport:
+def lambda_zero_witness(q: np.ndarray, state_id: str = "") -> CheckReport:
     """Three-population specialization of the witness at lam = 0:
     2 q_2 q_0 - q_1^2 >= 0 for fair mixtures."""
-    q = dark_port_distribution(phi)
     q0 = float(q[0])
     q1 = float(q[1]) if q.size > 1 else 0.0
     q2 = float(q[2]) if q.size > 2 else 0.0
@@ -204,46 +213,44 @@ def lambda_zero_witness(phi: TwoModeOperator, state_id: str = "") -> CheckReport
     )
 
 
-def _label_projector(amplitudes: dict, cutoff: int) -> TwoModeOperator:
-    """Rank-one two-mode operator with the given sum/difference-basis
-    amplitudes, expressed back in the input basis."""
-    vec = np.zeros(cutoff * cutoff, dtype=complex)
-    for (n_plus, n_minus), amp in amplitudes.items():
-        vec[n_plus * cutoff + n_minus] = amp
-    vec /= np.linalg.norm(vec)
-    labeled = TwoModeOperator(np.outer(vec, vec.conj()), (cutoff, cutoff))
-    return beam_splitter_apply(labeled, 0.5)
+def _difference_marginal(amplitudes: dict) -> np.ndarray:
+    """Difference-port distribution of the pure two-mode state with the
+    given amplitudes {(n_plus, n_minus): amplitude} in the sum/difference
+    number basis."""
+    q = np.zeros(1 + max(n_minus for _, n_minus in amplitudes))
+    for (_, n_minus), amp in amplitudes.items():
+        q[n_minus] += abs(amp) ** 2
+    return q / q.sum()
 
 
-def bell_like_pair(cutoff: int = 4) -> TwoModeOperator:
+def bell_like_pair() -> np.ndarray:
     """Superposition of no photons and a photon in each of the sum and
     difference modes; its difference-port populations are (1/2, 1/2)."""
-    return _label_projector({(0, 0): 1.0, (1, 1): -1.0}, cutoff)
+    return _difference_marginal({(0, 0): 1.0, (1, 1): -1.0})
 
 
-def separable_01_pair(cutoff: int = 4) -> TwoModeOperator:
-    """One photon sitting in the difference mode: populations (0, 1, 0)."""
-    return _label_projector({(0, 1): 1.0}, cutoff)
+def separable_01_pair() -> np.ndarray:
+    """One photon sitting in the difference mode: populations (0, 1)."""
+    return _difference_marginal({(0, 1): 1.0})
 
 
-def twin_photon_pair(cutoff: int = 4) -> TwoModeOperator:
+def twin_photon_pair() -> np.ndarray:
     """Literal |1, 1> input pair; interference gives difference-port
     populations (1/2, 0, 1/2) and the witness passes."""
-    one = make_fock(1, cutoff).density()
-    return fair_pair(one)
+    return fair_pair(make_fock(1, 2).density())
 
 
-def fair_pair(rho: DensityOperator) -> TwoModeOperator:
-    """Twin copies of rho as the witness input: the fair case by
-    construction. The witness performs the interference itself."""
-    return tensor(rho, rho)
+def fair_pair(rho: DensityOperator) -> np.ndarray:
+    """Difference-port distribution of twin copies of rho, the fair case
+    by construction."""
+    return pair_dark_populations(rho, rho)
 
 
-def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL,
-                    expect_fail: bool = False) -> ScanResult:
-    """Evaluate the witness over (state_id, TwoModeOperator) pairs and a
-    lam grid. Raw violations are re-checked on a 10x finer lam grid with a
-    10x tighter tolerance before the scan is labeled a violation."""
+def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL) -> ScanResult:
+    """Evaluate the witness over (state_id, q) pairs, q a difference-port
+    distribution, and a lam grid. Raw violations are re-checked on a 10x
+    finer lam grid with a 10x tighter tolerance before the scan is labeled
+    a violation."""
     grid = np.asarray(lam_grid, dtype=float)
     rows = []
     violations = []
@@ -254,8 +261,7 @@ def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL,
         sides = [_witness_sides(q, float(l)) for l in lams]
         return np.array([rhs - lhs for lhs, rhs in sides])
 
-    for state_id, phi in pairs:
-        q = dark_port_distribution(phi)
+    for state_id, q in pairs:
         margins = margins_on(q, grid)
         rows.extend((state_id, float(l), float(mg)) for l, mg in zip(grid, margins))
         i = int(np.argmin(margins))
@@ -298,7 +304,7 @@ def _difference_port_operator(rho1: DensityOperator) -> np.ndarray:
     d = 2 * c - 1
     rho = np.zeros((d, d), dtype=complex)
     rho[:c, :c] = rho1.matrix
-    blocks = [beam_splitter_block(n, d, d, 0.5) for n in range(d)]
+    blocks = [beam_splitter_block(n, 0.5) for n in range(d)]
     r = np.zeros((d, d), dtype=complex)
     for n in range(d):
         a = np.arange(n + 1)

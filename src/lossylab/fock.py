@@ -1,10 +1,11 @@
-"""Truncated Fock-space states and operators for one and two bosonic modes.
+"""Truncated Fock-space states and operators for one bosonic mode, plus
+the beam splitter that couples two.
 
-Everything lives on a finite photon-number ladder |0>, ..., |cutoff-1>. Two-mode
-operators use the row index n1 * cutoff2 + n2 (numpy kron convention). The beam
-splitter conserves total photon number, so it is kept only as its blocks, one per
-total photon number; circuits on finite-support inputs are exact whenever the
-cutoffs hold the total photon number.
+Everything lives on a finite photon-number ladder |0>, ..., |cutoff-1>. The
+beam splitter conserves total photon number, so it is kept only as its
+blocks, one per total photon number n, over the two-mode states |k, n - k>;
+circuits on finite-support inputs are exact whenever the ladders hold the
+total photon number.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ class PureState:
             raise ValueError("cutoff must be at least 1")
         if amps.shape != (self.cutoff,):
             raise ValueError(f"amplitude vector must have shape ({self.cutoff},)")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
+        if not norm >= 1e-12:
             raise ValueError("cannot normalize a (near-)zero vector")
         object.__setattr__(self, "amplitudes", _readonly(amps / norm))
 
@@ -84,15 +87,17 @@ class DensityOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (self.cutoff, self.cutoff):
             raise ValueError(f"matrix must have shape ({self.cutoff}, {self.cutoff})")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > HERMITICITY_TOL:
+        if not herm_dev <= HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
         trace_dev = abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
-        if trace_dev > TRACE_TOL:
+        if not trace_dev <= TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
         if self.physical:
             min_eig = float(np.linalg.eigvalsh(m)[0])
-            if min_eig < -POSITIVITY_TOL:
+            if not min_eig >= -POSITIVITY_TOL:
                 raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -114,21 +119,6 @@ class DensityOperator:
         pops = np.abs(np.diag(self.matrix).real)
         nz = np.nonzero(pops > 1e-14)[0]
         return int(nz[-1]) if nz.size else 0
-
-
-@dataclass(frozen=True)
-class TwoModeOperator:
-    """Operator on the tensor ladder, row index n1 * cutoffs[1] + n2."""
-
-    matrix: np.ndarray
-    cutoffs: tuple[int, int]
-
-    def __post_init__(self):
-        c1, c2 = self.cutoffs
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (c1 * c2, c1 * c2):
-            raise ValueError(f"matrix must have shape ({c1 * c2}, {c1 * c2})")
-        object.__setattr__(self, "matrix", _readonly(m))
 
 
 @dataclass(frozen=True)
@@ -265,71 +255,19 @@ def block_indices(n: int, c1: int, c2: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def beam_splitter_block(n: int, c1: int, c2: int, transmissivity: float) -> np.ndarray:
+def beam_splitter_block(n: int, transmissivity: float) -> np.ndarray:
     """Block of B(T) = exp(arccos(sqrt(T)) (a1 a2^dag - a1^dag a2)) on total photon number n.
 
-    Rows and columns run over |k, n - k> for k in ``block_indices(n, c1, c2)``.
-    A block with n < min(c1, c2) is complete and exact to eigensolver
-    precision; a block clipped by the corner of the box stays unitary on its
-    subspace.
+    Rows and columns run over |k, n - k> for k = 0, ..., n. The block is
+    complete, so it is exact to eigensolver precision on any ladder that
+    holds n photons in each mode.
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
     theta = np.arccos(np.sqrt(transmissivity))
-    ks = block_indices(n, c1, c2)
-    size = ks.size
     # H = i K is Hermitian tridiagonal; exp(theta K) = exp(-i theta H)
-    h = np.zeros((size, size), dtype=complex)
-    for idx, k in enumerate(ks):
-        if idx > 0:
-            h[idx - 1, idx] = 1j * np.sqrt(k * (n - k + 1))
-        if idx < size - 1:
-            h[idx + 1, idx] = -1j * np.sqrt((k + 1) * (n - k))
+    k = np.arange(1, n + 1)
+    hop = 1j * np.sqrt(k * (n - k + 1))
+    h = np.diag(hop, 1) + np.diag(-hop, -1)
     w, v = np.linalg.eigh(h)
     return _readonly((v * np.exp(-1j * theta * w)) @ v.conj().T)
-
-
-def _apply_blocks(array: np.ndarray, cutoffs: tuple[int, int], transmissivity: float,
-                  adjoint: bool) -> np.ndarray:
-    """B(T) (or its adjoint) times ``array``, whose rows are two-mode indices."""
-    c1, c2 = cutoffs
-    out = np.empty_like(array)
-    for n in range(c1 + c2 - 1):
-        ks = block_indices(n, c1, c2)
-        rows = ks * c2 + (n - ks)
-        block = beam_splitter_block(n, c1, c2, transmissivity)
-        out[rows] = (block.conj().T if adjoint else block) @ array[rows]
-    return out
-
-
-def beam_splitter_apply(state: TwoModeOperator, transmissivity: float,
-                        inverse: bool = False) -> TwoModeOperator:
-    """Conjugate a two-mode operator by B(T) (or its inverse), block by block."""
-    left = _apply_blocks(state.matrix, state.cutoffs, transmissivity, inverse)
-    out = _apply_blocks(left.conj().T, state.cutoffs, transmissivity, inverse).conj().T
-    return TwoModeOperator(out, state.cutoffs)
-
-
-# ---------------------------------------------------------------------------
-# tensor structure
-# ---------------------------------------------------------------------------
-
-
-def tensor(a: DensityOperator, b: DensityOperator) -> TwoModeOperator:
-    return TwoModeOperator(np.kron(a.matrix, b.matrix), (a.cutoff, b.cutoff))
-
-
-def _partial_trace_matrix(matrix: np.ndarray, cutoffs: tuple[int, int], keep: int) -> np.ndarray:
-    c1, c2 = cutoffs
-    r = matrix.reshape(c1, c2, c1, c2)
-    if keep == 1:
-        return np.einsum("ijkj->ik", r)
-    if keep == 2:
-        return np.einsum("ijil->jl", r)
-    raise ValueError("keep must be 1 or 2")
-
-
-def partial_trace(state: TwoModeOperator, keep: int, physical: bool = True) -> DensityOperator:
-    reduced = _partial_trace_matrix(state.matrix, state.cutoffs, keep)
-    reduced = (reduced + reduced.conj().T) / 2.0
-    return DensityOperator(reduced, state.cutoffs[keep - 1], physical)

@@ -15,8 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import gammaln
 
-from .fock import (DensityOperator, PureState, TwoModeOperator, beam_splitter_block,
-                   block_indices)
+from .fock import DensityOperator, PureState, beam_splitter_block, block_indices
 from .loss import apply_loss
 
 EIG_FLOOR = 1e-14
@@ -118,27 +117,8 @@ def pair_dark_populations(rho: DensityOperator, sigma: DensityOperator) -> np.nd
         ks = block_indices(n, cr, cs)
         # amplitudes <k, n - k | v_i, v_j> of every eigenvector pair (i, j)
         amps = (vr[ks, :, None] * vs[n - ks, None, :]).reshape(ks.size, -1)
-        out = beam_splitter_block(n, d, d, 0.5)[ks].conj().T @ amps  # rows |a, n - a>
+        out = beam_splitter_block(n, 0.5)[ks].conj().T @ amps  # rows |a, n - a>
         pops[n::-1] += np.abs(out) ** 2 @ weights
-    return pops
-
-
-def dark_port_distribution(phi: TwoModeOperator) -> np.ndarray:
-    """Difference-mode number populations of an arbitrary two-mode operator.
-
-    B(1/2) conserves total photon number, so only the diagonal blocks
-    Phi[n, n] reach the diagonal of B^dag Phi B; each is rotated by its
-    own splitter block.
-    """
-    c1, c2 = phi.cutoffs
-    d = c1 + c2 - 1
-    pops = np.zeros(d)
-    for n in range(d):
-        ks = block_indices(n, c1, c2)
-        rows = ks * c2 + (n - ks)
-        b = beam_splitter_block(n, d, d, 0.5)[ks]
-        diag = np.einsum("ka,kl,la->a", b.conj(), phi.matrix[np.ix_(rows, rows)], b)
-        pops[n::-1] += diag.real
     return pops
 
 

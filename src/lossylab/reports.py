@@ -78,8 +78,9 @@ class ScanResult:
     """Outcome of a conjecture scan over a corpus and a parameter grid.
 
     rows holds (state_id, grid_value, margin) triples; disposition is one of
-    "no-violation-found", "violation", or "proven-case-verified". A violation
-    is only declared after the refinement protocol reproduces it.
+    "no-violation-found", "violation", "proven-case-verified", or "empty".
+    A violation is only declared after the refinement protocol reproduces
+    it; a scan without rows checked nothing and is always "empty".
     """
 
     conjecture: str
@@ -90,6 +91,10 @@ class ScanResult:
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)
     disposition: str = "no-violation-found"
+
+    def __post_init__(self):
+        if not self.rows:
+            self.disposition = "empty"
 
 
 SCAN_COLUMNS = ["conjecture", "state_id", "T_or_lambda", "margin"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lossylab.fock import mode_operators, random_mixed, random_pure
+from lossylab.fock import (beam_splitter_block, block_indices, mode_operators,
+                           random_mixed, random_pure)
 
 
 @pytest.fixture
@@ -42,3 +43,27 @@ def dense_splitter():
         generator = a1 @ a2.conj().T - a1.conj().T @ a2
         return expm(np.arccos(np.sqrt(transmissivity)) * generator)
     return build
+
+
+@pytest.fixture
+def dark_port_distribution():
+    """Oracle for the spectral dark-port engine: difference-mode number
+    populations of a dense two-mode operator phi with row index
+    n1 * c2 + n2, for (c1, c2) = cutoffs.
+
+    B(1/2) conserves total photon number, so only the diagonal blocks
+    Phi[n, n] reach the diagonal of B^dag Phi B; each is rotated by its
+    own splitter block.
+    """
+    def rotate(phi, cutoffs):
+        c1, c2 = cutoffs
+        d = c1 + c2 - 1
+        pops = np.zeros(d)
+        for n in range(d):
+            ks = block_indices(n, c1, c2)
+            rows = ks * c2 + (n - ks)
+            b = beam_splitter_block(n, 0.5)[ks]
+            diag = np.einsum("ka,kl,la->a", b.conj(), phi[np.ix_(rows, rows)], b)
+            pops[n::-1] += diag.real
+        return pops
+    return rotate

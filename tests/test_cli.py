@@ -127,6 +127,35 @@ def test_conjecture_counterexamples_exit_nonzero(capsys):
     assert run("conjecture", "--name", "unfairness", "--phi", "no-such-pair") == 2
 
 
+def _scan_margins(path):
+    with open(path, newline="") as fh:
+        return {float(r["T_or_lambda"]): float(r["margin"]) for r in csv.DictReader(fh)}
+
+
+def test_conjecture_named_pair_margins(tmp_path, capsys):
+    out = tmp_path / "twin.csv"
+    assert run("conjecture", "--name", "unfairness", "--phi", "twin-photon",
+               "--out", str(out)) == 0
+    margins = _scan_margins(out)
+    assert len(margins) == 21
+    for lam, margin in margins.items():
+        assert margin == pytest.approx((1.0 - lam ** 2) / 2.0, abs=1e-12)
+    out = tmp_path / "bell.csv"
+    assert run("conjecture", "--name", "unfairness", "--phi", "bell-like",
+               "--out", str(out)) == 1
+    margins = _scan_margins(out)
+    assert len(margins) == 21
+    assert all(margin == -0.25 for margin in margins.values())
+
+
+def test_empty_scan_exits_nonzero(capsys):
+    # the vacuum pair has no dark-port photons, so g2 is never defined
+    assert run("conjecture", "--name", "dark-port-g2", "--states", "fock:0") == 1
+    text = capsys.readouterr().out
+    assert "dark_port_g2: empty" in text
+    assert "checks: 0 run" in text
+
+
 def test_conjecture_scans_pass_on_random_corpus(capsys, tmp_path):
     out = tmp_path / "scan.csv"
     assert run("conjecture", "--name", "log-convexity", "--states", "random:4",
@@ -178,6 +207,18 @@ def test_file_state_loading(tmp_path, capsys):
                "--states", f"file:{bpath}") == 2
     assert run("conjecture", "--name", "log-convexity",
                "--states", f"file:{bpath}", "--allow-nonpositive") == 0
+
+
+@pytest.mark.parametrize("flags", [(), ("--allow-nonpositive",)])
+def test_non_finite_operator_file_exits_two(tmp_path, capsys, flags):
+    for name, mat in (("nan", [[np.nan, 0.0], [0.0, 1.0]]),
+                      ("inf", [[1.0, 0.0], [0.0, np.inf]]),
+                      ("vec", [np.nan, 1.0])):
+        path = tmp_path / f"{name}.npy"
+        np.save(path, np.array(mat, dtype=complex))
+        assert run("verify", "--suite", "purity", "--states", f"file:{path}",
+                   *flags) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

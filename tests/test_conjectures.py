@@ -14,7 +14,6 @@ from lossylab.conjectures import (bell_like_pair, dark_port_g2_scan,
                                   unfairness_witness)
 from lossylab.fock import (make_coherent, make_fock, make_squeezed_vacuum,
                            random_mixed, random_pure)
-from lossylab.purity import dark_port_distribution, pair_dark_populations
 
 
 def test_log_convexity_single_photon_unit_interval():
@@ -71,12 +70,15 @@ def test_ell_log_convexity_corpus():
     res = ell_log_convexity_corpus(states, np.linspace(0.05, 0.45, 9))
     assert res.disposition == "proven-case-verified"
     assert res.min_margin >= -1e-10
+    # corpus rows and the single check share one evaluation of the bound
+    by_id = dict(states)
+    for state_id, t, margin in res.rows:
+        assert margin == ell_log_convexity_check(by_id[state_id], t).margin
 
 
 def test_witness_counterexample_margins_are_stable():
     bell = bell_like_pair()
-    q = dark_port_distribution(bell)
-    np.testing.assert_allclose(q[:3], [0.5, 0.5, 0.0], atol=1e-12)
+    np.testing.assert_array_equal(bell, [0.5, 0.5])
     margins = [unfairness_witness(bell, lam).margin for lam in (-1.0, -0.3, 0.0, 0.7, 1.0)]
     for m in margins:
         assert m == pytest.approx(-0.25, abs=1e-12)
@@ -86,8 +88,7 @@ def test_witness_counterexample_margins_are_stable():
     assert margins == again
 
     sep = separable_01_pair()
-    q = dark_port_distribution(sep)
-    np.testing.assert_allclose(q[:3], [0.0, 1.0, 0.0], atol=1e-12)
+    np.testing.assert_array_equal(sep, [0.0, 1.0])
     for lam in (-0.8, 0.0, 0.5):
         rep = unfairness_witness(sep, lam)
         assert rep.margin == pytest.approx(-1.0, abs=1e-12)
@@ -97,10 +98,28 @@ def test_witness_counterexample_margins_are_stable():
         unfairness_witness(bell, 1.2)
 
 
+@pytest.mark.parametrize("builder, amplitudes", [
+    (bell_like_pair, {(0, 0): 1.0, (1, 1): -1.0}),
+    (separable_01_pair, {(0, 1): 1.0}),
+])
+def test_label_pairs_match_their_two_mode_states(builder, amplitudes, dense_splitter,
+                                                 dark_port_distribution):
+    # amplitudes on |n_plus, n_minus> of the sum and difference modes, sent
+    # back to the input modes by the dense splitter, then interfered again
+    c = 4
+    labeled = np.zeros(c * c, dtype=complex)
+    for (n_plus, n_minus), amp in amplitudes.items():
+        labeled[n_plus * c + n_minus] = amp
+    psi = dense_splitter(c, 0.5) @ (labeled / np.linalg.norm(labeled))
+    q = dark_port_distribution(np.outer(psi, psi.conj()), (c, c))
+    pair = builder()
+    np.testing.assert_allclose(q[:pair.size], pair, atol=1e-12)
+    np.testing.assert_allclose(q[pair.size:], 0.0, atol=1e-12)
+
+
 def test_twin_photon_pair_margin_profile():
     twin = twin_photon_pair()
-    q = dark_port_distribution(twin)
-    np.testing.assert_allclose(q[:3], [0.5, 0.0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(twin, [0.5, 0.0, 0.5], atol=1e-12)
     for lam in (-0.9, -0.4, 0.0, 0.6, 1.0):
         rep = unfairness_witness(twin, lam)
         assert rep.passed
@@ -118,7 +137,7 @@ def test_unfairness_scan_dispositions():
     assert res.min_margin > 0.0
 
     bad = [("bell-like", bell_like_pair()), ("separable-01", separable_01_pair())]
-    res_bad = unfairness_scan(bad, lam_grid, expect_fail=True)
+    res_bad = unfairness_scan(bad, lam_grid)
     assert res_bad.disposition == "violation"
     assert res_bad.min_margin == pytest.approx(-1.0, abs=1e-10)
 
@@ -175,8 +194,8 @@ def test_dark_port_g2_scan_no_violation():
     assert res.min_margin > 0.0
 
 
-def test_fair_pair_matches_spectral_dark_populations():
+def test_fair_pair_matches_spectral_dark_populations(dark_port_distribution):
     rho = random_mixed(13, 6, rank=2)
-    q = dark_port_distribution(fair_pair(rho))
-    p = pair_dark_populations(rho, rho)
-    np.testing.assert_allclose(q, p, atol=1e-12)
+    q = dark_port_distribution(np.kron(rho.matrix, rho.matrix), (6, 6))
+    np.testing.assert_allclose(fair_pair(rho), q, atol=1e-12)
+
