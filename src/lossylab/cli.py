@@ -68,6 +68,8 @@ def parse_grid(spec: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid {spec!r}: {exc}") from None
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ConfigError(f"grid {spec!r} needs a finite start and stop")
     if steps < 1:
         raise ConfigError("grid needs at least one step")
     return np.linspace(start, stop, steps)
@@ -441,7 +443,7 @@ def cmd_conjecture(args) -> int:
     bad = [r for r in results if r.disposition in ("violation", "empty")]
     total = sum(len(r.rows) for r in results)
     row_tol = args.tol if args.tol is not None else 1e-9
-    failed = sum(1 for r in results for (_, _, m) in r.rows if m < -row_tol)
+    failed = sum(1 for r in results for (_, _, m) in r.rows if not m >= -row_tol)
     for r in results:
         print(f"{r.conjecture}: {r.disposition} over {r.corpus}, grid {r.grid}, "
               f"min margin {r.min_margin:.6g}")

@@ -5,6 +5,11 @@ and sub-Poissonian exclusion of interference dark ports are conjectures:
 scans report evidence, never proofs. The exponential-tilt log-convexity
 bound is proven, so its checks must always pass.
 
+All four scans run through one scan loop with one violation protocol: a
+point fails unless its margin is >= -tolerance, so a NaN margin fails; a
+state with a failing point is re-scanned on a 10x finer grid at a 10x
+tighter tolerance, and its worst failing fine point is the violation.
+
 The witness and the tilt bound read one object: the difference-port
 number distribution q of a balanced two-copy interference, a plain 1-D
 array with q[m] the probability of m photons in the difference port.
@@ -19,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import DensityOperator, beam_splitter_block, make_fock
-from .purity import pair_dark_populations, purity_polynomial
-from .reports import CheckReport, ScanResult, equality_report, inequality_report
+from .purity import PurityPolynomial, pair_dark_populations, purity_polynomial
+from .reports import CheckReport, ScanResult, inequality_report
 
 SCAN_TOL = 1e-9
 PROVEN_TOL = 1e-10
@@ -30,14 +35,69 @@ REFINE_FACTOR = 10
 
 
 # ---------------------------------------------------------------------------
+# the scan loop
+# ---------------------------------------------------------------------------
+
+
+def _scan(conjecture: str, items, grid, margins_on, tolerance: float,
+          axis: str = "T", unit: str = "states",
+          clean: str = "no-violation-found") -> ScanResult:
+    """The scan loop behind every conjecture scan, with the violation
+    protocol of ScanResult.
+
+    items holds (state_id, item) pairs, the item prepared once per state;
+    margins_on(item, grid) gives one margin per grid point, or None where
+    the quantity is undefined and the point yields no row.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("empty scan grid")
+    items = list(items)
+    fine = np.linspace(grid[0], grid[-1], REFINE_FACTOR * grid.size)
+    rows = []
+    violations = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state_id, item in items:
+            points = _points(grid, margins_on(item, grid))
+            rows.extend((state_id, t, m) for t, m in points)
+            if points and not _worst(points)[-1] >= -tolerance:
+                refined = _worst(_points(fine, margins_on(item, fine)))
+                if refined and not refined[-1] >= -tolerance / REFINE_FACTOR:
+                    violations.append((state_id, *refined))
+    worst = _worst(rows)
+    return ScanResult(
+        conjecture=conjecture,
+        corpus=f"{len(items)} {unit}",
+        grid=f"[{grid[0]:g}, {grid[-1]:g}] x {grid.size}",
+        min_margin=worst[-1] if worst else np.inf,
+        argmin={"state_id": worst[0], axis: worst[1]} if worst else {},
+        rows=rows,
+        violations=violations,
+        disposition="violation" if violations else clean,
+    )
+
+
+def _points(grid: np.ndarray, margins) -> list:
+    """(grid value, margin) pairs as floats, leaving out undefined points."""
+    return [(float(t), float(m)) for t, m in zip(grid, margins) if m is not None]
+
+
+def _worst(points: list):
+    """The point whose margin (its last entry) is least, a NaN margin
+    first (np.argmin returns the first NaN); None for no points."""
+    if not points:
+        return None
+    return points[int(np.argmin([p[-1] for p in points]))]
+
+
+# ---------------------------------------------------------------------------
 # log-convexity of purity in T
 # ---------------------------------------------------------------------------
 
 
-def _log_convexity_margins(rho1: DensityOperator, t_grid: np.ndarray) -> np.ndarray:
+def _log_convexity_margins(poly: PurityPolynomial, t_grid: np.ndarray) -> np.ndarray:
     # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
     # monomials in T cancels catastrophically at large cutoff
-    poly = purity_polynomial(rho1)
     return (poly.value(t_grid) * poly.derivative(t_grid, 2)
             - poly.derivative(t_grid, 1) ** 2)
 
@@ -48,60 +108,15 @@ def log_convexity_scan(rho1: DensityOperator, t_grid, state_id: str = "state",
 
     Margins come from exact polynomial derivatives, so a negative value is
     a property of the operator, not of quadrature; the refinement step
-    exists to satisfy the common violation protocol and to locate the
-    minimum more precisely before declaring a violation.
+    locates the minimum more precisely before declaring a violation.
     """
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty transmissivity grid")
-    margins = _log_convexity_margins(rho1, grid)
-    rows = [(state_id, float(t), float(m)) for t, m in zip(grid, margins)]
-    i = int(np.argmin(margins))
-    min_margin = float(margins[i])
-    result = ScanResult(
-        conjecture="log_convexity",
-        corpus=state_id,
-        grid=f"[{grid[0]:g}, {grid[-1]:g}] x {grid.size}",
-        min_margin=min_margin,
-        argmin={"state_id": state_id, "T": float(grid[i])},
-        rows=rows,
-    )
-    if min_margin < -tolerance:
-        fine = np.linspace(grid[0], grid[-1], REFINE_FACTOR * grid.size)
-        fine_margins = _log_convexity_margins(rho1, fine)
-        j = int(np.argmin(fine_margins))
-        if fine_margins[j] < -tolerance / REFINE_FACTOR:
-            result.disposition = "violation"
-            result.min_margin = float(fine_margins[j])
-            result.argmin = {"state_id": state_id, "T": float(fine[j])}
-            result.violations = [(state_id, float(fine[j]), float(fine_margins[j]))]
-    return result
+    return log_convexity_corpus([(state_id, rho1)], t_grid, tolerance)
 
 
 def log_convexity_corpus(states, t_grid, tolerance: float = SCAN_TOL) -> ScanResult:
     """Run the log-convexity scan over many (state_id, operator) pairs."""
-    grid = np.asarray(t_grid, dtype=float)
-    rows = []
-    violations = []
-    min_margin = np.inf
-    argmin = {}
-    for state_id, rho1 in states:
-        single = log_convexity_scan(rho1, grid, state_id, tolerance)
-        rows.extend(single.rows)
-        violations.extend(single.violations)
-        if single.min_margin < min_margin:
-            min_margin = single.min_margin
-            argmin = single.argmin
-    return ScanResult(
-        conjecture="log_convexity",
-        corpus=f"{len(rows) // max(grid.size, 1)} states",
-        grid=f"[{grid[0]:g}, {grid[-1]:g}] x {grid.size}",
-        min_margin=float(min_margin),
-        argmin=argmin,
-        rows=rows,
-        violations=violations,
-        disposition="violation" if violations else "no-violation-found",
-    )
+    polys = ((state_id, purity_polynomial(rho1)) for state_id, rho1 in states)
+    return _scan("log_convexity", polys, t_grid, _log_convexity_margins, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +149,15 @@ def ell_log_convexity_check(rho1: DensityOperator, transmissivity: float,
     )
 
 
+def _ell_margins(q: np.ndarray, t_grid: np.ndarray) -> list:
+    return [rhs - lhs for lhs, rhs in (_ell_sides(q, t) for t in t_grid)]
+
+
 def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
-    rows = []
-    violations = []
-    min_margin = np.inf
-    argmin = {}
-    grid = np.asarray(t_grid, dtype=float)
-    for state_id, rho1 in states:
-        q = purity_polynomial(rho1).coefficients
-        for t in grid:
-            lhs, rhs = _ell_sides(q, t)
-            margin = rhs - lhs
-            rows.append((state_id, float(t), margin))
-            if margin < min_margin:
-                min_margin = margin
-                argmin = {"state_id": state_id, "T": float(t)}
-            if not margin >= -PROVEN_TOL:
-                violations.append((state_id, float(t), margin))
-    return ScanResult(
-        conjecture="ell_log_convexity",
-        corpus=f"{len(states)} states",
-        grid=f"[{grid[0]:g}, {grid[-1]:g}] x {grid.size}",
-        min_margin=float(min_margin),
-        argmin=argmin,
-        rows=rows,
-        violations=violations,
-        disposition="violation" if violations else "proven-case-verified",
-    )
+    """The proven tilt bound over (state_id, operator) pairs and a T grid."""
+    qs = ((state_id, purity_polynomial(rho1).coefficients) for state_id, rho1 in states)
+    return _scan("ell_log_convexity", qs, t_grid, _ell_margins, PROVEN_TOL,
+                 clean="proven-case-verified")
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +176,6 @@ def unfairness_witness(q: np.ndarray, lam: float,
     terms vanish identically and lam = 0 is safe. Operators that cannot be
     written as such mixtures may fail; a negative margin witnesses that.
     """
-    if abs(lam) > 1.0:
-        raise ValueError("the tilt parameter must satisfy |lam| <= 1")
     lhs, rhs = _witness_sides(q, lam)
     return inequality_report(
         "unfairness_witness", state_id, {"lambda": float(lam)}, lhs, rhs,
@@ -190,6 +185,8 @@ def unfairness_witness(q: np.ndarray, lam: float,
 
 
 def _witness_sides(q: np.ndarray, lam: float) -> tuple:
+    if not abs(lam) <= 1.0:
+        raise ValueError("the tilt parameter must satisfy |lam| <= 1")
     m = np.arange(q.size, dtype=float)
     zeroth = float(q @ np.power(lam, m))
     first = float(q[1]) if q.size > 1 else 0.0
@@ -246,44 +243,15 @@ def fair_pair(rho: DensityOperator) -> np.ndarray:
     return pair_dark_populations(rho, rho)
 
 
+def _witness_margins(q: np.ndarray, lam_grid: np.ndarray) -> list:
+    return [rhs - lhs for lhs, rhs in (_witness_sides(q, float(l)) for l in lam_grid)]
+
+
 def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL) -> ScanResult:
     """Evaluate the witness over (state_id, q) pairs, q a difference-port
-    distribution, and a lam grid. Raw violations are re-checked on a 10x
-    finer lam grid with a 10x tighter tolerance before the scan is labeled
-    a violation."""
-    grid = np.asarray(lam_grid, dtype=float)
-    rows = []
-    violations = []
-    min_margin = np.inf
-    argmin = {}
-
-    def margins_on(q, lams):
-        sides = [_witness_sides(q, float(l)) for l in lams]
-        return np.array([rhs - lhs for lhs, rhs in sides])
-
-    for state_id, q in pairs:
-        margins = margins_on(q, grid)
-        rows.extend((state_id, float(l), float(mg)) for l, mg in zip(grid, margins))
-        i = int(np.argmin(margins))
-        if margins[i] < min_margin:
-            min_margin = float(margins[i])
-            argmin = {"state_id": state_id, "lambda": float(grid[i])}
-        if margins[i] < -tolerance:
-            fine = np.linspace(grid[0], grid[-1], REFINE_FACTOR * grid.size)
-            fine_m = margins_on(q, fine)
-            j = int(np.argmin(fine_m))
-            if fine_m[j] < -tolerance / REFINE_FACTOR:
-                violations.append((state_id, float(fine[j]), float(fine_m[j])))
-    return ScanResult(
-        conjecture="unfairness_witness",
-        corpus=f"{len(pairs)} pairs",
-        grid=f"[{grid[0]:g}, {grid[-1]:g}] x {grid.size}",
-        min_margin=float(min_margin),
-        argmin=argmin,
-        rows=rows,
-        violations=violations,
-        disposition="violation" if violations else "no-violation-found",
-    )
+    distribution, and a lam grid inside [-1, 1]."""
+    return _scan("unfairness_witness", pairs, lam_grid, _witness_margins, tolerance,
+                 axis="lambda", unit="pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -373,36 +341,15 @@ def g_factorial(rho: DensityOperator, order: int):
     return float(pops @ fact) / mean_n ** order
 
 
+def _g2_margins(r: np.ndarray, t_grid: np.ndarray) -> list:
+    values = (g2(_reweighted(r, float(t))) for t in t_grid)
+    return [None if value is None else value - 1.0 for value in values]
+
+
 def dark_port_g2_scan(states, t_grid, tolerance: float = G2_TOL) -> ScanResult:
     """Scan g2(dark port) >= 1 wherever g2 is defined."""
-    grid = np.asarray(t_grid, dtype=float)
-    rows = []
-    violations = []
-    min_margin = np.inf
-    argmin = {}
-    for state_id, rho1 in states:
-        r = _difference_port_operator(rho1)
-        for t in grid:
-            value = g2(_reweighted(r, float(t)))
-            if value is None:
-                continue
-            margin = value - 1.0
-            rows.append((state_id, float(t), float(margin)))
-            if margin < min_margin:
-                min_margin = float(margin)
-                argmin = {"state_id": state_id, "T": float(t)}
-            if margin < -tolerance:
-                violations.append((state_id, float(t), float(margin)))
-    return ScanResult(
-        conjecture="dark_port_g2",
-        corpus=f"{len(states)} states",
-        grid=f"[{grid[0]:g}, {grid[-1]:g}] x {grid.size}",
-        min_margin=float(min_margin),
-        argmin=argmin,
-        rows=rows,
-        violations=violations,
-        disposition="violation" if violations else "no-violation-found",
-    )
+    rs = ((state_id, _difference_port_operator(rho1)) for state_id, rho1 in states)
+    return _scan("dark_port_g2", rs, t_grid, _g2_margins, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +372,8 @@ def fock_one_extended_range_report(transmissivity: float = 1.2) -> CheckReport:
     """Log-convexity margin of the single photon at a transmissivity outside
     [0, 1], where the inequality is known to fail."""
     rho = make_fock(1, 4).density()
-    margin = float(_log_convexity_margins(rho, np.array([transmissivity]))[0])
+    poly = purity_polynomial(rho)
+    margin = float(_log_convexity_margins(poly, np.array([transmissivity]))[0])
     return CheckReport(
         check_name="log_convexity_extended",
         state_id="fock:1",

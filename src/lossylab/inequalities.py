@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.special import hyp2f1
 
 from .fock import DensityOperator, PureState, make_coherent, mode_operators, thermal_state
@@ -441,21 +442,26 @@ def order_pair_overlap_identity(rho: DensityOperator, sigma: DensityOperator,
 
 def bernstein_check(rho1: DensityOperator, k_max: int = 4,
                     state_id: str = "") -> CheckReport:
-    """(T^2 d/dT)^k (T Tr[rho_T^2]) >= 0 for k <= k_max, by exact polynomials."""
+    """(T^2 d/dT)^k (T Tr[rho_T^2]) >= 0 for k <= k_max, by exact polynomials.
+
+    (T^2 d/dT)^k (T P) = T^(k+1) S_k with S_0 = P and
+    S_(k+1) = (k+1) S_k + T S_k'. The S_k are kept in lambda = 1 - 2T,
+    where T d/dT = -(1 - lambda) d/dlambda: expanding (1 - 2T)^m into
+    monomials in T cancels catastrophically at large cutoff, and factoring
+    out T^(k+1) keeps the values near T = 0 from cancelling in lambda.
+    """
     if k_max > 4:
         raise ValueError("k_max is capped at 4")
-    base = purity_polynomial(rho1).as_t_polynomial()
-    poly = base * np.polynomial.Polynomial([0.0, 1.0])  # T * P(T)
+    s_k = purity_polynomial(rho1).coefficients
     grid = np.arange(0.01, 1.0001, 0.01)
+    lam = 1.0 - 2.0 * grid
     worst = np.inf
     worst_k = 0
-    t_sq = np.polynomial.Polynomial([0.0, 0.0, 1.0])
-    current = poly
     for k in range(k_max + 1):
-        low = float(np.min(current(grid)))
+        low = float(np.min(grid ** (k + 1) * npoly.polyval(lam, s_k)))
         if low < worst:
             worst, worst_k = low, k
-        current = t_sq * current.deriv()
+        s_k = npoly.polysub((k + 1) * s_k, npoly.polymul([1.0, -1.0], npoly.polyder(s_k)))
     return inequality_report(
         "bernstein_monotonic", state_id, {"k_max": k_max, "argmin_k": worst_k},
         0.0, worst, FORM_TOL,

@@ -74,16 +74,6 @@ class PurityPolynomial:
         lam = 1.0 - 2.0 * np.asarray(transmissivity, dtype=float)
         return (-2.0) ** order * npoly.polyval(lam, dcoeffs)
 
-    def as_t_polynomial(self) -> np.polynomial.Polynomial:
-        """The polynomial expanded into monomials in T, for exact polynomial
-        algebra. Expanding (1 - 2T)^m cancels catastrophically at large
-        degree, so evaluate values and derivatives with value/derivative."""
-        lam = np.polynomial.Polynomial([1.0, -2.0])
-        acc = np.polynomial.Polynomial([0.0])
-        for m, c in enumerate(self.coefficients):
-            acc = acc + c * lam ** m
-        return acc
-
     def degree(self) -> int:
         return len(self.coefficients) - 1
 

@@ -79,8 +79,13 @@ class ScanResult:
 
     rows holds (state_id, grid_value, margin) triples; disposition is one of
     "no-violation-found", "violation", "proven-case-verified", or "empty".
-    A violation is only declared after the refinement protocol reproduces
-    it; a scan without rows checked nothing and is always "empty".
+    A point fails unless margin >= -tolerance, so a NaN margin fails. The
+    refinement protocol: a state with a failing point is re-scanned on a
+    10x finer grid at a 10x tighter tolerance, and its worst failing fine
+    point, a NaN first, goes into violations. A violation is only declared
+    after that step reproduces it. min_margin and argmin are taken over
+    rows, a NaN row first; a scan without rows checked nothing and is
+    always "empty".
     """
 
     conjecture: str

@@ -180,6 +180,32 @@ def test_malformed_arguments_exit_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])
+def test_non_finite_grid_exits_two(capsys, grid):
+    assert run("verify", "--states", "fock:1", "--grid", grid) == 2
+    assert run("sweep", "--states", "fock:1", "--grid", grid) == 2
+    for name in ("log-convexity", "dark-port-g2", "unfairness"):
+        assert run("conjecture", "--name", name, "--states", "fock:1",
+                   "--grid", grid) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_overflowing_scan_fails_closed(capsys):
+    # the purity polynomial overflows to inf - inf = NaN margins at these T
+    assert run("conjecture", "--name", "log-convexity", "--states", "random:1",
+               "--grid", "1e30:1e40:3") == 1
+    text = capsys.readouterr().out
+    assert "log_convexity: violation" in text
+    assert "min margin nan" in text
+    assert text.strip().endswith("3 failed")
+
+
+def test_unfairness_grid_outside_witness_domain_exits_two(capsys):
+    assert run("conjecture", "--name", "unfairness", "--states", "random:1",
+               "--grid=-3:3:3") == 2
+    assert "|lam| <= 1" in capsys.readouterr().err
+
+
 def test_file_state_loading(tmp_path, capsys):
     vec = np.zeros(4)
     vec[1] = 1.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lossylab import conjectures
 from lossylab.conjectures import (bell_like_pair, dark_port_g2_scan,
                                   dark_port_state, ell_log_convexity_check,
                                   ell_log_convexity_corpus, fair_pair,
@@ -199,3 +200,66 @@ def test_fair_pair_matches_spectral_dark_populations(dark_port_distribution):
     q = dark_port_distribution(np.kron(rho.matrix, rho.matrix), (6, 6))
     np.testing.assert_allclose(fair_pair(rho), q, atol=1e-12)
 
+
+
+def test_nan_margins_are_violations(monkeypatch):
+    one = make_fock(1, 2).density()
+    # the second grid overflows the degree-14 polynomial to inf - inf
+    for grid in ([np.nan], [1e30, 1e35, 1e40]):
+        res = log_convexity_scan(random_mixed(1, 8, rank=3), grid)
+        assert res.disposition == "violation"
+        assert np.isnan(res.min_margin)
+        assert np.isnan(res.violations[0][2])
+
+    # (1 - 2T)^m overflows, so every tilted moment is inf and the margin inf - inf
+    res = ell_log_convexity_corpus([("mixed:3", random_mixed(3, 6, rank=2))], [-1e300])
+    assert res.disposition == "violation"
+    assert np.isnan(res.min_margin)
+
+    res = unfairness_scan([("nan-pair", np.array([np.nan, 0.5, 0.5]))],
+                          np.linspace(-1.0, 1.0, 5))
+    assert res.disposition == "violation"
+    assert np.isnan(res.min_margin)
+    assert res.argmin == {"state_id": "nan-pair", "lambda": -1.0}
+
+    monkeypatch.setattr(conjectures, "g2", lambda rho: float("nan"))
+    res = dark_port_g2_scan([("fock:1", one)], np.linspace(0.0, 0.4, 3))
+    assert res.disposition == "violation"
+    assert np.isnan(res.min_margin)
+    assert len(res.violations) == 1
+
+
+def test_nan_row_takes_precedence_over_the_least_margin():
+    pairs = [("separable-01", separable_01_pair()),
+             ("nan-pair", np.array([0.5, np.nan, 0.5]))]
+    res = unfairness_scan(pairs, np.linspace(-1.0, 1.0, 3))
+    assert np.isnan(res.min_margin)
+    assert res.argmin["state_id"] == "nan-pair"
+    assert [v[0] for v in res.violations] == ["separable-01", "nan-pair"]
+
+
+def test_scan_violation_is_the_worst_refined_point():
+    res = log_convexity_scan(make_fock(1, 2).density(), np.linspace(1.05, 1.5, 10))
+    # margin 8 T (1 - T): the fine grid shares the endpoint T = 1.5
+    assert res.violations == [("state", 1.5, pytest.approx(-6.0, abs=1e-12))]
+    assert res.argmin == {"state_id": "state", "T": 1.5}
+
+
+@pytest.mark.parametrize("scan, corpus", [
+    (log_convexity_corpus, [("fock:1", make_fock(1, 2).density())]),
+    (ell_log_convexity_corpus, [("fock:1", make_fock(1, 2).density())]),
+    (unfairness_scan, [("bell-like", bell_like_pair())]),
+    (dark_port_g2_scan, [("fock:1", make_fock(1, 2).density())]),
+])
+def test_scans_reject_an_empty_grid(scan, corpus):
+    with pytest.raises(ValueError, match="empty scan grid"):
+        scan(corpus, [])
+
+
+def test_unfairness_scan_enforces_the_witness_domain():
+    pairs = [("fair", fair_pair(random_mixed(1, 4, rank=2)))]
+    for grid in ([-3.0, 0.0, 3.0], [np.nan]):
+        with pytest.raises(ValueError, match="lam"):
+            unfairness_scan(pairs, grid)
+    with pytest.raises(ValueError):
+        unfairness_witness(pairs[0][1], np.nan)

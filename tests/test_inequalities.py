@@ -5,6 +5,7 @@ import pytest
 
 from lossylab.fock import (make_coherent, make_fock, random_mixed, random_pure)
 from lossylab.phasespace import Quadrature2D
+from lossylab.purity import purity_polynomial
 from lossylab.inequalities import (CoherentMixture, ThermalPState,
                                    bernstein_check, cauchy_schwarz_ladder,
                                    fock_hypergeometric_identity,
@@ -207,6 +208,38 @@ def test_bernstein_check():
     assert mixed.rhs == pytest.approx(1.73352765142e-9, rel=1e-6)
     with pytest.raises(ValueError):
         bernstein_check(make_fock(0, 2).density(), k_max=5)
+
+
+def _bernstein_in_t_monomials(rho1, k_max=4):
+    """Oracle: the polynomial expanded into monomials in T, exact at small
+    cutoff, cancelling catastrophically from about cutoff 24 on."""
+    base = np.polynomial.Polynomial([0.0])
+    lam = np.polynomial.Polynomial([1.0, -2.0])
+    for m, c in enumerate(purity_polynomial(rho1).coefficients):
+        base = base + c * lam ** m
+    current = base * np.polynomial.Polynomial([0.0, 1.0])
+    grid = np.arange(0.01, 1.0001, 0.01)
+    lows = []
+    for _ in range(k_max + 1):
+        lows.append(float(np.min(current(grid))))
+        current = np.polynomial.Polynomial([0.0, 0.0, 1.0]) * current.deriv()
+    return min(lows)
+
+
+def test_bernstein_check_agrees_with_t_monomials_at_small_cutoff():
+    for cutoff in (2, 5, 8, 12):
+        for rho1 in (random_pure(cutoff, cutoff).density(),
+                     random_mixed(cutoff + 1, cutoff, rank=2)):
+            rep = bernstein_check(rho1)
+            assert abs(rep.rhs - _bernstein_in_t_monomials(rho1)) <= 1e-10
+
+
+@pytest.mark.parametrize("cutoff", [24, 32, 64])
+def test_bernstein_check_at_large_cutoff(cutoff):
+    for rho1 in (random_pure(1, cutoff).density(), random_mixed(2, cutoff, rank=3)):
+        rep = bernstein_check(rho1)
+        assert rep.passed
+        assert rep.rhs > 0.0
 
 
 def test_number_purity_monotonicity():
