@@ -130,7 +130,9 @@ def _ell_sides(q: np.ndarray, transmissivity: float) -> tuple:
         raise ValueError("the tilt base needs T < 1/2")
     m = np.arange(q.size, dtype=float)
     w = (1.0 - 2.0 * t) ** m
-    return float(q @ (m * w)) ** 2, float(q @ w) * float(q @ (m * m * w))
+    # NumPy scalars, so an overflow gives inf (and a NaN margin), not OverflowError
+    first = q @ (m * w)
+    return float(first ** 2), float((q @ w) * (q @ (m * m * w)))
 
 
 def ell_log_convexity_check(rho1: DensityOperator, transmissivity: float,
@@ -291,8 +293,8 @@ def _difference_port_operator(rho1: DensityOperator) -> np.ndarray:
 def _reweighted(r: np.ndarray, transmissivity: float) -> DensityOperator:
     """R reweighted by sqrt(1 - 2T) per difference-port photon, normalized."""
     t = float(transmissivity)
-    if not t <= 0.5:
-        raise ValueError("the reweighting base needs T <= 1/2")
+    if not 0.0 <= t <= 0.5:
+        raise ValueError("the reweighting base needs 0 <= T <= 1/2")
     weights = np.sqrt(np.power(1.0 - 2.0 * t, np.arange(r.shape[0], dtype=float)))
     weighted = weights[:, None] * r * weights[None, :]
     norm = np.trace(weighted).real

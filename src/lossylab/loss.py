@@ -1,82 +1,61 @@
-"""Pure-loss channel on the truncated ladder: Kraus set, generator, composition.
+"""Pure-loss channel on the truncated ladder: binomial kernel, generator, composition.
 
-The channel with transmissivity T is E_T[rho] = sum_n K_n rho K_n^dag with
-K_n = sqrt(T)^(a^dag a) (sqrt(1-T) a)^n / sqrt(n!). The Kraus sum is exact at
-finite cutoff because a only lowers the photon number.
+The channel with transmissivity T keeps each photon with probability T, so
+a matrix element moves down its diagonal by the number j of photons lost:
+
+    E_T[rho]_mn = sum_j v_j[m] v_j[n] rho_{m+j,n+j},
+    v_j[m]^2 = w_j[m] = C(m+j, j) T^m (1-T)^j,
+
+the standard matrix-element form of binomial loss (Leonhardt, *Measuring
+the Quantum State of Light*). The sum is exact at finite cutoff because
+loss only lowers the photon number. w_j[m] is a polynomial in T, so on
+diagonal operators the same kernel continues the channel to any real T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import DensityOperator, mode_operators
 from .reports import CheckReport, equality_report
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    operators: tuple
-    transmissivity: float
-    cutoff: int
+def _binomial_table(t: float, cutoff: int) -> np.ndarray:
+    """pmf[n, m] = C(n, m) T^m (1-T)^(n-m), so w_j[m] = pmf[m+j, m].
 
-    def completeness_deviation(self) -> float:
-        acc = np.zeros((self.cutoff, self.cutoff), dtype=complex)
-        for k in self.operators:
-            acc += k.conj().T @ k
-        return float(np.max(np.abs(acc - np.eye(self.cutoff))))
-
-
-@lru_cache(maxsize=256)
-def kraus_set(transmissivity: float, cutoff: int) -> KrausSet:
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError("transmissivity must lie in [0, 1] for the Kraus path")
-    t = transmissivity
-    ops = mode_operators(cutoff)
-    root_t_pow = np.diag(np.sqrt(t) ** np.arange(cutoff)).astype(complex)
-    kraus = []
-    a_power = np.eye(cutoff, dtype=complex)
-    for n in range(cutoff):
-        if n > 0:
-            a_power = ops.annihilate @ a_power
-        coeff = np.sqrt(1.0 - t) ** n * np.exp(-0.5 * gammaln(n + 1))
-        k = root_t_pow @ (coeff * a_power)
-        k.flags.writeable = False
-        kraus.append(k)
-    return KrausSet(tuple(kraus), t, cutoff)
-
-
-def _diagonal_loss(populations: np.ndarray, t: float) -> np.ndarray:
-    """Binomial population transfer, valid for any real t on diagonal input."""
-    c = populations.size
-    out = np.zeros(c)
-    for n in range(c):
-        if populations[n] == 0.0:
-            continue
-        ks = np.arange(n + 1)
-        log_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-        out[: n + 1] += populations[n] * np.exp(log_binom) * t ** ks * (1.0 - t) ** (n - ks)
-    return out
+    Built row by row with Pascal's rule, which holds for any real T; each
+    step adds two terms of one sign, so no entry cancels, and on [0, 1]
+    no entry exceeds 1."""
+    pmf = np.zeros((cutoff, cutoff))
+    pmf[0, 0] = 1.0
+    for n in range(1, cutoff):
+        pmf[n, :n] = (1.0 - t) * pmf[n - 1, :n]
+        pmf[n, 1 : n + 1] += t * pmf[n - 1, :n]
+    return pmf
 
 
 def apply_loss(rho: DensityOperator, transmissivity: float) -> DensityOperator:
-    """E_T[rho]. Kraus path on [0, 1]; diagonal-only analytic path elsewhere."""
+    """E_T[rho] by the binomial kernel: one rank-1 elementwise term per
+    number j of lost photons. Outside 0 <= T <= 1 only diagonal operators
+    are accepted, and the result is marked unphysical."""
     t = float(transmissivity)
-    if 0.0 <= t <= 1.0:
-        ks = kraus_set(t, rho.cutoff)
-        out = np.zeros_like(rho.matrix)
-        for k in ks.operators:
-            out += k @ rho.matrix @ k.conj().T
-        out = (out + out.conj().T) / 2.0
-        return DensityOperator(out, rho.cutoff, rho.physical)
-    offdiag = rho.matrix - np.diag(np.diag(rho.matrix))
-    if np.max(np.abs(offdiag)) > 1e-12:
-        raise ValueError("transmissivity outside [0, 1] is only defined for diagonal operators")
-    pops = _diagonal_loss(np.diag(rho.matrix).real, t)
-    return DensityOperator(np.diag(pops).astype(complex), rho.cutoff, physical=False)
+    if not np.isfinite(t):
+        raise ValueError("transmissivity must be finite")
+    c = rho.cutoff
+    m = rho.matrix
+    in_range = 0.0 <= t <= 1.0
+    if not in_range:
+        m = np.diag(np.diag(m))
+        if np.max(np.abs(rho.matrix - m)) > 1e-12:
+            raise ValueError("transmissivity outside [0, 1] is only defined for diagonal operators")
+    # complex so that v_j[m]^2 = w_j[m] also where w is negative (T outside
+    # [0, 1]); there m is diagonal and only those squares enter
+    v = np.sqrt(_binomial_table(t, c).astype(complex))
+    out = np.zeros((c, c), dtype=complex)
+    for j in range(c):
+        vj = np.diagonal(v, -j)
+        out[: c - j, : c - j] += np.outer(vj, vj) * m[j:, j:]
+    return DensityOperator(out, c, rho.physical and in_range)
 
 
 def loss_generator(rho_t: DensityOperator, transmissivity: float) -> np.ndarray:

@@ -171,8 +171,3 @@ def fock_purity_closed_form(n: int, transmissivity):
         binom = np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
         acc += (binom * tt ** k * (1.0 - tt) ** (n - k)) ** 2
     return float(acc[0]) if scalar else acc
-
-
-def purity_derivative(rho: DensityOperator, transmissivity: float, order: int = 1) -> float:
-    """d^order Tr[rho_T^2] / dT^order via the dark-port polynomial."""
-    return float(purity_polynomial(rho).derivative(transmissivity, order))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from lossylab.fock import (beam_splitter_block, block_indices, mode_operators,
                            random_mixed, random_pure)
@@ -67,3 +68,41 @@ def dark_port_distribution():
             pops[n::-1] += diag.real
         return pops
     return rotate
+
+
+class KrausLoss:
+    """Oracle for the binomial loss kernel: the Kraus sum
+    E_T[rho] = sum_n K_n rho K_n^dag with
+    K_n = sqrt(T)^(a^dag a) (sqrt(1-T) a)^n / sqrt(n!), built from dense
+    ladder-operator products, O(c^4).
+
+    The sum is exact at finite cutoff because a only lowers the photon
+    number; completeness_deviation checks sum_n K_n^dag K_n = 1.
+    """
+
+    @staticmethod
+    def operators(transmissivity, cutoff):
+        t = transmissivity
+        a = mode_operators(cutoff).annihilate
+        root_t_pow = np.diag(np.sqrt(t) ** np.arange(cutoff)).astype(complex)
+        kraus = []
+        a_power = np.eye(cutoff, dtype=complex)
+        for n in range(cutoff):
+            if n > 0:
+                a_power = a @ a_power
+            coeff = np.sqrt(1.0 - t) ** n * np.exp(-0.5 * gammaln(n + 1))
+            kraus.append(root_t_pow @ (coeff * a_power))
+        return kraus
+
+    def completeness_deviation(self, transmissivity, cutoff):
+        acc = sum(k.conj().T @ k for k in self.operators(transmissivity, cutoff))
+        return float(np.max(np.abs(acc - np.eye(cutoff))))
+
+    def __call__(self, matrix, transmissivity):
+        kraus = self.operators(transmissivity, matrix.shape[0])
+        return sum(k @ matrix @ k.conj().T for k in kraus)
+
+
+@pytest.fixture
+def kraus_loss():
+    return KrausLoss()

@@ -191,19 +191,31 @@ def test_non_finite_grid_exits_two(capsys, grid):
 
 
 def test_overflowing_scan_fails_closed(capsys):
-    # the purity polynomial overflows to inf - inf = NaN margins at these T
-    assert run("conjecture", "--name", "log-convexity", "--states", "random:1",
-               "--grid", "1e30:1e40:3") == 1
-    text = capsys.readouterr().out
-    assert "log_convexity: violation" in text
-    assert "min margin nan" in text
-    assert text.strip().endswith("3 failed")
+    for name, grid, count in [
+        # the purity polynomial overflows to inf - inf = NaN margins at these T
+        ("log-convexity", "1e30:1e40:3", 3),
+        # the tilt base 1 - 2T overflows the tilted moments to inf
+        ("ell-log-convexity", "-1e12:-1e12:1", 1),
+    ]:
+        assert run("conjecture", "--name", name, "--states", "random:1",
+                   f"--grid={grid}") == 1
+        text = capsys.readouterr().out
+        assert f"{name.replace('-', '_')}: violation" in text
+        assert "min margin nan" in text
+        assert text.strip().endswith(f"{count} failed")
 
 
 def test_unfairness_grid_outside_witness_domain_exits_two(capsys):
     assert run("conjecture", "--name", "unfairness", "--states", "random:1",
                "--grid=-3:3:3") == 2
     assert "|lam| <= 1" in capsys.readouterr().err
+
+
+def test_dark_port_grid_below_zero_exits_two(capsys):
+    # sqrt(1 - 2T) > 1 would amplify difference-port photons, off the scan's domain
+    assert run("conjecture", "--name", "dark-port-g2", "--states", "random:1",
+               "--grid=-1000:0.4:3") == 2
+    assert "0 <= T <= 1/2" in capsys.readouterr().err
 
 
 def test_file_state_loading(tmp_path, capsys):

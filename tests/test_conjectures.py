@@ -148,8 +148,9 @@ def test_dark_port_of_coherent_pair_is_vacuum():
     dp = dark_port_state(rho, 0.0)
     assert dp.matrix[0, 0].real == pytest.approx(1.0, abs=1e-10)
     assert g2(dp) is None
-    with pytest.raises(ValueError):
-        dark_port_state(rho, 0.6)
+    for t in (0.6, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            dark_port_state(rho, t)
 
 
 def test_dark_port_of_squeezed_pair_g2():

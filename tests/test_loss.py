@@ -1,19 +1,88 @@
-"""Loss channel: Kraus set, binomial action, semigroup structure."""
+"""Loss channel: binomial kernel against the Kraus oracle and closed forms,
+semigroup structure."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
-from lossylab.fock import make_fock, mode_operators, random_mixed, random_pure
-from lossylab.loss import (apply_loss, kraus_set, loss_generator,
-                           multiplicativity_check, transmission_from_angle,
-                           transmission_from_decay, transmission_from_efficiency)
-from lossylab.purity import purity
+from lossylab.fock import (make_coherent, make_fock, mode_operators, random_mixed,
+                           random_pure)
+from lossylab.loss import (apply_loss, loss_generator, multiplicativity_check,
+                           transmission_from_angle, transmission_from_decay,
+                           transmission_from_efficiency)
+from lossylab.purity import purity, purity_polynomial
+from strategies import density_operators
 
 
-def test_kraus_completeness_is_exact():
+def test_kraus_completeness_is_exact(kraus_loss):
     for t in (0.0, 0.17, 0.5, 0.93, 1.0):
-        ks = kraus_set(t, 10)
-        assert ks.completeness_deviation() < 1e-12
+        assert kraus_loss.completeness_deviation(t, 10) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [7, 32, 128])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.97, 1.0])
+def test_kernel_matches_kraus_oracle(kraus_loss, cutoff, t):
+    rho = random_mixed(cutoff, cutoff, rank=min(cutoff, 5))
+    np.testing.assert_allclose(apply_loss(rho, t).matrix, kraus_loss(rho.matrix, t),
+                               rtol=0, atol=1e-13)
+
+
+def test_fock_120_loses_binomially():
+    n = 120
+    for t in (0.05, 0.5, 0.93):
+        pops = np.diag(apply_loss(make_fock(n, n + 1).density(), t).matrix)
+        np.testing.assert_allclose(pops.real, binom.pmf(np.arange(n + 1), n, t),
+                                   rtol=0, atol=1e-14)
+        assert np.all(pops.imag == 0.0)
+
+
+def test_coherent_state_stays_coherent():
+    # E_T[|alpha><alpha|] = |sqrt(T) alpha><sqrt(T) alpha|; at cutoff 60 the
+    # tail of |alpha|^2 = 5 beyond the ladder is below 1e-30
+    alpha, cutoff = 2.0 - 1.0j, 60
+    for t in (0.1, 0.45, 0.8):
+        lossy = apply_loss(make_coherent(alpha, cutoff).density(), t)
+        expected = make_coherent(np.sqrt(t) * alpha, cutoff).density()
+        np.testing.assert_allclose(lossy.matrix, expected.matrix, rtol=0, atol=1e-14)
+
+
+def test_endpoints_raise_no_warning():
+    rho = random_mixed(4, 9, rank=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        identity = apply_loss(rho, 1.0).matrix
+        vacuum = apply_loss(rho, 0.0).matrix
+    np.testing.assert_array_equal(identity, rho.matrix)
+    expected = np.zeros_like(vacuum)
+    expected[0, 0] = np.trace(rho.matrix)
+    np.testing.assert_allclose(vacuum, expected, rtol=0, atol=1e-15)
+
+
+def test_non_finite_transmissivity_raises():
+    rho = make_fock(1, 3).density()
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            apply_loss(rho, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=density_operators(max_cutoff=8), t1=st.floats(0.0, 1.0),
+       t2=st.floats(0.0, 1.0))
+def test_composition_is_multiplicative(rho, t1, t2):
+    chained = apply_loss(apply_loss(rho, t2), t1).matrix
+    np.testing.assert_allclose(chained, apply_loss(rho, t1 * t2).matrix,
+                               rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=density_operators(max_cutoff=8), t=st.floats(0.0, 1.0))
+def test_polynomial_purity_matches_trace_purity(rho, t):
+    assert purity_polynomial(rho).value(t) == pytest.approx(
+        purity(apply_loss(rho, t)), abs=1e-12)
 
 
 def test_single_photon_half_loss():
@@ -25,7 +94,6 @@ def test_fock_state_loses_binomially():
     n, cutoff, t = 4, 6, 0.3
     rho = apply_loss(make_fock(n, cutoff).density(), t)
     pops = np.diag(rho.matrix).real
-    from scipy.stats import binom
     np.testing.assert_allclose(pops[: n + 1], binom.pmf(np.arange(n + 1), n, t),
                                atol=1e-12)
     assert np.all(np.abs(pops[n + 1:]) < 1e-14)
@@ -97,12 +165,11 @@ def test_transmission_parameterizations():
         transmission_from_efficiency(1.2)
 
 
-def test_kraus_route_matches_diagonal_route():
+def test_kraus_route_matches_diagonal_route(kraus_loss):
     rho = random_mixed(8, 7, rank=5)
     t = 0.44
-    ks = kraus_set(t, 7)
-    summed = sum(k @ rho.matrix @ k.conj().T for k in ks.operators)
-    np.testing.assert_allclose(summed, apply_loss(rho, t).matrix, atol=1e-12)
+    np.testing.assert_allclose(kraus_loss(rho.matrix, t), apply_loss(rho, t).matrix,
+                               atol=1e-12)
 
 
 def test_mean_photon_number_scales_linearly():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
-from lossylab.fock import (DensityOperator, displacement_matrix, make_coherent,
-                           make_fock, random_mixed, random_pure)
+from lossylab.fock import (displacement_matrix, make_coherent, make_fock,
+                           random_mixed, random_pure)
 from lossylab.loss import apply_loss
 from lossylab.phasespace import (GridSpec, char_fn, convolve_quasi,
                                  laplace_purity, loss_identity_chi,
@@ -17,6 +17,7 @@ from lossylab.phasespace import (GridSpec, char_fn, convolve_quasi,
                                  quasi_prob_grid, wigner_from_parity,
                                  write_grid_csv)
 from lossylab.purity import hs_overlap, purity
+from strategies import density_operators
 
 
 def test_char_fn_vacuum_closed_form():
@@ -126,21 +127,8 @@ def test_non_finite_alpha_rejected(bad):
         char_fn(rho, np.array([0.2j, bad]), 0.0)
 
 
-@st.composite
-def _density_operators(draw):
-    cutoff = draw(st.integers(1, 6))
-    rank = draw(st.integers(1, cutoff))
-    parts = [draw(st.floats(-1.0, 1.0)) for _ in range(2 * cutoff * rank)]
-    a = np.reshape(parts[: cutoff * rank], (cutoff, rank)) + 1j * np.reshape(
-        parts[cutoff * rank:], (cutoff, rank))
-    a[0, 0] += 1.0  # keeps the trace away from zero
-    m = a @ a.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return DensityOperator(m / np.trace(m).real, cutoff)
-
-
 @settings(max_examples=60, deadline=None)
-@given(rho1=_density_operators(), radius=st.floats(0.0, 3.0),
+@given(rho1=density_operators(), radius=st.floats(0.0, 3.0),
        angle=st.floats(0.0, 2.0 * np.pi), t=st.floats(0.05, 1.0),
        s=st.floats(-3.0, 0.9))
 def test_quasi_prob_obeys_loss_identity(rho1, radius, angle, t, s):
