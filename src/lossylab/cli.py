@@ -259,12 +259,12 @@ def _qcs_suite(state_id, state, t_grid, tol):
                 "qcs_balanced_pure", state_id, {"T": t},
                 values[0], 1.0, agree_tol,
                 claim="pure input at half transmissivity gives unit scale"))
-        if not pure and t <= 0.5:
+        if t <= 0.5:
             reports.append(inequality_report(
-                "qcs_mixed_bound", state_id, {"T": t},
+                "qcs_half_loss_bound", state_id, {"T": t},
                 values[0], 1.0, agree_tol,
-                claim="mixed input below half transmissivity stays at or "
-                      "below unit scale"))
+                claim="at half loss or more every input stays at or below "
+                      "unit scale"))
     return reports
 
 

@@ -298,11 +298,6 @@ class Quadrature2D:
         weights = np.repeat(radial_w, self.n_angular)
         return alphas, weights
 
-    def gaussian_normalization_error(self) -> float:
-        alphas, weights = self.nodes_weights()
-        val = math.fsum(weights * np.exp(-np.abs(alphas) ** 2) / np.pi)
-        return abs(val - 1.0)
-
 
 def _outer_ring_growth(values: np.ndarray, n_angular: int) -> bool:
     outer = np.max(np.abs(values[-n_angular:]))

@@ -16,7 +16,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import gammaln
 
 from .fock import DensityOperator, PureState, beam_splitter_block, block_indices
-from .loss import apply_loss
+from .loss import _binomial_table, apply_loss
 
 EIG_FLOOR = 1e-14
 NEGATIVE_EIG_LIMIT = -1e-8
@@ -162,12 +162,8 @@ def mutual_information_bs(rho: DensityOperator, transmissivity: float) -> float:
 
 
 def fock_purity_closed_form(n: int, transmissivity):
-    """Purity of a lossy number state, valid for any real transmissivity."""
+    """Purity of a lossy number state, sum_k (C(n, k) T^k (1-T)^(n-k))^2, valid
+    for any real transmissivity; each binomial row comes from Pascal's rule."""
     t = np.asarray(transmissivity, dtype=float)
-    scalar = t.ndim == 0
-    tt = np.atleast_1d(t)
-    acc = np.zeros_like(tt)
-    for k in range(n + 1):
-        binom = np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-        acc += (binom * tt ** k * (1.0 - tt) ** (n - k)) ** 2
-    return float(acc[0]) if scalar else acc
+    acc = np.array([np.sum(_binomial_table(x, n + 1)[n] ** 2) for x in t.ravel()])
+    return float(acc[0]) if t.ndim == 0 else acc.reshape(t.shape)

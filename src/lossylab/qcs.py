@@ -1,10 +1,10 @@
 """Quadrature coherence scale C^2 of a state, by four independent routes.
 
-C^2 is the mean-square quadrature commutator normalized by purity. Routes:
-commutator (definition), purity-rate (response of Tr[rho_T^2] to loss),
-two-copy (swap-observable expectation), and a Lindblad moment form. A fifth,
-kernel-based route integrates position/momentum kernels on a grid and is
-looser (quadrature accuracy ~1e-4); all others agree to ~1e-8.
+C^2 is the mean-square quadrature commutator normalized by purity. Routes: commutator
+(definition), purity-rate (response of Tr[rho_T^2] to loss), two-copy (swap expectation per
+total-photon-number block), and a Lindblad moment form; the first and third are exact on the
+zero-padded state, as a and a1 - a2 lower the photon number by one. A fifth route integrates
+position/momentum kernels on a grid (accuracy ~1e-4); all others agree to ~1e-8.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ ROUTE_COMMUTATOR = "commutator"
 ROUTE_PURITY_RATE = "purity_rate"
 ROUTE_TWO_COPY = "two_copy"
 ROUTE_LINDBLAD = "lindblad"
-
-COMMUTATOR_PAD = 2
 STABILITY_TOL = 1e-9
 
 
@@ -38,29 +36,22 @@ class QcsResult:
             raise ValueError(f"C^2 must be nonnegative, got {self.c_squared}")
 
 
-def _commutator_value(rho: DensityOperator, pad: int) -> float:
-    emb = rho.embedded(max(rho.cutoff, rho.support() + 1 + pad))
-    ops = mode_operators(emb.cutoff)
-    total = 0.0
-    for q in (ops.x, ops.p):
-        comm = q @ emb.matrix - emb.matrix @ q
-        # Tr([rho,Q][Q,rho]) = Tr[(-[Q,rho])([Q,rho])] = +sum |[Q,rho]|^2 entries
-        total += float(np.sum(np.abs(comm) ** 2))
-    return total
-
-
 def qcs_commutator(rho: DensityOperator) -> QcsResult:
-    """C^2 = (Tr[rho,X][X,rho] + Tr[rho,P][P,rho]) / (2 Tr[rho^2]).
-
-    The cutoff is padded above the state's support so the truncated
-    commutators are exact; the result must be stable under a larger pad.
-    """
-    val = _commutator_value(rho, COMMUTATOR_PAD)
-    check = _commutator_value(rho, 2 * COMMUTATOR_PAD)
+    """C^2 = ||[a, rho]||_F^2 / Tr[rho^2] = (Tr[rho,X][X,rho] + Tr[rho,P][P,rho]) / (2 Tr[rho^2]),
+    as [a^dag, rho] = -[a, rho]^dag. A box of c + 1 levels holds all of [a, rho]; the value
+    must not move on a box of c + 2."""
+    c, m, norms = rho.cutoff, rho.matrix, []
+    for pad in (1, 2):
+        ladder = np.sqrt(np.arange(1, c + pad))
+        comm = np.zeros((c + pad, c + pad), dtype=complex)
+        comm[: c - 1, :c] = ladder[: c - 1, None] * m[1:]  # (a rho)[i, j] = sqrt(i+1) rho[i+1, j]
+        comm[:c, 1 : c + 1] -= m * ladder[:c]  # (rho a)[i, j] = rho[i, j-1] sqrt(j)
+        norms.append(float(np.sum(np.abs(comm) ** 2)))
+    val, check = norms
     if abs(val - check) > STABILITY_TOL:
         raise ValueError(f"commutator route not cutoff-stable (delta {abs(val - check):.3e})")
     p = purity(rho)
-    return QcsResult(val / (2.0 * p), ROUTE_COMMUTATOR, p)
+    return QcsResult(val / p, ROUTE_COMMUTATOR, p)
 
 
 def qcs_purity_rate(rho1: DensityOperator, transmissivity: float) -> QcsResult:
@@ -75,54 +66,23 @@ def qcs_purity_rate(rho1: DensityOperator, transmissivity: float) -> QcsResult:
     return QcsResult(t * rate / p + 1.0, ROUTE_PURITY_RATE, p)
 
 
-def _swap_matrix(c: int) -> np.ndarray:
-    """The swap |i, j> -> |j, i> on two cutoff-c ladders."""
-    swap = np.zeros((c * c, c * c), dtype=complex)
-    for i in range(c):
-        for j in range(c):
-            swap[i * c + j, j * c + i] = 1.0
-    return swap
-
-
 def qcs_two_copy(rho: DensityOperator) -> QcsResult:
-    """C^2 from two copies: Tr[(rho x rho) Nhat] / Tr[(rho x rho) Shat].
-
-    Shat is the swap; Nhat = ((X1-X2)^2 + (P1-P2)^2)/2 Shat, and the identity
-    (a1^dag - a2^dag)(a1 - a2) Shat = Nhat - Shat holds exactly.
-    """
-    emb = rho.embedded(max(rho.cutoff, rho.support() + 1 + COMMUTATOR_PAD))
-    c = emb.cutoff
-    ops = mode_operators(c)
-    eye = np.eye(c, dtype=complex)
-    x1, x2 = np.kron(ops.x, eye), np.kron(eye, ops.x)
-    p1, p2 = np.kron(ops.p, eye), np.kron(eye, ops.p)
-    swap = _swap_matrix(c)
-    nhat = 0.5 * ((x1 - x2) @ (x1 - x2) + (p1 - p2) @ (p1 - p2)) @ swap
-    pair = np.kron(emb.matrix, emb.matrix)
-    num = float(np.einsum("ij,ji->", pair, nhat).real)
-    den = float(np.einsum("ij,ji->", pair, swap).real)
-    return QcsResult(num / den, ROUTE_TWO_COPY, den)
-
-
-def two_copy_swap_identity_deviation(cutoff: int) -> float:
-    """Max deviation of (a1^dag - a2^dag)(a1 - a2) Shat from Nhat - Shat."""
-    c = int(cutoff)
-    ops = mode_operators(c)
-    eye = np.eye(c, dtype=complex)
-    x1, x2 = np.kron(ops.x, eye), np.kron(eye, ops.x)
-    p1, p2 = np.kron(ops.p, eye), np.kron(eye, ops.p)
-    a1, a2 = np.kron(ops.annihilate, eye), np.kron(eye, ops.annihilate)
-    swap = _swap_matrix(c)
-    nhat = 0.5 * ((x1 - x2) @ (x1 - x2) + (p1 - p2) @ (p1 - p2)) @ swap
-    lhs = (a1 - a2).conj().T @ (a1 - a2) @ swap
-    # the identity is exact on the subspace that cannot reach the clipped corner
-    inner = c - COMMUTATOR_PAD
-    mask = np.zeros(c * c, dtype=bool)
-    for i in range(inner):
-        for j in range(inner):
-            mask[i * c + j] = True
-    diff = (lhs - (nhat - swap))[np.ix_(mask, mask)]
-    return float(np.max(np.abs(diff)))
+    """C^2 = Tr[(rho x rho) Nhat] / Tr[(rho x rho) Shat], Shat the swap and Nhat =
+    ((a1^dag - a2^dag)(a1 - a2) + 1) Shat, per block |k, n-k> of rho zero-padded to 2c - 1
+    levels: (rho x rho)_n[k, l] = rho[k, l] rho[n-k, n-l], Shat_n is the anti-identity J,
+    and a1 - a2 maps block n to n - 1 by D_n[i, i+1] = sqrt(i+1), D_n[i, i] = -sqrt(n-i).
+    Tr[(rho x rho)_n J] and Tr[D_n J (rho x rho)_n D_n^T] read 3 diagonals of J (rho x rho)_n."""
+    d = 2 * rho.cutoff - 1
+    m = np.zeros((d, d), dtype=complex)
+    m[: rho.cutoff, : rho.cutoff] = rho.matrix
+    n, k = np.tril_indices(d)  # block n, diagonal entry (k, k)
+    diag = m[n - k, k] * m[k, n - k]
+    n1, i = np.tril_indices(d, -1)  # block n1, off-diagonal entries (i, i+1) and (i+1, i)
+    cross = m[n1 - i, i + 1] * m[i, n1 - i - 1] + m[n1 - i - 1, i] * m[i + 1, n1 - i]
+    den = float(np.sum(diag).real)
+    # D_n weighs diagonal entry k by k + (n - k) = n, and off-diagonals by -sqrt((i+1)(n-i))
+    lowered = np.sum(n * diag) - np.sum(np.sqrt((i + 1.0) * (n1 - i)) * cross)
+    return QcsResult(float(lowered.real) / den + 1.0, ROUTE_TWO_COPY, den)
 
 
 def qcs_lindblad(rho1: DensityOperator, transmissivity: float) -> QcsResult:

@@ -106,3 +106,56 @@ class KrausLoss:
 @pytest.fixture
 def kraus_loss():
     return KrausLoss()
+
+
+class DenseTwoCopy:
+    """Oracle for the two-copy coherence-scale route: dense kron products on
+    a two-mode box of (c + 2)^2 levels, with the swap Shat and
+    Nhat = ((X1-X2)^2 + (P1-P2)^2)/2 Shat, so
+    C^2 = Tr[(rho x rho) Nhat] / Tr[(rho x rho) Shat]. O(c^6) time and O(c^4)
+    memory: keep c <= 12.
+
+    The quadratures are truncated ladders, so a product of two is wrong only
+    where it passes through the top level; PAD = 2 levels above rho keep
+    every entry the traces read exact.
+    """
+
+    PAD = 2
+
+    @staticmethod
+    def operators(c):
+        ops = mode_operators(c)
+        eye = np.eye(c)
+        x1, x2 = np.kron(ops.x, eye), np.kron(eye, ops.x)
+        p1, p2 = np.kron(ops.p, eye), np.kron(eye, ops.p)
+        # |i, j> -> |j, i>
+        swap = np.eye(c * c)[np.arange(c * c).reshape(c, c).T.ravel()]
+        nhat = 0.5 * ((x1 - x2) @ (x1 - x2) + (p1 - p2) @ (p1 - p2)) @ swap
+        return ops, swap, nhat
+
+    def __call__(self, matrix):
+        c = matrix.shape[0] + self.PAD
+        m = np.zeros((c, c), dtype=complex)
+        m[: -self.PAD, : -self.PAD] = matrix
+        _, swap, nhat = self.operators(c)
+        pair = np.kron(m, m)
+        num = np.einsum("ij,ji->", pair, nhat).real
+        return float(num / np.einsum("ij,ji->", pair, swap).real)
+
+    def swap_identity_deviation(self, cutoff):
+        """Max deviation of (a1^dag - a2^dag)(a1 - a2) Shat from Nhat - Shat,
+        on the levels below cutoff - PAD of each mode: the identity is exact
+        there, away from the clipped corner of the truncated products."""
+        ops, swap, nhat = self.operators(cutoff)
+        eye = np.eye(cutoff)
+        diff = np.kron(ops.annihilate, eye) - np.kron(eye, ops.annihilate)
+        lhs = diff.conj().T @ diff @ swap
+        inner = cutoff - self.PAD
+        keep = (np.arange(cutoff)[:, None] < inner) & (np.arange(cutoff)[None, :] < inner)
+        return float(np.max(np.abs((lhs - (nhat - swap))[np.ix_(keep.ravel(), keep.ravel())])))
+
+
+@pytest.fixture(scope="session")
+def dense_two_copy():
+    # stateless, so the Hypothesis tests may share one across inputs
+    return DenseTwoCopy()

@@ -48,6 +48,24 @@ def test_purity_suite_at_cutoff_24(tmp_path, capsys):
     assert all(r["pass"] == "true" for r in checked)
 
 
+def test_qcs_half_loss_bound_covers_pure_inputs(tmp_path, capsys):
+    out = tmp_path / "qcs.csv"
+    assert run("verify", "--states", "random:1:8", "--seed", "1", "--grid",
+               "0:1:11", "--suite", "qcs", "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["check_name"] == "qcs_half_loss_bound"]
+    assert [r["state_id"] for r in rows] == ["random-pure:1"] * 5
+    assert [r["params"] for r in rows] == [f"T={float(t)!r}" for t in np.linspace(0, 1, 11)[1:6]]
+    assert all(r["pass"] == "true" for r in rows)
+
+
+def test_qcs_suite_at_cutoff_64(tmp_path, capsys):
+    # dense two-mode products would need several GB at this cutoff
+    assert run("verify", "--states", "random:2:64", "--seed", "1", "--suite", "qcs",
+               "--out", str(tmp_path / "qcs.csv")) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1].endswith(" 0 failed")
+
+
 def test_sweep_single_photon(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--states", "fock:1", "--grid", "0:1:5",

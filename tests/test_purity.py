@@ -1,5 +1,8 @@
 """Purity, entropies, the dark-port polynomial, and overlap identities."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -171,3 +174,12 @@ def test_derivative_consistency():
     assert poly.derivative(t, order=1) == pytest.approx(fd, abs=1e-7)
     fd2 = (poly.value(t + h) - 2 * poly.value(t) + poly.value(t - h)) / h ** 2
     assert poly.derivative(t, order=2) == pytest.approx(fd2, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [120, 400])
+def test_fock_purity_closed_form_at_large_photon_number(n):
+    # dyadic T keeps the Fraction reference exact
+    for t in (-0.25, 0.0625, 0.3125, 0.5, 0.875, 1.25):
+        tf = Fraction(t)
+        exact = sum((comb(n, k) * tf ** k * (1 - tf) ** (n - k)) ** 2 for k in range(n + 1))
+        assert fock_purity_closed_form(n, t) == pytest.approx(float(exact), rel=1e-14)

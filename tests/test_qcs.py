@@ -1,14 +1,20 @@
 """Quadrature coherence scale: four computation routes and known values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossylab.fock import (make_coherent, make_fock, make_squeezed_vacuum,
                            random_mixed, random_pure, thermal_state)
 from lossylab.loss import apply_loss
 from lossylab.qcs import (qcs_commutator, qcs_kernel_form, qcs_lindblad,
                           qcs_lindblad_pure_variant, qcs_purity_rate,
-                          qcs_two_copy, two_copy_swap_identity_deviation)
+                          qcs_two_copy)
+
+from strategies import density_operators
 
 
 def test_known_values():
@@ -66,8 +72,54 @@ def test_lindblad_pure_variant_matches_general_route():
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_two_copy_swap_identity():
-    assert two_copy_swap_identity_deviation(6) < 1e-12
+def test_two_copy_swap_identity(dense_two_copy):
+    assert dense_two_copy.swap_identity_deviation(6) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", range(1, 13))
+def test_two_copy_matches_dense_oracle(cutoff, dense_two_copy):
+    states = [random_pure(cutoff, cutoff).density(),
+              random_mixed(cutoff, cutoff, min(cutoff, 3)),
+              apply_loss(random_mixed(cutoff + 50, cutoff, 1), 0.3)]
+    for rho in states:
+        ref = dense_two_copy(rho.matrix)
+        assert abs(qcs_two_copy(rho).c_squared - ref) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho1=density_operators(max_cutoff=8), t=st.floats(0.05, 1.0))
+def test_routes_agree_on_random_states(rho1, t, dense_two_copy):
+    rho_t = apply_loss(rho1, t)
+    two_copy = qcs_two_copy(rho_t).c_squared
+    values = [qcs_commutator(rho_t).c_squared, two_copy,
+              qcs_purity_rate(rho1, t).c_squared, qcs_lindblad(rho1, t).c_squared]
+    assert max(values) - min(values) <= 1e-10 * max(1.0, max(values))
+    assert abs(two_copy - dense_two_copy(rho_t.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("rho, c_squared", [
+    (make_fock(60, 61).density(), 121.0),
+    (make_fock(120, 121).density(), 241.0),
+    (thermal_state(2.0, 128), 1.0 / 5.0),
+    (make_coherent(3.0 - 2.0j, 96).density(), 1.0),
+    (make_squeezed_vacuum(0.8, 128).density(), np.cosh(1.6)),
+], ids=["fock60", "fock120", "thermal2", "coherent", "squeezed0.8"])
+def test_exact_routes_at_large_photon_number(rho, c_squared):
+    # closed forms 2n + 1, 1 / (2 nbar + 1), 1 and cosh 2r; the truncated
+    # tails hold at most ~1e-22 of the weight
+    assert qcs_commutator(rho).c_squared == pytest.approx(c_squared, rel=1e-12)
+    assert qcs_two_copy(rho).c_squared == pytest.approx(c_squared, rel=1e-12)
+
+
+def test_two_copy_memory_stays_per_block():
+    rho = random_mixed(7, 128, 3)
+    tracemalloc.start()
+    try:
+        qcs_two_copy(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_squeezed_vacuum_scale():
