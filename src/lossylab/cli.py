@@ -238,6 +238,7 @@ def _qcs_suite(state_id, state, t_grid, tol):
     rho1 = _density(state)
     pure = isinstance(state, PureState)
     agree_tol = tol or 1e-8
+    poly = purity_polynomial(rho1)
     reports = []
     for t in t_grid:
         t = float(t)
@@ -246,8 +247,8 @@ def _qcs_suite(state_id, state, t_grid, tol):
         rho_t = apply_loss(rho1, t)
         values = [qcs_commutator(rho_t).c_squared,
                   qcs_two_copy(rho_t).c_squared,
-                  qcs_lindblad(rho1, t).c_squared]
-        rate = qcs_purity_rate(rho1, t)
+                  qcs_lindblad(rho_t).c_squared]
+        rate = qcs_purity_rate(poly, t)
         if not rate.degenerate:
             values.append(rate.c_squared)
         spread = max(values) - min(values)

@@ -10,7 +10,7 @@ total photon number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -76,12 +76,16 @@ class DensityOperator:
 
     ``physical=False`` skips the positivity check; Hermiticity and unit trace
     are always enforced. That flag exists for deliberately indefinite
-    operators used by the convexity counterexample scans.
+    operators used by the convexity counterexample scans. ``eigenvalues``
+    keeps the ascending spectrum of the positivity check, read-only; it is
+    None when ``physical=False``.
     """
 
     matrix: np.ndarray
     cutoff: int
     physical: bool = True
+    eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -96,9 +100,10 @@ class DensityOperator:
         if not trace_dev <= TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
         if self.physical:
-            min_eig = float(np.linalg.eigvalsh(m)[0])
-            if not min_eig >= -POSITIVITY_TOL:
-                raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
+            eigs = np.linalg.eigvalsh(m)
+            if not eigs[0] >= -POSITIVITY_TOL:
+                raise ValueError(f"matrix has negative eigenvalue {eigs[0]:.3e}")
+            object.__setattr__(self, "eigenvalues", _readonly(eigs))
         object.__setattr__(self, "matrix", _readonly(m))
 
     def embedded(self, cutoff: int) -> "DensityOperator":

@@ -336,24 +336,18 @@ def purity_lossy_from_chi(rho1: DensityOperator, transmissivity: float, s: float
     return math.fsum(weights * integrand) / np.pi
 
 
-def phase_averaged_chi_sq(rho: DensityOperator, tau: float, n_angular: int = 128) -> float:
-    """|chi-bar(tau)|^2: angular average of |chi(sqrt(tau) e^{i theta}, 1)|^2."""
-    if tau < 0:
-        raise ValueError("tau is a squared radius and must be nonnegative")
-    thetas = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    chi = char_fn(rho, np.sqrt(tau) * np.exp(1j * thetas), 1.0)
-    return float(np.mean(np.abs(chi) ** 2))
-
-
 def laplace_purity(rho1: DensityOperator, transmissivity: float,
                    quad: Quadrature2D = Quadrature2D()) -> float:
-    """Purity of the lossy state as (1/T) Laplace{|chi-bar|^2}(1/T)."""
+    """Purity of the lossy state as (1/T) Laplace{|chi-bar|^2}(1/T), where
+    |chi-bar(tau)|^2 is the angular mean of |chi(sqrt(tau) e^{i theta}, 1)|^2 on
+    the trapezoid; one char_fn call covers every radial and angular node."""
     t = float(transmissivity)
     if not 0.0 < t <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
     nodes, w = _laguerre_rule(quad.n_radial)
-    vals = [phase_averaged_chi_sq(rho1, t * ti, quad.n_angular) for ti in nodes]
-    return math.fsum(w * np.asarray(vals))
+    thetas = 2.0 * np.pi * np.arange(quad.n_angular) / quad.n_angular
+    chi = char_fn(rho1, np.outer(np.sqrt(t * nodes), np.exp(1j * thetas)), 1.0)
+    return math.fsum(w * np.mean(np.abs(chi) ** 2, axis=1))
 
 
 def overlap_from_quasi(rho: DensityOperator, sigma: DensityOperator, s: float,
@@ -376,14 +370,13 @@ def overlap_from_quasi(rho: DensityOperator, sigma: DensityOperator, s: float,
 def write_grid_csv(path, qgrid: QuasiProbGrid, state_label: str,
                    transmissivity: float | None = None) -> None:
     """Row-major grid dump with a descriptor line ahead of the column header."""
-    re_axis = qgrid.grid.re_axis()
-    im_axis = qgrid.grid.im_axis()
+    re_cells = [repr(x) for x in qgrid.grid.re_axis().tolist()]
+    im_cells = [repr(y) for y in qgrid.grid.im_axis().tolist()]
     t_part = repr(float(transmissivity)) if transmissivity is not None else "none"
     with open(path, "w", newline="") as fh:
         fh.write(f"# s={qgrid.order!r},T={t_part},state={state_label}\n")
         writer = csv.writer(fh)
         writer.writerow(["re_alpha", "im_alpha", "value"])
-        for i in range(qgrid.grid.n):
-            for j in range(qgrid.grid.n):
-                writer.writerow([repr(float(re_axis[i])), repr(float(im_axis[j])),
-                                 repr(float(qgrid.values[i, j].real))])
+        for re_cell, row in zip(re_cells, qgrid.values.real.tolist()):
+            writer.writerows([re_cell, im_cell, repr(v)]
+                             for im_cell, v in zip(im_cells, row))

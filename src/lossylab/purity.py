@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import gammaln
 
 from .fock import DensityOperator, PureState, beam_splitter_block, block_indices
 from .loss import _binomial_table, apply_loss
@@ -27,7 +26,8 @@ def purity(rho: DensityOperator) -> float:
 
 
 def _spectrum(rho: DensityOperator) -> np.ndarray:
-    eigs = np.linalg.eigvalsh(rho.matrix)
+    """Clipped spectrum; a physical operator already holds its eigenvalues."""
+    eigs = rho.eigenvalues if rho.physical else np.linalg.eigvalsh(rho.matrix)
     if eigs[0] < NEGATIVE_EIG_LIMIT:
         raise ValueError(f"operator has eigenvalue {eigs[0]:.3e}; not a state")
     return np.clip(eigs, 0.0, None)
@@ -121,16 +121,16 @@ def overlap_polynomial(rho: DensityOperator, sigma: DensityOperator) -> PurityPo
 
 
 def min_purity_pure(psi: PureState) -> float:
-    """Closed-form minimum purity of a pure state under loss (attained at T = 1/2)."""
+    """Closed-form minimum purity of a pure state under loss (attained at T = 1/2):
+    sum_n |sum_k a_k a_{n-k} sqrt(C(n, k) / 2^n)|^2, with C(n, k) / 2^n the
+    T = 1/2 row n of the Pascal-rule binomial table."""
     c = psi.cutoff
     amps = psi.amplitudes
+    root_pmf = np.sqrt(_binomial_table(0.5, 2 * c - 1))
     total = 0.0
     for n in range(2 * c - 1):
-        s = 0.0 + 0.0j
-        for k in range(max(0, n - c + 1), min(n, c - 1) + 1):
-            log_binom = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-            s += amps[k] * amps[n - k] * np.exp(log_binom)
-        total += abs(s) ** 2 / 2.0 ** n
+        k = np.arange(max(0, n - c + 1), min(n, c - 1) + 1)
+        total += abs(np.sum(amps[k] * amps[n - k] * root_pmf[n, k])) ** 2
     return float(total)
 
 

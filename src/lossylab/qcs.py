@@ -15,13 +15,12 @@ import numpy as np
 
 from .fock import DensityOperator, PureState, mode_operators
 from .loss import apply_loss
-from .purity import purity, purity_polynomial
+from .purity import PurityPolynomial, purity
 
 ROUTE_COMMUTATOR = "commutator"
 ROUTE_PURITY_RATE = "purity_rate"
 ROUTE_TWO_COPY = "two_copy"
 ROUTE_LINDBLAD = "lindblad"
-STABILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,29 +37,23 @@ class QcsResult:
 
 def qcs_commutator(rho: DensityOperator) -> QcsResult:
     """C^2 = ||[a, rho]||_F^2 / Tr[rho^2] = (Tr[rho,X][X,rho] + Tr[rho,P][P,rho]) / (2 Tr[rho^2]),
-    as [a^dag, rho] = -[a, rho]^dag. A box of c + 1 levels holds all of [a, rho]; the value
-    must not move on a box of c + 2."""
-    c, m, norms = rho.cutoff, rho.matrix, []
-    for pad in (1, 2):
-        ladder = np.sqrt(np.arange(1, c + pad))
-        comm = np.zeros((c + pad, c + pad), dtype=complex)
-        comm[: c - 1, :c] = ladder[: c - 1, None] * m[1:]  # (a rho)[i, j] = sqrt(i+1) rho[i+1, j]
-        comm[:c, 1 : c + 1] -= m * ladder[:c]  # (rho a)[i, j] = rho[i, j-1] sqrt(j)
-        norms.append(float(np.sum(np.abs(comm) ** 2)))
-    val, check = norms
-    if abs(val - check) > STABILITY_TOL:
-        raise ValueError(f"commutator route not cutoff-stable (delta {abs(val - check):.3e})")
+    as [a^dag, rho] = -[a, rho]^dag. A box of c + 1 levels holds all of [a, rho]."""
+    c, m = rho.cutoff, rho.matrix
+    ladder = np.sqrt(np.arange(1, c + 1))
+    comm = np.zeros((c + 1, c + 1), dtype=complex)
+    comm[: c - 1, :c] = ladder[: c - 1, None] * m[1:]  # (a rho)[i, j] = sqrt(i+1) rho[i+1, j]
+    comm[:c, 1 : c + 1] -= m * ladder[:c]  # (rho a)[i, j] = rho[i, j-1] sqrt(j)
     p = purity(rho)
-    return QcsResult(val / p, ROUTE_COMMUTATOR, p)
+    return QcsResult(float(np.sum(np.abs(comm) ** 2)) / p, ROUTE_COMMUTATOR, p)
 
 
-def qcs_purity_rate(rho1: DensityOperator, transmissivity: float) -> QcsResult:
-    """C^2 of rho_T from the loss response: C^2 = (T / P(T)) dP/dT + 1."""
+def qcs_purity_rate(poly: PurityPolynomial, transmissivity: float) -> QcsResult:
+    """C^2 of rho_T from the loss response of the purity polynomial P of rho_1:
+    C^2 = (T / P(T)) dP/dT + 1. The caller builds P once per input state."""
     t = float(transmissivity)
     if t == 0.0:
         # all states have been contracted to vacuum; the scale degenerates to 1
         return QcsResult(1.0, ROUTE_PURITY_RATE, 1.0, degenerate=True)
-    poly = purity_polynomial(rho1)
     p = float(poly.value(t))
     rate = float(poly.derivative(t, 1))
     return QcsResult(t * rate / p + 1.0, ROUTE_PURITY_RATE, p)
@@ -85,14 +78,10 @@ def qcs_two_copy(rho: DensityOperator) -> QcsResult:
     return QcsResult(float(lowered.real) / den + 1.0, ROUTE_TWO_COPY, den)
 
 
-def qcs_lindblad(rho1: DensityOperator, transmissivity: float) -> QcsResult:
-    """C^2 of rho_T from dissipator moments:
+def qcs_lindblad(rho_t: DensityOperator) -> QcsResult:
+    """C^2 of a (lossy) state rho_T from dissipator moments:
     C^2 = (2 / Tr[rho_T^2]) (Tr[N rho_T rho_T] - Tr[a rho_T a^dag rho_T]) + 1.
     """
-    t = float(transmissivity)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("Lindblad route needs T in (0, 1]")
-    rho_t = rho1 if t == 1.0 else apply_loss(rho1, t)
     m = rho_t.matrix
     ops = mode_operators(rho_t.cutoff)
     p = purity(rho_t)

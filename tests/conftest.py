@@ -159,3 +159,30 @@ class DenseTwoCopy:
 def dense_two_copy():
     # stateless, so the Hypothesis tests may share one across inputs
     return DenseTwoCopy()
+
+
+class DenseCommutator:
+    """Oracle for the commutator coherence-scale route:
+    C^2 = (||[X, rho]||_F^2 + ||[P, rho]||_F^2) / (2 Tr[rho^2]) with dense
+    truncated quadratures on a box of c + PAD levels.
+
+    X and P move the photon number by one, so a box of c + 1 levels already
+    holds [X, rho] and [P, rho] exactly; PAD = 2 adds a level above that, so
+    the oracle does not share the route's box size.
+    """
+
+    PAD = 2
+
+    def __call__(self, matrix):
+        c = matrix.shape[0] + self.PAD
+        m = np.zeros((c, c), dtype=complex)
+        m[: -self.PAD, : -self.PAD] = matrix
+        ops = mode_operators(c)
+        spread = sum(np.sum(np.abs(q @ m - m @ q) ** 2) for q in (ops.x, ops.p))
+        return float(spread / (2.0 * np.einsum("ij,ji->", m, m).real))
+
+
+@pytest.fixture(scope="session")
+def dense_commutator():
+    # stateless, so the Hypothesis tests may share one across inputs
+    return DenseCommutator()

@@ -125,19 +125,19 @@ def test_criterion_05_qcs_routes_and_bounds():
             lossy = apply_loss(rho1, t)
             vals = [qcs_commutator(lossy).c_squared,
                     qcs_two_copy(lossy).c_squared,
-                    qcs_purity_rate(rho1, t).c_squared,
-                    qcs_lindblad(rho1, t).c_squared]
+                    qcs_purity_rate(purity_polynomial(rho1), t).c_squared,
+                    qcs_lindblad(apply_loss(rho1, t)).c_squared]
             ok &= max(vals) - min(vals) <= 1e-8
     kern = apply_loss(random_mixed(2100, 6, rank=2), 0.4)
     ok &= abs(qcs_kernel_form(kern).c_squared
               - qcs_commutator(kern).c_squared) <= 1e-4
     for j in range(100):
         psi = random_pure(2300 + j, 4 + (j % 6))
-        ok &= abs(qcs_purity_rate(psi.density(), 0.5).c_squared - 1.0) <= 1e-8
+        ok &= abs(qcs_purity_rate(purity_polynomial(psi.density()), 0.5).c_squared - 1.0) <= 1e-8
     for j in range(100):
         rho1 = random_mixed(2500 + j, 4 + (j % 5), rank=2 + (j % 3))
         for t in np.linspace(0.05, 0.5, 6):
-            ok &= qcs_purity_rate(rho1, t).c_squared <= 1.0 + 1e-8
+            ok &= qcs_purity_rate(purity_polynomial(rho1), t).c_squared <= 1.0 + 1e-8
     _verdict("criterion 05 QCS route agreement and bounds", ok,
              time.perf_counter() - start, 120.0)
 

@@ -2,11 +2,12 @@
 
 import csv
 import filecmp
+import importlib
 
 import numpy as np
 import pytest
 
-from lossylab.cli import main
+from lossylab.cli import main, parse_states
 
 
 def run(*argv):
@@ -64,6 +65,38 @@ def test_qcs_suite_at_cutoff_64(tmp_path, capsys):
     assert run("verify", "--states", "random:2:64", "--seed", "1", "--suite", "qcs",
                "--out", str(tmp_path / "qcs.csv")) == 0
     assert capsys.readouterr().out.strip().splitlines()[-1].endswith(" 0 failed")
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_qcs_suite_builds_one_purity_polynomial_per_state(monkeypatch, capsys):
+    # every purity polynomial is one dark-port population run
+    calls = counting(monkeypatch, importlib.import_module("lossylab.purity"),
+                     "pair_dark_populations")
+    assert run("verify", "--states", "random:3", "--seed", "1", "--suite", "qcs",
+               "--grid", "0:1:11") == 0
+    assert len(calls) == 3
+
+
+def test_sweep_runs_one_eigendecomposition_per_row(monkeypatch, capsys):
+    calls = counting(monkeypatch, np.linalg, "eigvalsh")
+    parse_states("random:1:8:3", 4, False)
+    setup = len(calls)  # building the input state
+    calls.clear()
+    assert run("sweep", "--states", "random:1:8:3", "--seed", "4",
+               "--grid", "0:1:9") == 0
+    assert len(calls) == setup + 9
 
 
 def test_sweep_single_photon(tmp_path, capsys):

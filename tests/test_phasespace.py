@@ -1,22 +1,27 @@
 """Characteristic functions, quasiprobabilities, and phase-space purity routes."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, roots_laguerre
+
+import lossylab.phasespace as phasespace
 
 from lossylab.fock import (displacement_matrix, make_coherent, make_fock,
                            random_mixed, random_pure)
 from lossylab.loss import apply_loss
-from lossylab.phasespace import (GridSpec, char_fn, convolve_quasi,
+from lossylab.phasespace import (GridSpec, Quadrature2D, char_fn, convolve_quasi,
                                  laplace_purity, loss_identity_chi,
                                  loss_identity_quasi, lossy_chi_integrand,
                                  overlap_from_quasi, purity_from_chi,
                                  purity_lossy_from_chi, quasi_prob,
                                  quasi_prob_grid, wigner_from_parity,
                                  write_grid_csv)
-from lossylab.purity import hs_overlap, purity
+from lossylab.purity import fock_purity_closed_form, hs_overlap, purity
 from strategies import density_operators
 
 
@@ -183,6 +188,51 @@ def test_laplace_purity_single_photon():
         purity(apply_loss(one, 0.4)), abs=1e-8)
 
 
+def per_radius_laplace_purity(rho1, t, quad):
+    """Oracle: the Laplace transform with one char_fn call per radial node,
+    each averaging |chi|^2 over the angular trapezoid."""
+    nodes, w = roots_laguerre(quad.n_radial)
+    thetas = 2.0 * np.pi * np.arange(quad.n_angular) / quad.n_angular
+    vals = [float(np.mean(np.abs(char_fn(rho1, np.sqrt(t * ti) * np.exp(1j * thetas),
+                                         1.0)) ** 2))
+            for ti in nodes]
+    return math.fsum(w * np.asarray(vals))
+
+
+@pytest.mark.parametrize("quad", [Quadrature2D(40, 64), Quadrature2D(80, 128)],
+                         ids=["40:64", "80:128"])
+@pytest.mark.parametrize("rho1", [random_mixed(5, 8, 3), random_mixed(3, 24, 3)],
+                         ids=["mixed8", "mixed24"])
+def test_laplace_purity_equals_per_radius_loop(rho1, quad):
+    for t in (0.25, 0.6, 1.0):
+        assert laplace_purity(rho1, t, quad) == per_radius_laplace_purity(rho1, t, quad)
+
+
+def test_laplace_purity_one_char_fn_call_per_transmissivity(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return char_fn(*args, **kwargs)
+
+    monkeypatch.setattr(phasespace, "char_fn", counting)
+    rho1 = random_mixed(5, 8, 3)
+    quad = Quadrature2D(40, 64)
+    for t in (0.25, 0.6):
+        laplace_purity(rho1, t, quad)
+    assert calls == [40 * 64, 40 * 64]
+
+
+@pytest.mark.parametrize("n", [10, 20, 30])
+def test_laplace_purity_of_fock_states(n):
+    # |chi(alpha, 1)|^2 = L_n(|alpha|^2)^2 is a phase-free polynomial of
+    # degree 2n, which the 80-node Laguerre rule integrates exactly
+    rho1 = make_fock(n, n + 1).density()
+    for t in (0.2, 0.5, 0.85):
+        assert laplace_purity(rho1, t) == pytest.approx(
+            fock_purity_closed_form(n, t), abs=1e-12)
+
+
 def test_overlap_from_quasi():
     vac = make_fock(0, 4).density()
     one = make_fock(1, 4).density()
@@ -224,3 +274,28 @@ def test_write_grid_csv_format(tmp_path):
     out2 = tmp_path / "grid2.csv"
     write_grid_csv(out2, qgrid, "fock:1", transmissivity=None)
     assert out2.read_text().splitlines()[0] == f"# s={0.0!r},T=none,state=fock:1"
+
+
+def per_cell_grid_csv(path, qgrid, state_label, transmissivity=None):
+    """Oracle: the grid dump formatting both axis values in every cell."""
+    re_axis = qgrid.grid.re_axis()
+    im_axis = qgrid.grid.im_axis()
+    t_part = repr(float(transmissivity)) if transmissivity is not None else "none"
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# s={qgrid.order!r},T={t_part},state={state_label}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["re_alpha", "im_alpha", "value"])
+        for i in range(qgrid.grid.n):
+            for j in range(qgrid.grid.n):
+                writer.writerow([repr(float(re_axis[i])), repr(float(im_axis[j])),
+                                 repr(float(qgrid.values[i, j].real))])
+
+
+def test_write_grid_csv_bytes_match_per_cell_writer(tmp_path):
+    rho = apply_loss(random_mixed(5, 6, 2), 0.4)
+    qgrid = quasi_prob_grid(rho, -0.5, GridSpec(2.5, 9, center=0.3 - 0.2j))
+    for t in (0.4, None):
+        out, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
+        write_grid_csv(out, qgrid, "random-mixed:5", transmissivity=t)
+        per_cell_grid_csv(ref, qgrid, "random-mixed:5", transmissivity=t)
+        assert out.read_bytes() == ref.read_bytes()

@@ -112,6 +112,14 @@ def test_min_purity_pure_matches_half_transmissivity():
     assert min(poly.value(t) for t in grid) >= min_purity_pure(psi) - 1e-12
 
 
+@pytest.mark.parametrize("n", [60, 120, 200])
+def test_min_purity_pure_of_fock_states_is_exact(n):
+    # a Fock state at T = 1/2 keeps each photon with probability 1/2, so its
+    # minimum purity is sum_k (C(n, k) / 2^n)^2 = C(2n, n) / 4^n
+    exact = float(Fraction(comb(2 * n, n), 4 ** n))
+    assert min_purity_pure(make_fock(n, n + 1)) == pytest.approx(exact, rel=1e-14, abs=0)
+
+
 def test_fock_purity_closed_form():
     for n in (0, 1, 2, 5):
         rho1 = make_fock(n, n + 1).density()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lossylab.fock import (make_coherent, make_fock, make_squeezed_vacuum,
                            random_mixed, random_pure, thermal_state)
 from lossylab.loss import apply_loss
+from lossylab.purity import purity_polynomial
 from lossylab.qcs import (qcs_commutator, qcs_kernel_form, qcs_lindblad,
                           qcs_lindblad_pure_variant, qcs_purity_rate,
                           qcs_two_copy)
@@ -33,14 +34,14 @@ def test_known_values():
 
 def test_purity_rate_closed_value():
     one = make_fock(1, 2).density()
-    res = qcs_purity_rate(one, 0.75)
+    res = qcs_purity_rate(purity_polynomial(one), 0.75)
     assert res.c_squared == pytest.approx(11.0 / 5.0, abs=1e-12)
     assert not res.degenerate
 
 
 def test_zero_transmissivity_degenerates():
     rho = random_mixed(5, 6, rank=2)
-    res = qcs_purity_rate(rho, 0.0)
+    res = qcs_purity_rate(purity_polynomial(rho), 0.0)
     assert res.degenerate
     assert res.c_squared == pytest.approx(1.0)
 
@@ -51,8 +52,8 @@ def test_four_routes_agree_on_mixed_state():
         lossy = apply_loss(rho, t)
         values = [qcs_commutator(lossy).c_squared,
                   qcs_two_copy(lossy).c_squared,
-                  qcs_purity_rate(rho, t).c_squared,
-                  qcs_lindblad(rho, t).c_squared]
+                  qcs_purity_rate(purity_polynomial(rho), t).c_squared,
+                  qcs_lindblad(lossy).c_squared]
         assert max(values) - min(values) < 1e-10
 
 
@@ -68,7 +69,7 @@ def test_lindblad_pure_variant_matches_general_route():
     psi = random_pure(9, 7)
     for t in (0.15, 0.3, 0.5):
         a = qcs_lindblad_pure_variant(psi, t).c_squared
-        b = qcs_lindblad(psi.density(), t).c_squared
+        b = qcs_lindblad(apply_loss(psi.density(), t)).c_squared
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -86,15 +87,28 @@ def test_two_copy_matches_dense_oracle(cutoff, dense_two_copy):
         assert abs(qcs_two_copy(rho).c_squared - ref) < 1e-12
 
 
+@pytest.mark.parametrize("cutoff", range(1, 13))
+def test_commutator_matches_dense_oracle(cutoff, dense_commutator):
+    states = [random_pure(cutoff, cutoff).density(),
+              random_mixed(cutoff, cutoff, min(cutoff, 3)),
+              apply_loss(random_mixed(cutoff + 50, cutoff, 1), 0.3)]
+    for rho in states:
+        ref = dense_commutator(rho.matrix)
+        assert abs(qcs_commutator(rho).c_squared - ref) < 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(rho1=density_operators(max_cutoff=8), t=st.floats(0.05, 1.0))
-def test_routes_agree_on_random_states(rho1, t, dense_two_copy):
+def test_routes_agree_on_random_states(rho1, t, dense_two_copy, dense_commutator):
     rho_t = apply_loss(rho1, t)
+    commutator = qcs_commutator(rho_t).c_squared
     two_copy = qcs_two_copy(rho_t).c_squared
-    values = [qcs_commutator(rho_t).c_squared, two_copy,
-              qcs_purity_rate(rho1, t).c_squared, qcs_lindblad(rho1, t).c_squared]
+    values = [commutator, two_copy,
+              qcs_purity_rate(purity_polynomial(rho1), t).c_squared,
+              qcs_lindblad(rho_t).c_squared]
     assert max(values) - min(values) <= 1e-10 * max(1.0, max(values))
     assert abs(two_copy - dense_two_copy(rho_t.matrix)) <= 1e-12
+    assert abs(commutator - dense_commutator(rho_t.matrix)) <= 1e-12
 
 
 @pytest.mark.parametrize("rho, c_squared", [
@@ -131,7 +145,7 @@ def test_squeezed_vacuum_scale():
 def test_pure_states_reach_unity_at_balanced_loss():
     for seed in (1, 2, 3):
         psi = random_pure(seed, 8)
-        assert qcs_purity_rate(psi.density(), 0.5).c_squared == pytest.approx(
+        assert qcs_purity_rate(purity_polynomial(psi.density()), 0.5).c_squared == pytest.approx(
             1.0, abs=1e-10)
 
 
@@ -139,7 +153,7 @@ def test_mixed_states_bounded_below_balanced_loss():
     for seed in (4, 11, 23):
         rho = random_mixed(seed, 8, rank=3)
         for t in np.linspace(0.05, 0.5, 8):
-            assert qcs_purity_rate(rho, t).c_squared <= 1.0 + 1e-8
+            assert qcs_purity_rate(purity_polynomial(rho), t).c_squared <= 1.0 + 1e-8
 
 
 def test_thermal_state_is_subclassical():
