@@ -9,7 +9,7 @@ scans and counterexamples in ``conjectures``; the batch front end in
 ``cli``.
 """
 
-from .conjectures import (bell_like_pair, dark_port_g2_scan, dark_port_state,
+from .conjectures import (bell_like_pair, dark_port_g2_scan,
                           ell_log_convexity_check, fair_pair, g2,
                           log_convexity_corpus, log_convexity_scan,
                           separable_01_pair, twin_photon_pair,

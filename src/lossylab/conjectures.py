@@ -10,20 +10,22 @@ point fails unless its margin is >= -tolerance, so a NaN margin fails; a
 state with a failing point is re-scanned on a 10x finer grid at a 10x
 tighter tolerance, and its worst failing fine point is the violation.
 
-The witness and the tilt bound read one object: the difference-port
-number distribution q of a balanced two-copy interference, a plain 1-D
-array with q[m] the probability of m photons in the difference port.
-``fair_pair`` computes it for twin copies of a state with the spectral
-dark-port engine; the counterexample pairs, which are not fair mixtures
-of twin pairs, are given by their exact distributions and reproduce
-their witness margins bit-stably.
+The witness, the tilt bound and the dark-port g2 scan read one object:
+the difference-port number distribution q of a balanced two-copy
+interference, a plain 1-D array with q[m] the probability of m photons
+in the difference port. ``fair_pair`` computes it for twin copies of a
+state with the spectral dark-port engine; no difference-port operator
+is built. Loss reweights the dark port by (1 - 2T)^m, so g2 at T comes
+from the witness's tilted moments at lam = 1 - 2T. The counterexample
+pairs, which are not fair mixtures of twin pairs, are given by their
+exact distributions and reproduce their witness margins bit-stably.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import DensityOperator, beam_splitter_block, make_fock
+from .fock import DensityOperator, make_fock
 from .purity import PurityPolynomial, pair_dark_populations, purity_polynomial
 from .reports import CheckReport, ScanResult, inequality_report
 
@@ -143,7 +145,7 @@ def ell_log_convexity_check(rho1: DensityOperator, transmissivity: float,
     w = 1 - 2T the tilt base, (sum q m w^m)^2 <= (sum q w^m)(sum q m^2 w^m).
     This is a proven Cauchy-Schwarz case and must pass for every state.
     """
-    lhs, rhs = _ell_sides(purity_polynomial(rho1).coefficients, transmissivity)
+    lhs, rhs = _ell_sides(fair_pair(rho1), transmissivity)
     return inequality_report(
         "ell_log_convexity", state_id, {"T": float(transmissivity)}, lhs, rhs,
         PROVEN_TOL,
@@ -157,7 +159,7 @@ def _ell_margins(q: np.ndarray, t_grid: np.ndarray) -> list:
 
 def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
     """The proven tilt bound over (state_id, operator) pairs and a T grid."""
-    qs = ((state_id, purity_polynomial(rho1).coefficients) for state_id, rho1 in states)
+    qs = ((state_id, fair_pair(rho1)) for state_id, rho1 in states)
     return _scan("ell_log_convexity", qs, t_grid, _ell_margins, PROVEN_TOL,
                  clean="proven-case-verified")
 
@@ -187,6 +189,12 @@ def unfairness_witness(q: np.ndarray, lam: float,
 
 
 def _witness_sides(q: np.ndarray, lam: float) -> tuple:
+    zeroth, first, second = _tilted_moments(q, lam)
+    return first ** 2, zeroth * second
+
+
+def _tilted_moments(q: np.ndarray, lam: float) -> tuple:
+    """(sum q_m lam^m, sum q_m m lam^(m-1), sum q_m m(m-1) lam^(m-2))."""
     if not abs(lam) <= 1.0:
         raise ValueError("the tilt parameter must satisfy |lam| <= 1")
     m = np.arange(q.size, dtype=float)
@@ -197,19 +205,7 @@ def _witness_sides(q: np.ndarray, lam: float) -> tuple:
         powers = np.power(lam, m[:-2])
         first += float(q[2:] @ (m[2:] * powers * lam))
         second = float(q[2:] @ (m[2:] * (m[2:] - 1.0) * powers))
-    return first ** 2, zeroth * second
-
-
-def lambda_zero_witness(q: np.ndarray, state_id: str = "") -> CheckReport:
-    """Three-population specialization of the witness at lam = 0:
-    2 q_2 q_0 - q_1^2 >= 0 for fair mixtures."""
-    q0 = float(q[0])
-    q1 = float(q[1]) if q.size > 1 else 0.0
-    q2 = float(q[2]) if q.size > 2 else 0.0
-    return inequality_report(
-        "lambda_zero_witness", state_id, {}, q1 ** 2, 2.0 * q2 * q0, PROVEN_TOL,
-        claim="2 q2 q0 >= q1^2 on the difference-port populations",
-    )
+    return zeroth, first, second
 
 
 def _difference_marginal(amplitudes: dict) -> np.ndarray:
@@ -261,75 +257,15 @@ def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _difference_port_operator(rho1: DensityOperator) -> np.ndarray:
-    """R = Tr_sum[B^dag (rho1 x rho1) B] for the balanced splitter B.
-
-    Mode 1 of B^dag |n1, n2> is the sum port and mode 2 the difference
-    port. The pair is embedded in a box that holds its total photon number,
-    so every block is complete, and each block pair (n, m) of rho1 x rho1 is
-    rotated on its own: sum-port count a pairs difference counts n - a and
-    m - a. R does not depend on any later loss, so scans build it once.
-    """
-    c = rho1.cutoff
-    d = 2 * c - 1
-    rho = np.zeros((d, d), dtype=complex)
-    rho[:c, :c] = rho1.matrix
-    blocks = [beam_splitter_block(n, 0.5) for n in range(d)]
-    r = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        a = np.arange(n + 1)
-        left = blocks[n].conj().T
-        for m in range(n, d):
-            # <k, n - k| rho1 x rho1 |l, m - l> = rho1[k, l] rho1[n - k, m - l]
-            pair = rho[: n + 1, : m + 1] * rho[n::-1, m::-1]
-            # diagonal of B_n^dag pair B_m over the shared sum-port counts a <= n
-            rotated = np.sum((left @ pair) * blocks[m][:, : n + 1].T, axis=1)
-            r[n - a, m - a] += rotated
-            if m > n:
-                r[m - a, n - a] += rotated.conj()
-    return r
-
-
-def _reweighted(r: np.ndarray, transmissivity: float) -> DensityOperator:
-    """R reweighted by sqrt(1 - 2T) per difference-port photon, normalized."""
-    t = float(transmissivity)
-    if not 0.0 <= t <= 0.5:
-        raise ValueError("the reweighting base needs 0 <= T <= 1/2")
-    weights = np.sqrt(np.power(1.0 - 2.0 * t, np.arange(r.shape[0], dtype=float)))
-    weighted = weights[:, None] * r * weights[None, :]
-    norm = np.trace(weighted).real
-    if not norm > 1e-300:
-        raise ValueError("dark-port weight annihilated the state")
-    weighted /= norm
-    return DensityOperator((weighted + weighted.conj().T) / 2.0, r.shape[0])
-
-
-def dark_port_state(rho1: DensityOperator, transmissivity: float) -> DensityOperator:
-    """Difference-port conditional state of two copies of rho1.
-
-    The pair is interfered on a balanced splitter, the difference port is
-    reweighted by sqrt(1 - 2T) per photon, and the sum port is traced out.
-    """
-    return _reweighted(_difference_port_operator(rho1), transmissivity)
-
-
 def g2(rho: DensityOperator):
     """Second-order correlation Tr[rho N(N-1)] / Tr[rho N]^2, or None when
     the mean photon number is numerically zero."""
-    n_diag = np.arange(rho.cutoff, dtype=float)
-    pops = np.diag(rho.matrix).real
-    mean_n = float(pops @ n_diag)
-    if mean_n <= MEAN_N_FLOOR:
-        return None
-    return float(pops @ (n_diag * (n_diag - 1.0))) / mean_n ** 2
+    return g_factorial(rho, 2)
 
 
 def g_factorial(rho: DensityOperator, order: int):
-    """Normalized factorial moment Tr[rho N(N-1)...(N-order+1)] / <N>^order.
-
-    Scan hook only: high orders vanish identically once the order exceeds
-    the populated ladder, so no positivity assertion is attached.
-    """
+    """Normalized factorial moment Tr[rho N(N-1)...(N-order+1)] / <N>^order,
+    or None when the mean photon number is numerically zero."""
     if order < 1:
         raise ValueError("order must be a positive integer")
     n_diag = np.arange(rho.cutoff, dtype=float)
@@ -343,15 +279,36 @@ def g_factorial(rho: DensityOperator, order: int):
     return float(pops @ fact) / mean_n ** order
 
 
-def _g2_margins(r: np.ndarray, t_grid: np.ndarray) -> list:
-    values = (g2(_reweighted(r, float(t))) for t in t_grid)
-    return [None if value is None else value - 1.0 for value in values]
+def _g2_margin(q: np.ndarray, transmissivity: float):
+    """g2 - 1 of the dark port: loss weights its m-photon population by
+    lam^m, lam = 1 - 2T, so g2 = zeroth second / first^2 in the tilted
+    moments of q. None where the mean lam first / zeroth is numerically
+    zero; a NaN mean gives a NaN margin."""
+    lam = 1.0 - 2.0 * float(transmissivity)
+    zeroth, first, second = _tilted_moments(q, lam)
+    if lam * first / zeroth <= MEAN_N_FLOOR:
+        return None
+    return zeroth * second / first ** 2 - 1.0
+
+
+def _g2_margins(q: np.ndarray, t_grid: np.ndarray) -> list:
+    return [_g2_margin(q, t) for t in t_grid]
+
+
+def _dark_port_q(rho1: DensityOperator) -> np.ndarray:
+    if not rho1.physical:
+        raise ValueError("dark-port g2 needs a positive operator, got physical=False")
+    return fair_pair(rho1)
 
 
 def dark_port_g2_scan(states, t_grid, tolerance: float = G2_TOL) -> ScanResult:
-    """Scan g2(dark port) >= 1 wherever g2 is defined."""
-    rs = ((state_id, _difference_port_operator(rho1)) for state_id, rho1 in states)
-    return _scan("dark_port_g2", rs, t_grid, _g2_margins, tolerance)
+    """Scan g2(dark port) >= 1 wherever g2 is defined, for twin copies of
+    each (state_id, operator) pair on a grid inside 0 <= T <= 1/2."""
+    grid = np.asarray(t_grid, dtype=float)
+    if not np.all((grid >= 0.0) & (grid <= 0.5)):
+        raise ValueError("the dark-port g2 scan needs 0 <= T <= 1/2")
+    qs = ((state_id, _dark_port_q(rho1)) for state_id, rho1 in states)
+    return _scan("dark_port_g2", qs, grid, _g2_margins, tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from lossylab.fock import (beam_splitter_block, block_indices, mode_operators,
-                           random_mixed, random_pure)
+from lossylab.fock import (DensityOperator, beam_splitter_block, block_indices,
+                           mode_operators, random_mixed, random_pure)
 
 
 @pytest.fixture
@@ -68,6 +68,31 @@ def dark_port_distribution():
             pops[n::-1] += diag.real
         return pops
     return rotate
+
+
+@pytest.fixture
+def dense_dark_port(dense_splitter):
+    """Oracle for the dark-port g2 scan: the difference-port state of two
+    copies of rho at transmissivity T, as a DensityOperator.
+
+    The pair is embedded in a box of d = 2c - 1 levels per mode, which holds
+    its total photon number, conjugated by the dense balanced splitter,
+    reweighted by sqrt(1 - 2T) per difference-port photon, and traced over
+    the sum port. O(d^6) time: keep c <= 6.
+    """
+    def build(rho, t):
+        c = rho.cutoff
+        d = 2 * c - 1
+        big = np.zeros((d, d), dtype=complex)
+        big[:c, :c] = rho.matrix
+        u = dense_splitter(d, 0.5)
+        phi = u.conj().T @ np.kron(big, big) @ u
+        w = np.tile(np.sqrt((1.0 - 2.0 * t) ** np.arange(d)), d)
+        weighted = (w[:, None] * phi * w[None, :]).reshape(d, d, d, d)
+        reduced = np.einsum("ijil->jl", weighted)
+        reduced /= np.trace(reduced).real
+        return DensityOperator((reduced + reduced.conj().T) / 2.0, d)
+    return build
 
 
 class KrausLoss:

@@ -269,6 +269,15 @@ def test_dark_port_grid_below_zero_exits_two(capsys):
     assert "0 <= T <= 1/2" in capsys.readouterr().err
 
 
+def test_dark_port_g2_rejects_an_indefinite_operator_file(tmp_path, capsys):
+    # the scan needs a state; an operator let in by --allow-nonpositive is refused
+    path = tmp_path / "indef.npy"
+    np.save(path, np.diag([2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]))
+    assert run("conjecture", "--name", "dark-port-g2", "--states", f"file:{path}",
+               "--allow-nonpositive") == 2
+    assert "physical=False" in capsys.readouterr().err
+
+
 def test_file_state_loading(tmp_path, capsys):
     vec = np.zeros(4)
     vec[1] = 1.0

@@ -5,14 +5,13 @@ import pytest
 
 from lossylab import conjectures
 from lossylab.conjectures import (bell_like_pair, dark_port_g2_scan,
-                                  dark_port_state, ell_log_convexity_check,
+                                  ell_log_convexity_check,
                                   ell_log_convexity_corpus, fair_pair,
                                   fock_one_extended_range_report, g2,
                                   g_factorial, indefinite_convex_operator,
-                                  lambda_zero_witness, log_convexity_corpus,
-                                  log_convexity_scan, separable_01_pair,
-                                  twin_photon_pair, unfairness_scan,
-                                  unfairness_witness)
+                                  log_convexity_corpus, log_convexity_scan,
+                                  separable_01_pair, twin_photon_pair,
+                                  unfairness_scan, unfairness_witness)
 from lossylab.fock import (make_coherent, make_fock, make_squeezed_vacuum,
                            random_mixed, random_pure)
 
@@ -125,8 +124,9 @@ def test_twin_photon_pair_margin_profile():
         rep = unfairness_witness(twin, lam)
         assert rep.passed
         assert rep.margin == pytest.approx((1.0 - lam ** 2) / 2.0, abs=1e-12)
-    zero = lambda_zero_witness(twin)
-    assert zero.passed
+    # at lam = 0 the witness reads the first three populations: 2 q0 q2 - q1^2
+    q0, q1, q2 = twin
+    assert unfairness_witness(twin, 0.0).margin == 2.0 * q0 * q2 - q1 ** 2
 
 
 def test_unfairness_scan_dispositions():
@@ -143,49 +143,75 @@ def test_unfairness_scan_dispositions():
     assert res_bad.min_margin == pytest.approx(-1.0, abs=1e-10)
 
 
+def _g2_margins(res):
+    return {t: margin for _, t, margin in res.rows}
+
+
 def test_dark_port_of_coherent_pair_is_vacuum():
+    # the dark port of twin coherent states is vacuum, so g2 is never defined
     rho = make_coherent(0.9, 18).density()
-    dp = dark_port_state(rho, 0.0)
-    assert dp.matrix[0, 0].real == pytest.approx(1.0, abs=1e-10)
-    assert g2(dp) is None
+    assert fair_pair(rho)[0] == pytest.approx(1.0, abs=1e-10)
+    res = dark_port_g2_scan([("coherent:0.9", rho)], np.linspace(0.0, 0.5, 6))
+    assert res.disposition == "empty"
+    assert res.rows == []
     for t in (0.6, -0.1, np.nan):
-        with pytest.raises(ValueError):
-            dark_port_state(rho, t)
+        with pytest.raises(ValueError, match="0 <= T <= 1/2"):
+            dark_port_g2_scan([("coherent:0.9", rho)], [0.0, t])
 
 
 def test_dark_port_of_squeezed_pair_g2():
+    # twin squeezed vacua leave the splitter as two squeezed vacua, so the
+    # dark port at T = 0 has g2 = 3 + 1/sinh^2 r
     r = 0.5
     rho = make_squeezed_vacuum(r, 24).density()
-    dp = dark_port_state(rho, 0.0)
-    expected = 3.0 + 1.0 / np.sinh(r) ** 2
-    assert g2(dp) == pytest.approx(expected, abs=2e-5)
-    assert g_factorial(dp, 2) == pytest.approx(g2(dp), abs=1e-12)
-    assert g_factorial(dp, 1) == pytest.approx(1.0, abs=1e-12)
+    res = dark_port_g2_scan([("squeezed:0.5", rho)], [0.0])
+    expected = 2.0 + 1.0 / np.sinh(r) ** 2
+    assert _g2_margins(res)[0.0] == pytest.approx(expected, abs=2e-5)
 
 
-def _dense_dark_port_state(rho, t, u):
-    """Oracle: conjugate the embedded pair by the dense balanced splitter u,
-    reweight the difference port, and trace out the sum port."""
-    c = rho.shape[0]
-    d = 2 * c - 1
-    big = np.zeros((d, d), dtype=complex)
-    big[:c, :c] = rho
-    phi = u.conj().T @ np.kron(big, big) @ u
-    w = np.tile(np.sqrt((1.0 - 2.0 * t) ** np.arange(d)), d)
-    weighted = (w[:, None] * phi * w[None, :]).reshape(d, d, d, d)
-    reduced = np.einsum("ijil->jl", weighted)
-    return reduced / np.trace(reduced).real
+def test_dark_port_g2_of_squeezed_pair_at_large_photon_number():
+    # reweighting the dark port by (1 - 2T)^m rescales tanh r to
+    # tanh r' = (1 - 2T) tanh r, so g2 - 1 = 2 + 1/sinh^2 r'
+    r = 0.8
+    rho = make_squeezed_vacuum(r, 96).density()
+    t_grid = np.linspace(0.0, 0.45, 10)
+    margins = _g2_margins(dark_port_g2_scan([("squeezed:0.8", rho)], t_grid))
+    assert sorted(margins) == t_grid.tolist()
+    for t, margin in margins.items():
+        r_eff = np.arctanh((1.0 - 2.0 * t) * np.tanh(r))
+        assert margin == pytest.approx(2.0 + 1.0 / np.sinh(r_eff) ** 2, rel=1e-12)
 
 
-def test_dark_port_state_matches_dense_oracle(dense_splitter):
-    u = dense_splitter(11, 0.5)
+def test_g_factorial_of_fock_states():
+    for n in (1, 2, 5):
+        rho = make_fock(n, n + 2).density()
+        for order in (1, 2, 3):
+            falling = np.prod(np.arange(n, n - order, -1, dtype=float))
+            assert g_factorial(rho, order) == pytest.approx(falling / n ** order,
+                                                            rel=1e-14)
+    assert g2(make_fock(0, 3).density()) is None
+
+
+def test_dark_port_state_matches_dense_oracle(dense_dark_port):
+    # g2 of the dense difference-port state against the scan's q route
     states = [random_mixed(23, 6, rank=3), random_pure(24, 6).density(),
               make_fock(5, 6).density()]
+    t_grid = [0.0, 0.2, 0.37, 0.5]
     for rho in states:
-        for t in (0.0, 0.2, 0.37, 0.5):
-            np.testing.assert_allclose(dark_port_state(rho, t).matrix,
-                                       _dense_dark_port_state(rho.matrix, t, u),
-                                       atol=1e-12)
+        margins = _g2_margins(dark_port_g2_scan([("state", rho)], t_grid))
+        for t in t_grid:
+            value = g2(dense_dark_port(rho, t))
+            if value is None:
+                assert t not in margins
+            else:
+                assert margins[t] == pytest.approx(value - 1.0, rel=1e-12)
+        assert 0.5 not in margins  # the T = 1/2 dark port is vacuum
+
+
+def test_dark_port_g2_scan_rejects_unphysical_operators():
+    sigma = indefinite_convex_operator()
+    with pytest.raises(ValueError, match="physical=False"):
+        dark_port_g2_scan([("indefinite", sigma)], [0.0, 0.25])
 
 
 def test_dark_port_g2_scan_no_violation():
@@ -223,7 +249,7 @@ def test_nan_margins_are_violations(monkeypatch):
     assert np.isnan(res.min_margin)
     assert res.argmin == {"state_id": "nan-pair", "lambda": -1.0}
 
-    monkeypatch.setattr(conjectures, "g2", lambda rho: float("nan"))
+    monkeypatch.setattr(conjectures, "fair_pair", lambda rho: np.full(3, np.nan))
     res = dark_port_g2_scan([("fock:1", one)], np.linspace(0.0, 0.4, 3))
     assert res.disposition == "violation"
     assert np.isnan(res.min_margin)
