@@ -24,7 +24,8 @@ from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
                            number_purity_monotonicity,
                            order_pair_overlap_check, second_derivative_forms,
                            transpose_trick_identity)
-from .loss import apply_loss, loss_generator, multiplicativity_check
+from .loss import (apply_loss, loss_generator, loss_path,
+                   multiplicativity_check)
 from .phasespace import (GridSpec, Quadrature2D, QuasiProbGrid, char_fn,
                          default_grid, laplace_purity, purity_from_chi,
                          purity_lossy_from_chi, quasi_prob, quasi_prob_grid,

@@ -29,7 +29,7 @@ from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
                            pure_number_ratio_inequality,
                            pure_second_order_inequality,
                            second_derivative_forms, transpose_trick_identity)
-from .loss import apply_loss
+from .loss import apply_loss, loss_path
 from .phasespace import (GridSpec, Quadrature2D, default_grid, laplace_purity,
                          overlap_from_quasi, purity_from_chi,
                          purity_lossy_from_chi, quasi_prob_grid,
@@ -97,7 +97,14 @@ def load_operator_file(path: str, allow_nonpositive: bool) -> DensityOperator:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError("operator file must hold a vector or a square matrix")
     try:
-        return DensityOperator(mat, mat.shape[0], physical=not allow_nonpositive)
+        return DensityOperator(mat, mat.shape[0])
+    except ValueError as exc:
+        if not allow_nonpositive:
+            raise ConfigError(f"operator file rejected: {exc}") from None
+    # only a matrix that fails the positivity check is let in unphysical;
+    # a non-finite, non-Hermitian or off-trace one fails again here
+    try:
+        return DensityOperator(mat, mat.shape[0], physical=False)
     except ValueError as exc:
         raise ConfigError(f"operator file rejected: {exc}") from None
 
@@ -240,11 +247,8 @@ def _qcs_suite(state_id, state, t_grid, tol):
     agree_tol = tol or 1e-8
     poly = purity_polynomial(rho1)
     reports = []
-    for t in t_grid:
-        t = float(t)
-        if not 0.0 < t <= 1.0:
-            continue
-        rho_t = apply_loss(rho1, t)
+    t_lossy = [float(t) for t in t_grid if 0.0 < t <= 1.0]
+    for t, rho_t in zip(t_lossy, loss_path(rho1, t_lossy)):
         values = [qcs_commutator(rho_t).c_squared,
                   qcs_two_copy(rho_t).c_squared,
                   qcs_lindblad(rho_t).c_squared]
@@ -350,12 +354,10 @@ def cmd_sweep(args) -> int:
     rho1 = _density(state)
     t_grid = parse_grid(args.grid)
     rows = []
-    for t in t_grid:
-        t = float(t)
-        rho_t = apply_loss(rho1, t)
+    for t, rho_t in zip(t_grid, loss_path(rho1, t_grid)):
         pops = np.diag(rho_t.matrix).real
         mean_n = float(pops @ np.arange(pops.size))
-        rows.append([repr(t),
+        rows.append([repr(float(t)),
                      repr(purity(rho_t)),
                      repr(von_neumann(rho_t)),
                      repr(renyi_entropy(rho_t, 2)),

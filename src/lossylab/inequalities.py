@@ -16,7 +16,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import hyp2f1
 
 from .fock import DensityOperator, PureState, make_coherent, mode_operators, thermal_state
-from .loss import apply_loss
+from .loss import apply_loss, loss_path
 from .phasespace import Quadrature2D, quasi_prob
 from .purity import (PurityPolynomial, fock_purity_closed_form, lossy_overlap,
                      overlap_polynomial, purity_polynomial)
@@ -74,8 +74,7 @@ def pure_number_ratio_inequality(psi: PureState, transmissivity: float,
         raise ValueError("the ratio bound needs 0 < T <= 1/2")
     rho1 = psi.density()
     ops = mode_operators(rho1.cutoff)
-    m_t = apply_loss(rho1, t).matrix
-    m_r = apply_loss(rho1, 1.0 - t).matrix
+    m_t, m_r = (rho.matrix for rho in loss_path(rho1, [t, 1.0 - t]))
     lhs = _moment(ops.number @ m_t, m_t).real / t
     rhs = _moment(ops.number @ m_r, m_r).real / (1.0 - t)
     return inequality_report(
@@ -92,8 +91,7 @@ def transpose_trick_identity(psi: PureState, transmissivity: float,
         raise ValueError("the identity needs T strictly inside (0, 1)")
     rho1 = psi.density()
     ops = mode_operators(rho1.cutoff)
-    m_t = apply_loss(rho1, t).matrix
-    m_r = apply_loss(rho1, 1.0 - t).matrix
+    m_t, m_r = (rho.matrix for rho in loss_path(rho1, [t, 1.0 - t]))
     lhs = _moment(ops.annihilate @ m_t @ ops.create, m_t).real
     rhs = _moment(ops.number @ m_r, m_r).real * t / (1.0 - t)
     return equality_report(
@@ -158,12 +156,13 @@ def second_derivative_forms(state, transmissivity: float,
     rho1 = state.density() if pure else state
     poly_value = purity_polynomial(rho1).derivative(t, order=2)
 
-    f_t = _form_terms(apply_loss(rho1, t))
+    lossy = list(loss_path(rho1, [t, 1.0 - t] if pure else [t]))
+    f_t = _form_terms(lossy[0])
     form_one = 2.0 / t ** 2 * (-f_t["n_rho2"] + 2.0 * f_t["low_sq"] + f_t["nrho_sq"]
                                - 4.0 * f_t["cross"] + f_t["low_high"])
     values = [form_one]
     if pure:
-        f_r = _form_terms(apply_loss(rho1, 1.0 - t))
+        f_r = _form_terms(lossy[1])
         form_two = (2.0 / t ** 2 * (f_t["low_sq"] + f_t["low_high"] - 2.0 * f_t["cross"])
                     + 2.0 / (1.0 - t) ** 2 * (f_r["low_sq"] + f_r["low_high"]
                                               - 2.0 * f_r["cross"]))
@@ -481,8 +480,8 @@ def number_purity_monotonicity(rho1: DensityOperator, t_grid,
     ops = mode_operators(rho1.cutoff)
     rising = np.empty(grid.size)
     falling = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        m = apply_loss(rho1, float(t)).matrix
+    for i, (t, rho_t) in enumerate(zip(grid, loss_path(rho1, grid))):
+        m = rho_t.matrix
         rising[i] = _moment(ops.number @ m, m).real
         falling[i] = _moment(ops.annihilate @ m @ ops.create, m).real * (1.0 - t) / t
     margin = min(float(np.min(np.diff(rising))), float(np.min(-np.diff(falling))))

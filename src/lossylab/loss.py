@@ -10,52 +10,87 @@ the standard matrix-element form of binomial loss (Leonhardt, *Measuring
 the Quantum State of Light*). The sum is exact at finite cutoff because
 loss only lowers the photon number. w_j[m] is a polynomial in T, so on
 diagonal operators the same kernel continues the channel to any real T.
+
+One kernel serves a whole grid of T: ``loss_path`` runs Pascal's rule and
+the sum over j with T as a leading axis, one block of at most
+``BLOCK_ENTRIES`` matrix entries at a time, and ``apply_loss`` is its
+one-T call.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 from .fock import DensityOperator, mode_operators
 from .reports import CheckReport, equality_report
 
+# matrix entries per block of T: bounds the kernel's working set at
+# 128 KiB per complex stack, whatever the grid length
+BLOCK_ENTRIES = 2 ** 13
 
-def _binomial_table(t: float, cutoff: int) -> np.ndarray:
-    """pmf[n, m] = C(n, m) T^m (1-T)^(n-m), so w_j[m] = pmf[m+j, m].
+
+def _t_blocks(size: int, cutoff: int) -> Iterator[slice]:
+    """Consecutive slices of a T grid of ``size`` points, each holding at
+    most BLOCK_ENTRIES entries of cutoff x cutoff matrices (at least one T)."""
+    step = max(1, BLOCK_ENTRIES // cutoff ** 2)
+    return (slice(i, i + step) for i in range(0, size, step))
+
+
+def _binomial_table(t, cutoff: int) -> np.ndarray:
+    """pmf[..., n, m] = C(n, m) T^m (1-T)^(n-m), so w_j[m] = pmf[..., m+j, m];
+    the leading axes are those of t.
 
     Built row by row with Pascal's rule, which holds for any real T; each
     step adds two terms of one sign, so no entry cancels, and on [0, 1]
     no entry exceeds 1."""
-    pmf = np.zeros((cutoff, cutoff))
-    pmf[0, 0] = 1.0
+    t = np.asarray(t, dtype=float)[..., None]
+    pmf = np.zeros(t.shape[:-1] + (cutoff, cutoff))
+    pmf[..., 0, 0] = 1.0
     for n in range(1, cutoff):
-        pmf[n, :n] = (1.0 - t) * pmf[n - 1, :n]
-        pmf[n, 1 : n + 1] += t * pmf[n - 1, :n]
+        pmf[..., n, :n] = (1.0 - t) * pmf[..., n - 1, :n]
+        pmf[..., n, 1 : n + 1] += t * pmf[..., n - 1, :n]
     return pmf
 
 
-def apply_loss(rho: DensityOperator, transmissivity: float) -> DensityOperator:
-    """E_T[rho] by the binomial kernel: one rank-1 elementwise term per
-    number j of lost photons. Outside 0 <= T <= 1 only diagonal operators
-    are accepted, and the result is marked unphysical."""
-    t = float(transmissivity)
-    if not np.isfinite(t):
+def loss_path(rho: DensityOperator, transmissivities) -> Iterator[DensityOperator]:
+    """E_T[rho] for every T of a grid, in grid order, by the binomial
+    kernel: one rank-1 elementwise term per number j of lost photons.
+
+    The whole grid is checked before this returns: every T must be finite,
+    and T outside 0 <= T <= 1 is accepted only for diagonal operators (their
+    off-diagonals below 1e-12 are dropped at those T alone), with the result
+    marked unphysical. The states are then built one block of T at a time."""
+    grid = np.asarray(transmissivities, dtype=float).ravel()
+    if not np.all(np.isfinite(grid)):
         raise ValueError("transmissivity must be finite")
+    in_range = (grid >= 0.0) & (grid <= 1.0)
+    diag = np.diag(np.diag(rho.matrix))
+    if not np.all(in_range) and np.max(np.abs(rho.matrix - diag)) > 1e-12:
+        raise ValueError("transmissivity outside [0, 1] is only defined for diagonal operators")
+    return _loss_blocks(rho, grid, in_range, diag)
+
+
+def _loss_blocks(rho, grid, in_range, diag):
     c = rho.cutoff
-    m = rho.matrix
-    in_range = 0.0 <= t <= 1.0
-    if not in_range:
-        m = np.diag(np.diag(m))
-        if np.max(np.abs(rho.matrix - m)) > 1e-12:
-            raise ValueError("transmissivity outside [0, 1] is only defined for diagonal operators")
-    # complex so that v_j[m]^2 = w_j[m] also where w is negative (T outside
-    # [0, 1]); there m is diagonal and only those squares enter
-    v = np.sqrt(_binomial_table(t, c).astype(complex))
-    out = np.zeros((c, c), dtype=complex)
-    for j in range(c):
-        vj = np.diagonal(v, -j)
-        out[: c - j, : c - j] += np.outer(vj, vj) * m[j:, j:]
-    return DensityOperator(out, c, rho.physical and in_range)
+    for block in _t_blocks(grid.size, c):
+        ok = in_range[block]
+        m = rho.matrix if np.all(ok) else np.where(ok[:, None, None], rho.matrix, diag)
+        # complex so that v_j[m]^2 = w_j[m] also where w is negative (T
+        # outside [0, 1]); there m is diagonal and only those squares enter
+        v = np.sqrt(_binomial_table(grid[block], c).astype(complex))
+        out = np.zeros((ok.size, c, c), dtype=complex)
+        for j in range(c):
+            vj = np.diagonal(v, -j, axis1=1, axis2=2)
+            out[:, : c - j, : c - j] += vj[:, :, None] * vj[:, None, :] * m[..., j:, j:]
+        for k in range(ok.size):
+            yield DensityOperator(out[k], c, rho.physical and bool(ok[k]))
+
+
+def apply_loss(rho: DensityOperator, transmissivity: float) -> DensityOperator:
+    """E_T[rho] at one T: the one-point ``loss_path``."""
+    return next(loss_path(rho, [transmissivity]))
 
 
 def loss_generator(rho_t: DensityOperator, transmissivity: float) -> np.ndarray:

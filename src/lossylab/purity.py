@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .fock import DensityOperator, PureState, beam_splitter_block, block_indices
-from .loss import _binomial_table, apply_loss
+from .loss import _binomial_table, _t_blocks, apply_loss, loss_path
 
 EIG_FLOOR = 1e-14
 NEGATIVE_EIG_LIMIT = -1e-8
@@ -156,8 +156,8 @@ def mutual_information_bs(rho: DensityOperator, transmissivity: float) -> float:
     The marginals are the loss channel at T and 1-T; the joint entropy equals
     H_1(rho) because the dilation is unitary and the ancilla is pure.
     """
-    h_a = von_neumann(apply_loss(rho, transmissivity))
-    h_b = von_neumann(apply_loss(rho, 1.0 - transmissivity))
+    t = float(transmissivity)
+    h_a, h_b = (von_neumann(out) for out in loss_path(rho, [t, 1.0 - t]))
     return h_a + h_b - von_neumann(rho)
 
 
@@ -165,5 +165,8 @@ def fock_purity_closed_form(n: int, transmissivity):
     """Purity of a lossy number state, sum_k (C(n, k) T^k (1-T)^(n-k))^2, valid
     for any real transmissivity; each binomial row comes from Pascal's rule."""
     t = np.asarray(transmissivity, dtype=float)
-    acc = np.array([np.sum(_binomial_table(x, n + 1)[n] ** 2) for x in t.ravel()])
+    flat = t.ravel()
+    acc = np.empty(flat.size)
+    for block in _t_blocks(flat.size, n + 1):
+        acc[block] = np.sum(_binomial_table(flat[block], n + 1)[:, n] ** 2, axis=-1)
     return float(acc[0]) if t.ndim == 0 else acc.reshape(t.shape)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DensityOperator, PureState, mode_operators
-from .loss import apply_loss
+from .loss import loss_path
 from .purity import PurityPolynomial, purity
 
 ROUTE_COMMUTATOR = "commutator"
@@ -101,8 +101,7 @@ def qcs_lindblad_pure_variant(psi: PureState, transmissivity: float) -> QcsResul
         raise ValueError("the pure-input variant needs T strictly inside (0, 1)")
     rho1 = psi.density()
     ops = mode_operators(rho1.cutoff)
-    m_t = apply_loss(rho1, t).matrix
-    m_r = apply_loss(rho1, 1.0 - t).matrix
+    m_t, m_r = (rho.matrix for rho in loss_path(rho1, [t, 1.0 - t]))
     p = float(np.einsum("ij,ji->", m_t, m_t).real)
     mom_t = float(np.einsum("ij,ji->", ops.number @ m_t, m_t).real)
     mom_r = float(np.einsum("ij,ji->", ops.number @ m_r, m_r).real)

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import expm
 from scipy.special import gammaln
 
 from lossylab.fock import (DensityOperator, beam_splitter_block, block_indices,
                            mode_operators, random_mixed, random_pure)
+
+# CI selects this with --hypothesis-profile=ci: a failure prints the blob
+# that replays it with @reproduce_failure, and a slow runner cannot trip a
+# deadline
+settings.register_profile("ci", print_blob=True, deadline=None)
 
 
 @pytest.fixture
@@ -131,6 +137,42 @@ class KrausLoss:
 @pytest.fixture
 def kraus_loss():
     return KrausLoss()
+
+
+def per_t_loss_oracle(rho, transmissivity):
+    """Oracle for ``loss_path``: the binomial kernel at one T, with its own
+    Pascal-rule table and sum over the number j of lost photons. The float
+    operations and their order per element are the kernel's, so every
+    result must be bit-equal; off-diagonals are dropped and the result is
+    marked unphysical outside 0 <= T <= 1, where only diagonal operators are
+    accepted."""
+    t = float(transmissivity)
+    if not np.isfinite(t):
+        raise ValueError("transmissivity must be finite")
+    c = rho.cutoff
+    m = rho.matrix
+    in_range = 0.0 <= t <= 1.0
+    if not in_range:
+        m = np.diag(np.diag(m))
+        if np.max(np.abs(rho.matrix - m)) > 1e-12:
+            raise ValueError("transmissivity outside [0, 1] is only defined for diagonal operators")
+    pmf = np.zeros((c, c))
+    pmf[0, 0] = 1.0
+    for n in range(1, c):
+        pmf[n, :n] = (1.0 - t) * pmf[n - 1, :n]
+        pmf[n, 1 : n + 1] += t * pmf[n - 1, :n]
+    v = np.sqrt(pmf.astype(complex))
+    out = np.zeros((c, c), dtype=complex)
+    for j in range(c):
+        vj = np.diagonal(v, -j)
+        out[: c - j, : c - j] += np.outer(vj, vj) * m[j:, j:]
+    return DensityOperator(out, c, rho.physical and in_range)
+
+
+@pytest.fixture(scope="session")
+def per_t_loss():
+    # stateless, so the Hypothesis tests may share one across inputs
+    return per_t_loss_oracle
 
 
 class DenseTwoCopy:

@@ -7,10 +7,10 @@ from lossylab.fock import DensityOperator
 
 
 @st.composite
-def density_operators(draw, max_cutoff=6):
-    """Random density operators a a^dag / Tr of cutoff 1..max_cutoff and
-    random rank."""
-    cutoff = draw(st.integers(1, max_cutoff))
+def density_operators(draw, max_cutoff=6, min_cutoff=1):
+    """Random density operators a a^dag / Tr of cutoff min_cutoff..max_cutoff
+    and random rank."""
+    cutoff = draw(st.integers(min_cutoff, max_cutoff))
     rank = draw(st.integers(1, cutoff))
     parts = [draw(st.floats(-1.0, 1.0)) for _ in range(2 * cutoff * rank)]
     a = np.reshape(parts[: cutoff * rank], (cutoff, rank)) + 1j * np.reshape(

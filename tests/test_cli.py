@@ -3,11 +3,15 @@
 import csv
 import filecmp
 import importlib
+import io
 
 import numpy as np
 import pytest
 
-from lossylab.cli import main, parse_states
+from lossylab.cli import SWEEP_COLUMNS, main, parse_states
+from lossylab.fock import PureState
+from lossylab.purity import purity, renyi_entropy, von_neumann
+from lossylab.qcs import qcs_commutator
 
 
 def run(*argv):
@@ -123,6 +127,26 @@ def test_sweep_squeezed_vacuum(tmp_path):
     assert float(by_t[1.0][4]) == pytest.approx(np.cosh(1.0), abs=1e-4)
     assert float(by_t[1.0][5]) == pytest.approx(np.sinh(0.5) ** 2, abs=1e-4)
     assert float(by_t[0.5][5]) == pytest.approx(0.5 * np.sinh(0.5) ** 2, abs=1e-4)
+
+
+@pytest.mark.parametrize("states, seed", [("squeezed:0.8", "1"), ("random:1:8:3", "6")])
+def test_sweep_csv_matches_per_t_rows(tmp_path, per_t_loss, states, seed):
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--states", states, "--seed", seed, "--grid", "0:1:401",
+               "--out", str(out)) == 0
+    (_, state), = parse_states(states, int(seed), False)
+    rho1 = state.density() if isinstance(state, PureState) else state
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(SWEEP_COLUMNS)
+    for t in np.linspace(0.0, 1.0, 401):
+        rho_t = per_t_loss(rho1, float(t))
+        pops = np.diag(rho_t.matrix).real
+        writer.writerow([repr(float(t)), repr(purity(rho_t)), repr(von_neumann(rho_t)),
+                         repr(renyi_entropy(rho_t, 2)),
+                         repr(qcs_commutator(rho_t).c_squared),
+                         repr(float(pops @ np.arange(pops.size)))])
+    assert out.read_bytes() == expected.getvalue().encode()
 
 
 def test_sweep_rejects_multiple_states():
@@ -273,9 +297,21 @@ def test_dark_port_g2_rejects_an_indefinite_operator_file(tmp_path, capsys):
     # the scan needs a state; an operator let in by --allow-nonpositive is refused
     path = tmp_path / "indef.npy"
     np.save(path, np.diag([2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]))
+    (_, rho), = parse_states(f"file:{path}", 0, True)
+    assert not rho.physical and rho.eigenvalues is None
     assert run("conjecture", "--name", "dark-port-g2", "--states", f"file:{path}",
                "--allow-nonpositive") == 2
     assert "physical=False" in capsys.readouterr().err
+
+
+def test_allow_nonpositive_keeps_a_positive_operator_file_physical(tmp_path, capsys):
+    path = tmp_path / "pos.npy"
+    np.save(path, np.diag([0.25, 0.5, 0.25]))
+    (_, rho), = parse_states(f"file:{path}", 0, True)
+    assert rho.physical
+    np.testing.assert_allclose(rho.eigenvalues, [0.25, 0.25, 0.5])
+    assert run("conjecture", "--name", "dark-port-g2", "--states", f"file:{path}",
+               "--allow-nonpositive") == 0
 
 
 def test_file_state_loading(tmp_path, capsys):

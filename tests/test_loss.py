@@ -1,7 +1,10 @@
-"""Loss channel: binomial kernel against the Kraus oracle and closed forms,
-semigroup structure."""
+"""Loss channel: binomial kernel against the Kraus oracle, the per-T oracle
+and closed forms, semigroup structure."""
 
+import tracemalloc
 import warnings
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from lossylab.fock import (make_coherent, make_fock, mode_operators, random_mixed,
-                           random_pure)
-from lossylab.loss import (apply_loss, loss_generator, multiplicativity_check,
-                           transmission_from_angle, transmission_from_decay,
-                           transmission_from_efficiency)
+from lossylab.fock import (DensityOperator, make_coherent, make_fock,
+                           mode_operators, random_mixed, random_pure)
+from lossylab.loss import (apply_loss, loss_generator, loss_path,
+                           multiplicativity_check, transmission_from_angle,
+                           transmission_from_decay, transmission_from_efficiency)
 from lossylab.purity import purity, purity_polynomial
 from strategies import density_operators
 
@@ -117,7 +120,6 @@ def test_multiplicativity():
 
 def test_extended_transmissivity_needs_diagonal():
     diag = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    from lossylab.fock import DensityOperator
     rho = DensityOperator(diag, 3)
     out = apply_loss(rho, 1.2)
     assert not out.physical
@@ -179,3 +181,107 @@ def test_mean_photon_number_scales_linearly():
     for t in (0.2, 0.5, 0.9):
         mean_t = np.trace(ops.number @ apply_loss(rho, t).matrix).real
         assert mean_t == pytest.approx(t * mean0, abs=1e-12)
+
+
+def assert_path_matches_oracle(rho, grid, per_t_loss):
+    path = list(loss_path(rho, grid))
+    assert len(path) == len(grid)
+    for t, out in zip(grid, path):
+        ref = per_t_loss(rho, t)
+        assert np.all(out.matrix == ref.matrix)
+        assert out.physical == ref.physical
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=density_operators(max_cutoff=12),
+       inner=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       order=st.randoms(use_true_random=False))
+def test_path_is_bit_equal_to_per_t_kernel(per_t_loss, rho, inner, order):
+    # the endpoints and a repeated T, in any order
+    grid = inner + [0.0, 1.0, inner[0]]
+    order.shuffle(grid)
+    assert_path_matches_oracle(rho, grid, per_t_loss)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rho=density_operators(max_cutoff=8, min_cutoff=8))
+def test_path_spanning_several_blocks_is_bit_equal(per_t_loss, rho):
+    # 600 T at cutoff 8 fill 5 blocks of 2^13 / 8^2 = 128 T
+    assert_path_matches_oracle(rho, np.linspace(0.0, 1.0, 600), per_t_loss)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=density_operators(max_cutoff=12),
+       grid=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=12))
+def test_path_continues_diagonal_operators_bit_equal(per_t_loss, rho, grid):
+    # |T| + |1 - T| <= 2 here, so the signed binomial sums that give the unit
+    # trace lose at most 2^11 ulp at cutoff 12
+    diagonal = DensityOperator(np.diag(np.diag(rho.matrix)), rho.cutoff)
+    assert_path_matches_oracle(diagonal, grid, per_t_loss)
+
+
+def test_path_drops_small_coherences_only_outside_the_unit_interval(per_t_loss):
+    m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    m[0, 1] = m[1, 0] = 1e-13
+    m[1, 2], m[2, 1] = 1e-13j, -1e-13j
+    rho = DensityOperator(m, 3)
+    grid = [0.4, 1.3, 1.0, -0.2, 0.0, 0.7]
+    assert_path_matches_oracle(rho, grid, per_t_loss)
+    kept = [out.matrix[0, 1] != 0 for out in loss_path(rho, grid)]
+    assert kept == [True, False, True, False, False, True]
+
+
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_non_finite_grid_raises_before_any_state(where):
+    grid = list(np.linspace(0.0, 1.0, 7))
+    grid[where] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        loss_path(random_mixed(1, 5, rank=2), grid)
+
+
+def test_coherences_outside_the_unit_interval_raise_before_any_state():
+    grid = [0.2, 0.5, 1.0001, 0.8]
+    with pytest.raises(ValueError, match="diagonal"):
+        loss_path(random_pure(3, 4).density(), grid)
+
+
+def test_fock_120_path_matches_exact_binomial():
+    # dyadic T keep the Fraction reference exact; Pascal's rule adds two
+    # terms of one sign per row, so the relative error stays near n ulp
+    n, cutoff = 120, 128
+    grid = [k / 8 for k in range(9)]
+    for t, out in zip(grid, loss_path(make_fock(n, cutoff).density(), grid)):
+        tf = Fraction(t)
+        exact = [float(comb(n, k) * tf ** k * (1 - tf) ** (n - k)) for k in range(n + 1)]
+        pops = np.diag(out.matrix)
+        np.testing.assert_allclose(pops.real, exact + [0.0] * (cutoff - n - 1),
+                                   rtol=1e-13, atol=0)
+        assert np.all(pops.imag == 0.0)
+
+
+def test_coherent_path_matches_closed_form_within_tail():
+    # E_T[|alpha><alpha|] = |sqrt(T) alpha><sqrt(T) alpha|; the kernel is
+    # exact on the ladder, so only the input's tail beyond it and rounding
+    # separate the two truncated states
+    alpha, cutoff = 3.0 - 2.0j, 96
+    psi = make_coherent(alpha, cutoff)
+    grid = np.linspace(0.0, 1.0, 9)
+    for t, out in zip(grid, loss_path(psi.density(), grid)):
+        expected = make_coherent(np.sqrt(t) * alpha, cutoff).density()
+        np.testing.assert_allclose(out.matrix, expected.matrix, rtol=0,
+                                   atol=psi.tail_weight + 8 * np.finfo(float).eps)
+
+
+def test_path_memory_stays_bounded():
+    # 401 T at cutoff 25 stacked at once would hold about 15 MB of tables;
+    # blocks of 2^13 entries keep the traced peak far below that
+    rho = random_mixed(3, 25, rank=3)
+    grid = np.linspace(0.0, 1.0, 401)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in loss_path(rho, grid))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == grid.size
+    assert peak < 2 * 2 ** 20
