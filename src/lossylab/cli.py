@@ -378,12 +378,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_phasespace(args) -> int:
+    t = args.transmissivity
+    if t is not None and not 0.0 <= t <= 1.0:
+        raise ConfigError(f"--T must lie in [0, 1], got {t!r}")
     states = parse_states(args.states, args.seed, args.allow_nonpositive)
     if len(states) != 1:
         raise ConfigError("phasespace expects exactly one state")
     state_id, state = states[0]
     rho1 = _density(state)
-    t = args.transmissivity
     rho = apply_loss(rho1, t) if t is not None else rho1
     if args.points is not None or args.half_width is not None:
         spec = default_grid(rho)

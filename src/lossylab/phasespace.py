@@ -1,5 +1,5 @@
 """Phase-space representations: characteristic functions, s-ordered
-quasiprobabilities, Gaussian order conversion, and quadrature-based purity.
+quasiprobabilities, grids and their CSV export, and quadrature-based purity.
 
 Conventions. chi_rho(alpha, s) = Tr[rho D(alpha)] exp(s|alpha|^2 / 2). The
 s-ordered quasiprobability is P(alpha, s) = (2 / (pi (1-s))) Tr[rho X] with
@@ -12,13 +12,11 @@ function, and s >= 1 pointwise is rejected (singular order).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import convolve1d
 from scipy.special import eval_genlaguerre, gammaln, roots_laguerre
 
 from .fock import DensityOperator, displacement_matrix
@@ -40,21 +38,29 @@ def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float
     For m = n + k >= n the element is
         <m|K|n> = e^{decay x} sqrt(n!/m!) (gain alpha)^k w^n L_n^(k)(-c x / w)
     with x = |alpha|^2 and gain > 0; the upper triangle is
-    <n|K|m> = flip^k conj(<m|K|n>). The magnitude is formed in the log domain
-    so large powers and Laguerre values never overflow on their own. At w = 0
-    (which needs c > 0) the factor w^n L_n^(k)(-c x / w) takes its limit
-    (c x)^n / n!, and at alpha = 0 the kernel is diagonal with entries w^n.
-    Returns an array shaped like ``alpha``.
+    <n|K|m> = flip^k conj(<m|K|n>). Write alpha^k = |alpha|^k phase^k: all
+    but phase^k is a real factor of (x, n, k) alone, so each diagonal k forms
+    it (and its Laguerre values) once per distinct x, sums it against the
+    diagonal of rho over n there, and only then spreads the sums back to the
+    points and multiplies by phase^k. The real factor is formed in the log
+    domain so large powers and Laguerre values never overflow on their own.
+    At w = 0 (which needs c > 0) the factor w^n L_n^(k)(-c x / w) takes its
+    limit (c x)^n / n!, and at alpha = 0 the kernel is diagonal with entries
+    w^n. Every step is elementwise per x or per point, so a point's value
+    does not depend on the other points of the call. Returns an array shaped
+    like ``alpha``.
     """
     al = np.asarray(alpha, dtype=complex)
     if not np.all(np.isfinite(al)):
         raise ValueError("alpha must be finite")
     shape = al.shape
     al = al.ravel()
-    x = np.abs(al) ** 2
-    nz = x > 0.0
+    x_point = np.abs(al) ** 2
     phase = np.ones_like(al)
-    phase[nz] = al[nz] / np.sqrt(x[nz])
+    nz = x_point > 0.0
+    phase[nz] = al[nz] / np.sqrt(x_point[nz])
+    x, inv = np.unique(x_point, return_inverse=True)
+    origin = x == 0.0
     cutoff = rho.cutoff
     lg = gammaln(np.arange(cutoff + 1) + 1.0)
     mat = rho.matrix
@@ -76,11 +82,13 @@ def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float
                 lag = eval_genlaguerre(col, k, (-c / w) * x)
                 logmag = logmag + col * np.log(abs(w)) + np.log(np.abs(lag))
                 sign = np.sign(lag) * np.sign(w) ** col
-            elem = sign * np.exp(logmag) * phase ** k
-            elem[:, ~nz] = (w ** n)[:, None] if k == 0 else 0.0
-            acc += np.einsum("n,nP->P", upper[n], elem)
+            real = sign * np.exp(logmag)
+            real[:, origin] = (w ** n)[:, None] if k == 0 else 0.0
+            phase_k = phase ** k
+            acc += np.einsum("n,nU->U", upper[n], real)[inv] * phase_k
             if k > 0:
-                acc += np.einsum("n,nP->P", flip ** k * lower[n], np.conj(elem))
+                acc += (np.einsum("n,nU->U", flip ** k * lower[n], real)[inv]
+                        * np.conj(phase_k))
     return acc.reshape(shape)
 
 
@@ -207,20 +215,6 @@ class QuasiProbGrid:
 def quasi_prob_grid(rho: DensityOperator, s: float, grid: GridSpec) -> QuasiProbGrid:
     values = quasi_prob(rho, grid.alphas(), s)
     return QuasiProbGrid(grid, s, values.reshape(grid.n, grid.n))
-
-
-def convolve_quasi(src: QuasiProbGrid, delta_s: float) -> QuasiProbGrid:
-    """Lower the order by Gaussian convolution; only delta_s < 0 is defined."""
-    if delta_s >= 0.0:
-        raise ValueError("order can only be lowered (delta_s < 0)")
-    n = src.grid.n
-    step = 2.0 * src.grid.half_width / (n - 1)
-    offsets = step * np.arange(-(n - 1), n)
-    kernel = np.exp(2.0 * offsets ** 2 / delta_s)
-    smoothed = convolve1d(src.values, kernel, axis=0, mode="constant")
-    smoothed = convolve1d(smoothed, kernel, axis=1, mode="constant")
-    prefactor = 2.0 / (np.pi * abs(delta_s)) * src.grid.cell_area
-    return QuasiProbGrid(src.grid, src.order + delta_s, prefactor * smoothed)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +363,17 @@ def overlap_from_quasi(rho: DensityOperator, sigma: DensityOperator, s: float,
 
 def write_grid_csv(path, qgrid: QuasiProbGrid, state_label: str,
                    transmissivity: float | None = None) -> None:
-    """Row-major grid dump with a descriptor line ahead of the column header."""
+    """Row-major grid dump with a descriptor line ahead of the column header.
+
+    Rows end in \\r\\n as csv.writer's default dialect writes them; no cell
+    needs quoting, since repr of a float holds no comma, quote or newline.
+    """
     re_cells = [repr(x) for x in qgrid.grid.re_axis().tolist()]
     im_cells = [repr(y) for y in qgrid.grid.im_axis().tolist()]
     t_part = repr(float(transmissivity)) if transmissivity is not None else "none"
+    rows = ["re_alpha,im_alpha,value\r\n"]
+    for re_cell, row in zip(re_cells, qgrid.values.real.tolist()):
+        rows.extend(f"{re_cell},{im_cell},{v!r}\r\n" for im_cell, v in zip(im_cells, row))
     with open(path, "w", newline="") as fh:
         fh.write(f"# s={qgrid.order!r},T={t_part},state={state_label}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["re_alpha", "im_alpha", "value"])
-        for re_cell, row in zip(re_cells, qgrid.values.real.tolist()):
-            writer.writerows([re_cell, im_cell, repr(v)]
-                             for im_cell, v in zip(im_cells, row))
+        fh.write("".join(rows))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.ndimage import convolve1d
+from scipy.special import eval_genlaguerre, gammaln
 
 from lossylab.fock import (DensityOperator, beam_splitter_block, block_indices,
                            mode_operators, random_mixed, random_pure)
+from lossylab.phasespace import QuasiProbGrid
 
 # CI selects this with --hypothesis-profile=ci: a failure prints the blob
 # that replays it with @reproduce_failure, and a slow runner cannot trip a
@@ -253,3 +255,82 @@ class DenseCommutator:
 def dense_commutator():
     # stateless, so the Hypothesis tests may share one across inputs
     return DenseCommutator()
+
+
+# Oracle for ``phasespace._pair_trace``: the same closed form, with every
+# element formed at every point instead of once per distinct |alpha|^2.
+def per_point_pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float,
+                c: float, flip: float) -> np.ndarray:
+    """Tr[rho K] at every alpha, for a kernel K given by its lower triangle.
+
+    For m = n + k >= n the element is
+        <m|K|n> = e^{decay x} sqrt(n!/m!) (gain alpha)^k w^n L_n^(k)(-c x / w)
+    with x = |alpha|^2 and gain > 0; the upper triangle is
+    <n|K|m> = flip^k conj(<m|K|n>). The magnitude is formed in the log domain
+    so large powers and Laguerre values never overflow on their own. At w = 0
+    (which needs c > 0) the factor w^n L_n^(k)(-c x / w) takes its limit
+    (c x)^n / n!, and at alpha = 0 the kernel is diagonal with entries w^n.
+    Returns an array shaped like ``alpha``.
+    """
+    al = np.asarray(alpha, dtype=complex)
+    if not np.all(np.isfinite(al)):
+        raise ValueError("alpha must be finite")
+    shape = al.shape
+    al = al.ravel()
+    x = np.abs(al) ** 2
+    nz = x > 0.0
+    phase = np.ones_like(al)
+    phase[nz] = al[nz] / np.sqrt(x[nz])
+    cutoff = rho.cutoff
+    lg = gammaln(np.arange(cutoff + 1) + 1.0)
+    mat = rho.matrix
+    acc = np.zeros(al.shape, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        log_gain_r = np.log(gain) + 0.5 * np.log(x)
+        for k in range(cutoff):
+            upper = np.diagonal(mat, k)    # rho_{n, n+k}
+            lower = np.diagonal(mat, -k)   # rho_{n+k, n}
+            n = np.nonzero((np.abs(upper) >= 1e-18) | (np.abs(lower) >= 1e-18))[0]
+            if n.size == 0:
+                continue
+            col = n[:, None]
+            logmag = decay * x + 0.5 * (lg[col] - lg[col + k]) + k * log_gain_r
+            if w == 0.0:
+                logmag = logmag + col * np.log(c * x) - lg[col]
+                sign = 1.0
+            else:
+                lag = eval_genlaguerre(col, k, (-c / w) * x)
+                logmag = logmag + col * np.log(abs(w)) + np.log(np.abs(lag))
+                sign = np.sign(lag) * np.sign(w) ** col
+            elem = sign * np.exp(logmag) * phase ** k
+            elem[:, ~nz] = (w ** n)[:, None] if k == 0 else 0.0
+            acc += np.einsum("n,nP->P", upper[n], elem)
+            if k > 0:
+                acc += np.einsum("n,nP->P", flip ** k * lower[n], np.conj(elem))
+    return acc.reshape(shape)
+
+
+@pytest.fixture(scope="session")
+def per_point_kernel():
+    return per_point_pair_trace
+
+
+def convolve_quasi(src: QuasiProbGrid, delta_s: float) -> QuasiProbGrid:
+    """Lower the order by Gaussian convolution; only delta_s < 0 is defined."""
+    if delta_s >= 0.0:
+        raise ValueError("order can only be lowered (delta_s < 0)")
+    n = src.grid.n
+    step = 2.0 * src.grid.half_width / (n - 1)
+    offsets = step * np.arange(-(n - 1), n)
+    kernel = np.exp(2.0 * offsets ** 2 / delta_s)
+    smoothed = convolve1d(src.values, kernel, axis=0, mode="constant")
+    smoothed = convolve1d(smoothed, kernel, axis=1, mode="constant")
+    prefactor = 2.0 / (np.pi * abs(delta_s)) * src.grid.cell_area
+    return QuasiProbGrid(src.grid, src.order + delta_s, prefactor * smoothed)
+
+
+@pytest.fixture(name="convolve_quasi")
+def convolve_quasi_fixture():
+    # a test helper only: the library has no Gaussian order conversion, and
+    # scipy.ndimage stays out of every CLI process
+    return convolve_quasi

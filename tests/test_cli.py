@@ -4,10 +4,15 @@ import csv
 import filecmp
 import importlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lossylab
 from lossylab.cli import SWEEP_COLUMNS, main, parse_states
 from lossylab.fock import PureState
 from lossylab.purity import purity, renyi_entropy, von_neumann
@@ -179,6 +184,33 @@ def test_phasespace_rejects_degenerate_grids(tmp_path, capsys):
         assert run("phasespace", "--states", "fock:1", *flags, "--out", str(out)) == 2
         assert "grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t", ["1.5", "-0.2", "nan"])
+def test_phasespace_rejects_transmissivity_outside_unit_interval(t, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert run("phasespace", "--states", "fock:1", "--T", t, "--points", "11",
+               "--out", str(out)) == 2
+    assert "--T must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", ["0", "1"])
+def test_phasespace_accepts_transmissivity_endpoints(t, capsys):
+    assert run("phasespace", "--states", "fock:1", "--T", t, "--points", "11") == 0
+    assert "1 passed" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # scipy.ndimage costs tens of ms per process, and nothing in the library
+    # needs it
+    code = "import sys, lossylab.cli; print('scipy.ndimage' in sys.modules)"
+    src = str(Path(lossylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_inequalities_csv_cells_are_numbers(tmp_path):

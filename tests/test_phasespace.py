@@ -14,9 +14,8 @@ import lossylab.phasespace as phasespace
 from lossylab.fock import (displacement_matrix, make_coherent, make_fock,
                            random_mixed, random_pure)
 from lossylab.loss import apply_loss
-from lossylab.phasespace import (GridSpec, Quadrature2D, char_fn, convolve_quasi,
-                                 laplace_purity, loss_identity_chi,
-                                 loss_identity_quasi, lossy_chi_integrand,
+from lossylab.phasespace import (GridSpec, Quadrature2D, char_fn, laplace_purity,
+                                 loss_identity_chi, loss_identity_quasi, lossy_chi_integrand,
                                  overlap_from_quasi, purity_from_chi,
                                  purity_lossy_from_chi, quasi_prob,
                                  quasi_prob_grid, wigner_from_parity,
@@ -244,7 +243,7 @@ def test_overlap_from_quasi():
         hs_overlap(rho, sig), abs=1e-6)
 
 
-def test_grid_integral_and_convolution():
+def test_grid_integral_and_convolution(convolve_quasi):
     vac = make_fock(0, 2).density()
     grid = GridSpec(6.0, 101)
     wig = quasi_prob_grid(vac, 0.0, grid)
@@ -255,6 +254,100 @@ def test_grid_integral_and_convolution():
     assert hus.values[50, 50] == pytest.approx(1.0 / np.pi, abs=1e-3)
     with pytest.raises(ValueError):
         convolve_quasi(wig, 0.5)
+
+
+QUASI_ORDERS = (-1.0, -0.5, 0.0, 0.3)
+CHI_ORDERS = (-0.4, 0.0, 1.0)
+
+
+def _agreement_points(cutoff):
+    half_width = 2.0 + np.sqrt(cutoff)
+    rng = np.random.default_rng(cutoff)
+    points = {"random": half_width * (rng.uniform(-1.0, 1.0, 200)
+                                      + 1j * rng.uniform(-1.0, 1.0, 200))}
+    if cutoff <= 24:
+        # the per-point oracle takes seconds per call on these at cutoff 64
+        points["grid81"] = GridSpec(half_width, 81).alphas()
+        points["rule40x64"] = Quadrature2D(40, 64).nodes_weights(radial_scale=cutoff / 8.0)[0]
+    return points
+
+
+@pytest.mark.parametrize("cutoff", [8, 24, 64])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_pair_kernel_matches_per_point_oracle(kind, cutoff, per_point_kernel, monkeypatch):
+    rho = (random_pure(61, cutoff).density() if kind == "pure"
+           else random_mixed(62, cutoff, 3))
+    routes = [(quasi_prob, s) for s in QUASI_ORDERS] + [(char_fn, s) for s in CHI_ORDERS]
+    if cutoff == 64:
+        # at cutoff 64 the s = 0.3 series cancels past the imaginary-residue
+        # check in either kernel
+        routes.remove((quasi_prob, 0.3))
+    for label, pts in _agreement_points(cutoff).items():
+        for fn, s in routes:
+            got = fn(rho, pts, s)
+            with monkeypatch.context() as patch:
+                patch.setattr(phasespace, "_pair_trace", per_point_kernel)
+                ref = fn(rho, pts, s)
+            dev = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+            assert dev <= 1e-13, (label, fn.__name__, s, dev)
+
+
+@pytest.mark.parametrize("beta", [5.0, 3.0 - 2.0j])
+def test_coherent_quasi_prob_at_large_photon_number(beta):
+    # P(alpha, s) = 2/(pi(1-s)) exp(-2|alpha-beta|^2/(1-s)) for s < 1
+    rho = make_coherent(beta, 96).density()
+    pts = GridSpec(8.0, 121).alphas()
+    for s in (-1.0, -0.5, 0.0):
+        peak = 2.0 / (np.pi * (1.0 - s))
+        ref = peak * np.exp(-2.0 * np.abs(pts - beta) ** 2 / (1.0 - s))
+        assert np.max(np.abs(quasi_prob(rho, pts, s) - ref)) <= 1e-13 * peak
+
+
+def test_coherent_quasi_prob_at_positive_order():
+    beta, s = 1.5j, 0.3
+    rho = make_coherent(beta, 40).density()
+    pts = GridSpec(8.0, 121).alphas()
+    peak = 2.0 / (np.pi * (1.0 - s))
+    ref = peak * np.exp(-2.0 * np.abs(pts - beta) ** 2 / (1.0 - s))
+    assert np.max(np.abs(quasi_prob(rho, pts, s) - ref)) <= 1e-11 * peak
+
+
+@pytest.mark.parametrize("beta", [5.0, 3.0 - 2.0j])
+def test_coherent_char_fn_at_large_photon_number(beta):
+    # chi(alpha, s) = exp(alpha conj(beta) - conj(alpha) beta + (s-1)|alpha|^2/2)
+    rho = make_coherent(beta, 96).density()
+    pts, _ = Quadrature2D(40, 64).nodes_weights()
+    ref = np.exp(pts * np.conj(beta) - np.conj(pts) * beta - 0.7 * np.abs(pts) ** 2)
+    assert np.max(np.abs(char_fn(rho, pts, -0.4) - ref)) <= 1e-14
+
+
+def test_pair_kernel_values_do_not_depend_on_the_batch():
+    rho = random_mixed(63, 8, 3)
+    pts = GridSpec(3.0, 15, center=0.2 - 0.1j).alphas()
+    for fn, orders in ((quasi_prob, QUASI_ORDERS), (char_fn, CHI_ORDERS)):
+        for s in orders:
+            batch = fn(rho, pts, s)
+            single = np.array([fn(rho, a, s) for a in pts])
+            assert np.array_equal(batch, single), (fn.__name__, s)
+
+
+def test_pair_kernel_evaluates_laguerre_once_per_distinct_radius(monkeypatch):
+    columns = []
+
+    def spy(n, k, x):
+        columns.append(np.broadcast(n, k, x).shape[-1])
+        return eval_genlaguerre(n, k, x)
+
+    monkeypatch.setattr(phasespace, "eval_genlaguerre", spy)
+    rho = random_mixed(64, 8, 3)
+    pts, _ = Quadrature2D(40, 64).nodes_weights()
+    distinct = np.unique(np.abs(pts) ** 2).size
+    assert distinct < pts.size
+    for s in (-0.5, 0.3):
+        quasi_prob(rho, pts, s)
+    char_fn(rho, pts, 0.0)
+    assert 0 < len(columns) <= 3 * rho.cutoff
+    assert max(columns) <= distinct
 
 
 def test_write_grid_csv_format(tmp_path):
