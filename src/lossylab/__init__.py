@@ -19,9 +19,8 @@ from .fock import (DensityOperator, ModeOperatorSet, PureState,
                    make_coherent, make_fock, make_squeezed_vacuum,
                    mode_operators, random_mixed, random_pure, thermal_state)
 from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
-                           fock_hypergeometric_identity, husimi_pair_check,
-                           isotropic_gaussian, ladder_loss_inequality,
-                           number_purity_monotonicity,
+                           husimi_pair_check, isotropic_gaussian,
+                           ladder_loss_inequality, number_purity_monotonicity,
                            order_pair_overlap_check, second_derivative_forms,
                            transpose_trick_identity)
 from .loss import (apply_loss, loss_generator, loss_path,

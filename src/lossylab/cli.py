@@ -353,6 +353,8 @@ def cmd_sweep(args) -> int:
     _, state = states[0]
     rho1 = _density(state)
     t_grid = parse_grid(args.grid)
+    if not np.all((t_grid >= 0.0) & (t_grid <= 1.0)):
+        raise ConfigError(f"sweep grid must lie in [0, 1], got {args.grid!r}")
     rows = []
     for t, rho_t in zip(t_grid, loss_path(rho1, t_grid)):
         pops = np.diag(rho_t.matrix).real

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+
+from ._special import eval_genlaguerre, gammaln
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -223,29 +224,27 @@ def random_mixed(seed: int, cutoff: int, rank: int) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-def _displacement_element(m: int, n: int, alpha: complex) -> complex:
-    # <m|D(alpha)|n> for m >= n; the m < n case is handled by the caller.
-    x = abs(alpha) ** 2
-    log_coef = 0.5 * (gammaln(n + 1) - gammaln(m + 1))
-    lag = eval_genlaguerre(n, m - n, x)
-    return np.exp(log_coef - x / 2.0) * alpha ** (m - n) * lag
-
-
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Matrix of D(alpha) on the truncated ladder.
 
     Every element is the exact closed form, so inner products against
     finite-support states carry no truncation error; unitarity of the
     truncated matrix itself degrades as |alpha| approaches sqrt(cutoff).
+    Diagonal k below the main one holds, for m = n + k,
+        <m|D(alpha)|n> = e^{-x/2} sqrt(n!/m!) alpha^k L_n^(k)(x),  x = |alpha|^2,
+    and diagonal k above it is conj of the same with -alpha, as
+    D(alpha)^dag = D(-alpha); one Laguerre evaluation serves both.
     """
+    x = abs(alpha) ** 2
+    lg = gammaln(np.arange(1.0, cutoff + 1.0))  # lg[n] = log n!
     d = np.empty((cutoff, cutoff), dtype=complex)
-    for m in range(cutoff):
-        for n in range(cutoff):
-            if m >= n:
-                d[m, n] = _displacement_element(m, n, alpha)
-            else:
-                # D(alpha)^dag = D(-alpha)
-                d[m, n] = np.conj(_displacement_element(n, m, -alpha))
+    for k in range(cutoff):
+        n = np.arange(cutoff - k)
+        mag = np.exp(0.5 * (lg[n] - lg[n + k]) - x / 2.0)
+        lag = eval_genlaguerre(n, k, x)
+        d[n + k, n] = mag * alpha ** k * lag
+        if k:
+            d[n, n + k] = np.conj(mag * (-alpha) ** k * lag)
     return d
 
 

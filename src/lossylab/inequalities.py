@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import hyp2f1
 
 from .fock import DensityOperator, PureState, make_coherent, mode_operators, thermal_state
 from .loss import apply_loss, loss_path
 from .phasespace import Quadrature2D, quasi_prob
-from .purity import (PurityPolynomial, fock_purity_closed_form, lossy_overlap,
-                     overlap_polynomial, purity_polynomial)
+from .purity import (PurityPolynomial, lossy_overlap, overlap_polynomial,
+                     purity_polynomial)
 from .reports import CheckReport, equality_report, inequality_report
 
 EXACT_TOL = 1e-10
@@ -491,23 +490,4 @@ def number_purity_monotonicity(rho1: DensityOperator, t_grid,
         0.0, margin, EXACT_TOL,
         claim="Tr[N rho_T^2] nondecreasing and Tr[a rho_T a^dag rho_T](1-T)/T "
               "nonincreasing in T",
-    )
-
-
-def fock_hypergeometric_identity(n: int, t_grid=None, state_id: str = "") -> CheckReport:
-    """Lossy Fock purity equals (1-T)^(2n) 2F1(-n, -n; 1; T^2/(T-1)^2), a
-    function convex in T and symmetric about T = 1/2."""
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 0.99, 100)
-    grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.abs(grid - 1.0) < 1e-9):
-        raise ValueError("the hypergeometric argument is singular at T = 1")
-    direct = fock_purity_closed_form(n, grid)
-    z = grid ** 2 / (grid - 1.0) ** 2
-    hyper = (1.0 - grid) ** (2 * n) * hyp2f1(-n, -n, 1.0, z)
-    deviation = float(np.max(np.abs(direct - hyper)))
-    return equality_report(
-        "fock_hypergeometric", state_id, {"n": n, "points": grid.size},
-        deviation, 0.0, EXACT_TOL,
-        claim="binomial-square Fock purity = (1-T)^(2n) 2F1(-n,-n;1;T^2/(T-1)^2)",
     )

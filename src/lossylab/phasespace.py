@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, roots_laguerre
 
+from ._special import eval_genlaguerre, gammaln, roots_laguerre
 from .fock import DensityOperator, displacement_matrix
 from .loss import apply_loss
 from .reports import CheckReport, equality_report
@@ -147,8 +147,8 @@ def wigner_from_parity(rho: DensityOperator, alpha: complex, working_cutoff: int
     """
     emb = rho.embedded(working_cutoff)
     d = displacement_matrix(alpha, working_cutoff)
-    parity = np.diag((-1.0 + 0.0j) ** np.arange(working_cutoff))
-    val = np.einsum("ij,ji->", emb.matrix, d @ parity @ d.conj().T)
+    parity = (-1.0) ** np.arange(working_cutoff)
+    val = np.einsum("ij,ji->", emb.matrix, (d * parity) @ d.conj().T)
     return float(2.0 / np.pi * val.real)
 
 

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import settings
 from scipy.linalg import expm
 from scipy.ndimage import convolve1d
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, hyp2f1
 
 from lossylab.fock import (DensityOperator, beam_splitter_block, block_indices,
                            mode_operators, random_mixed, random_pure)
+from lossylab.inequalities import EXACT_TOL
 from lossylab.phasespace import QuasiProbGrid
+from lossylab.purity import fock_purity_closed_form
+from lossylab.reports import CheckReport, equality_report
 
 # CI selects this with --hypothesis-profile=ci: a failure prints the blob
 # that replays it with @reproduce_failure, and a slow runner cannot trip a
@@ -334,3 +337,51 @@ def convolve_quasi_fixture():
     # a test helper only: the library has no Gaussian order conversion, and
     # scipy.ndimage stays out of every CLI process
     return convolve_quasi
+
+
+# Oracle for ``fock.displacement_matrix``: the same closed form, one scalar
+# scipy call per element.
+def _displacement_element(m: int, n: int, alpha: complex) -> complex:
+    # <m|D(alpha)|n> for m >= n; the m < n case is handled by the caller.
+    x = abs(alpha) ** 2
+    log_coef = 0.5 * (gammaln(n + 1) - gammaln(m + 1))
+    lag = eval_genlaguerre(n, m - n, x)
+    return np.exp(log_coef - x / 2.0) * alpha ** (m - n) * lag
+
+
+def per_element_displacement(alpha: complex, cutoff: int) -> np.ndarray:
+    d = np.empty((cutoff, cutoff), dtype=complex)
+    for m in range(cutoff):
+        for n in range(cutoff):
+            if m >= n:
+                d[m, n] = _displacement_element(m, n, alpha)
+            else:
+                # D(alpha)^dag = D(-alpha)
+                d[m, n] = np.conj(_displacement_element(n, m, -alpha))
+    return d
+
+
+@pytest.fixture(scope="session")
+def displacement_oracle():
+    return per_element_displacement
+
+
+# A second closed form for the lossy Fock purity; the library keeps only the
+# binomial-square route, so this check lives with the tests.
+def fock_hypergeometric_identity(n: int, t_grid=None, state_id: str = "") -> CheckReport:
+    """Lossy Fock purity equals (1-T)^(2n) 2F1(-n, -n; 1; T^2/(T-1)^2), a
+    function convex in T and symmetric about T = 1/2."""
+    if t_grid is None:
+        t_grid = np.linspace(0.0, 0.99, 100)
+    grid = np.asarray(t_grid, dtype=float)
+    if np.any(np.abs(grid - 1.0) < 1e-9):
+        raise ValueError("the hypergeometric argument is singular at T = 1")
+    direct = fock_purity_closed_form(n, grid)
+    z = grid ** 2 / (grid - 1.0) ** 2
+    hyper = (1.0 - grid) ** (2 * n) * hyp2f1(-n, -n, 1.0, z)
+    deviation = float(np.max(np.abs(direct - hyper)))
+    return equality_report(
+        "fock_hypergeometric", state_id, {"n": n, "points": grid.size},
+        deviation, 0.0, EXACT_TOL,
+        claim="binomial-square Fock purity = (1-T)^(2n) 2F1(-n,-n;1;T^2/(T-1)^2)",
+    )

@@ -158,6 +158,22 @@ def test_sweep_rejects_multiple_states():
     assert run("sweep", "--states", "fock:0,fock:1") == 2
 
 
+@pytest.mark.parametrize("grid", ["0:1.5:4", "-0.5:1:4"])
+@pytest.mark.parametrize("state", ["file", "fock:1"])
+def test_sweep_rejects_grid_outside_unit_interval(state, grid, tmp_path, capsys):
+    # the loss kernel's continuation past T = 1 is no channel: for
+    # diag(0.5, 0.5) its row at T = 1.5 has <N> = 0.75 above the input's 0.5
+    if state == "file":
+        path = tmp_path / "diag.npy"
+        np.save(path, np.diag([0.5, 0.5]))
+        state = f"file:{path}"
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--states", state, f"--grid={grid}", "--out", str(out)) == 2
+    assert "sweep grid must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("sweep", "--states", state, "--grid=0:1:3", "--out", str(out)) == 0
+
+
 def test_phasespace_wigner_of_lossy_photon(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     assert run("phasespace", "--states", "fock:1", "--s", "0", "--T", "0.5",
@@ -211,6 +227,33 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+SPECIAL_PROBE = """
+import sys
+import lossylab.cli as cli
+seen = ["scipy.special" in sys.modules]
+for argv in (["conjecture", "--name", "log-convexity", "--states", "random:3"],
+             ["sweep", "--states", "squeezed:0.8"],
+             ["verify", "--suite", "purity"],
+             ["verify", "--suite", "qcs"],
+             ["verify", "--suite", "inequalities"],
+             ["phasespace", "--states", "fock:1", "--points", "11"]):
+    assert cli.main(argv) == 0, argv
+    seen.append("scipy.special" in sys.modules)
+print(*seen)
+"""
+
+
+def test_cli_loads_scipy_special_only_for_phase_space_work():
+    # importing scipy.special costs about 0.2 s per process; scans, sweeps
+    # and the purity, qcs and inequality suites never call a special function
+    src = str(Path(lossylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", SPECIAL_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == " ".join(["False"] * 6 + ["True"])
 
 
 def test_verify_inequalities_csv_cells_are_numbers(tmp_path):

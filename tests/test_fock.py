@@ -132,6 +132,15 @@ def test_displacement_is_unitary_on_interior():
     np.testing.assert_allclose(product, np.eye(inner), atol=1e-10)
 
 
+@pytest.mark.parametrize("cutoff", [1, 8, 50, 60])
+@pytest.mark.parametrize("alpha", [0.3 + 0.2j, 1.7 - 0.4j, 2.4j, 0.0])
+def test_displacement_matrix_matches_per_element_oracle(alpha, cutoff,
+                                                        displacement_oracle):
+    # the same arithmetic per element, so equal to the last bit
+    assert np.array_equal(displacement_matrix(alpha, cutoff),
+                          displacement_oracle(alpha, cutoff))
+
+
 def _dense_block(u, n, c):
     rows = [k * c + (n - k) for k in range(n + 1)]
     return u[np.ix_(rows, rows)]

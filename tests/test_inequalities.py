@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import fock_hypergeometric_identity
 from lossylab.fock import (make_coherent, make_fock, random_mixed, random_pure)
 from lossylab.phasespace import Quadrature2D
 from lossylab.purity import purity_polynomial
 from lossylab.inequalities import (CoherentMixture, ThermalPState,
                                    bernstein_check, cauchy_schwarz_ladder,
-                                   fock_hypergeometric_identity,
                                    husimi_of_state, husimi_pair_check,
                                    husimi_pair_from_states,
                                    isotropic_gaussian, ladder_loss_inequality,
