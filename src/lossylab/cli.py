@@ -29,13 +29,15 @@ from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
                            pure_number_ratio_inequality,
                            pure_second_order_inequality,
                            second_derivative_forms, transpose_trick_identity)
-from .loss import apply_loss, loss_path
+from .loss import apply_loss, loss_blocks, loss_path
 from .phasespace import (GridSpec, Quadrature2D, default_grid, laplace_purity,
                          overlap_from_quasi, purity_from_chi,
                          purity_lossy_from_chi, quasi_prob_grid,
                          write_grid_csv)
-from .purity import purity, purity_polynomial, renyi_entropy, von_neumann
-from .qcs import qcs_commutator, qcs_lindblad, qcs_purity_rate, qcs_two_copy
+from .purity import (purities, purity, purity_polynomial, renyi_entropy,
+                     von_neumann)
+from .qcs import (commutator_norms, qcs_commutator, qcs_lindblad,
+                  qcs_purity_rate, qcs_two_copy)
 from .reports import (equality_report, inequality_report, write_check_csv,
                       write_scan_csv)
 
@@ -227,12 +229,12 @@ def _purity_suite(state_id, state, t_grid, tol):
             "purity_symmetry", state_id, {},
             float(np.max(np.abs(values - mirrored))), 0.0, tol or 1e-10,
             claim="P(T) = P(1-T) for pure inputs"))
-    for t in (float(t_grid[0]), float(t_grid[t_grid.size // 2]), float(t_grid[-1])):
-        if not 0.0 <= t <= 1.0:
-            continue
+    t_match = [t for t in (float(t_grid[0]), float(t_grid[t_grid.size // 2]),
+                           float(t_grid[-1])) if 0.0 <= t <= 1.0]
+    for t, rho_t in zip(t_match, loss_path(rho1, t_match)):
         reports.append(equality_report(
             "lossy_trace_match", state_id, {"T": t},
-            poly.value(t), purity(apply_loss(rho1, t)), tol or 1e-10,
+            poly.value(t), purity(rho_t), tol or 1e-10,
             claim="polynomial purity equals trace purity"))
     if pure:
         reports.append(inequality_report(
@@ -285,8 +287,9 @@ def _phasespace_suite(state_id, state, t_grid, tol, quad):
                         overlap_from_quasi(rho1, rho1, 0.0, quad), exact, route_tol,
                         claim="squared quasiprobability integral reproduces purity"),
     ]
-    for t in (0.25, 0.6):
-        lossy = purity(apply_loss(rho1, t))
+    t_lossy = (0.25, 0.6)
+    for t, rho_t in zip(t_lossy, loss_path(rho1, t_lossy)):
+        lossy = purity(rho_t)
         reports.append(equality_report(
             "purity_route_lossy_chi", state_id, {"T": t},
             purity_lossy_from_chi(rho1, t, 0.0, quad), lossy, route_tol,
@@ -356,15 +359,19 @@ def cmd_sweep(args) -> int:
     if not np.all((t_grid >= 0.0) & (t_grid <= 1.0)):
         raise ConfigError(f"sweep grid must lie in [0, 1], got {args.grid!r}")
     rows = []
-    for t, rho_t in zip(t_grid, loss_path(rho1, t_grid)):
-        pops = np.diag(rho_t.matrix).real
-        mean_n = float(pops @ np.arange(pops.size))
-        rows.append([repr(float(t)),
-                     repr(purity(rho_t)),
-                     repr(von_neumann(rho_t)),
-                     repr(renyi_entropy(rho_t, 2)),
-                     repr(qcs_commutator(rho_t).c_squared),
-                     repr(mean_n)])
+    # purity and C^2 per block of T; the entropies and <N> per row
+    for matrices, states in loss_blocks(rho1, t_grid):
+        pur = purities(matrices)
+        c_squared = commutator_norms(matrices) / pur
+        for rho_t, p, c2 in zip(states, pur, c_squared):
+            pops = np.diag(rho_t.matrix).real
+            mean_n = float(pops @ np.arange(pops.size))
+            rows.append([repr(float(t_grid[len(rows)])),
+                         repr(float(p)),
+                         repr(von_neumann(rho_t)),
+                         repr(renyi_entropy(rho_t, 2)),
+                         repr(float(c2)),
+                         repr(mean_n)])
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)

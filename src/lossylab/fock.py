@@ -71,6 +71,44 @@ class PureState:
         return float(np.sum(np.arange(self.cutoff) * np.abs(self.amplitudes) ** 2))
 
 
+def _validate_stack(matrices: np.ndarray, physical: bool) -> np.ndarray | None:
+    """Check every member of a (..., c, c) complex stack as a density
+    operator: finite entries, Hermitian within HERMITICITY_TOL, unit trace
+    within TRACE_TOL and, when ``physical``, no eigenvalue below
+    -POSITIVITY_TOL by one batched eigvalsh. Raises the message one
+    DensityOperator gives for the first member that fails; returns the
+    ascending spectra, shape (..., c), or None when not ``physical``.
+
+    Each check runs only on the members before the first failure found so
+    far, so the last failure found is the first failing member's first
+    failing check."""
+    flat = matrices.reshape((-1,) + matrices.shape[-2:])
+    failure = None
+
+    def check(ok, message, values=()):
+        nonlocal flat, failure
+        if not np.all(ok):
+            k = int(np.argmin(ok))
+            failure = message.format(*(v[k] for v in values))
+            flat = flat[:k]
+
+    check(np.all(np.isfinite(flat), axis=(1, 2)), "matrix entries must be finite")
+    herm_dev = np.max(np.abs(flat - flat.conj().swapaxes(1, 2)), axis=(1, 2))
+    check(herm_dev <= HERMITICITY_TOL,
+          "matrix is not Hermitian (deviation {:.3e})", (herm_dev,))
+    trace = np.trace(flat, axis1=1, axis2=2)
+    trace_dev = np.abs(trace.real - 1.0) + np.abs(trace.imag)
+    check(trace_dev <= TRACE_TOL, "trace deviates from 1 by {:.3e}", (trace_dev,))
+    eigs = None
+    if physical:
+        eigs = np.linalg.eigvalsh(flat)
+        check(eigs[:, 0] >= -POSITIVITY_TOL,
+              "matrix has negative eigenvalue {:.3e}", (eigs[:, 0],))
+    if failure is not None:
+        raise ValueError(failure)
+    return None if eigs is None else eigs.reshape(matrices.shape[:-1])
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian unit-trace operator on the truncated ladder.
@@ -92,20 +130,27 @@ class DensityOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (self.cutoff, self.cutoff):
             raise ValueError(f"matrix must have shape ({self.cutoff}, {self.cutoff})")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_dev <= HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-        trace_dev = abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
-        if not trace_dev <= TRACE_TOL:
-            raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
-        if self.physical:
-            eigs = np.linalg.eigvalsh(m)
-            if not eigs[0] >= -POSITIVITY_TOL:
-                raise ValueError(f"matrix has negative eigenvalue {eigs[0]:.3e}")
-            object.__setattr__(self, "eigenvalues", _readonly(eigs))
+        eigs = _validate_stack(m[None], self.physical)
+        if eigs is not None:
+            object.__setattr__(self, "eigenvalues", _readonly(eigs[0]))
         object.__setattr__(self, "matrix", _readonly(m))
+
+    @classmethod
+    def _from_stack(cls, matrices: np.ndarray, physical: bool) -> list["DensityOperator"]:
+        """One state per member of a (k, c, c) complex stack, validated as
+        one stack; the states hold read-only views of the stack and of its
+        spectra, and the per-state checks are not run again."""
+        eigs = _validate_stack(matrices, physical)
+        spectra = [None] * len(matrices) if eigs is None else _readonly(eigs)
+        states = []
+        for m, spectrum in zip(_readonly(matrices), spectra):
+            rho = object.__new__(cls)
+            object.__setattr__(rho, "matrix", m)
+            object.__setattr__(rho, "cutoff", m.shape[0])
+            object.__setattr__(rho, "physical", physical)
+            object.__setattr__(rho, "eigenvalues", spectrum)
+            states.append(rho)
+        return states
 
     def embedded(self, cutoff: int) -> "DensityOperator":
         if cutoff < self.cutoff:

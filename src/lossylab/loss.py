@@ -7,14 +7,14 @@ a matrix element moves down its diagonal by the number j of photons lost:
     v_j[m]^2 = w_j[m] = C(m+j, j) T^m (1-T)^j,
 
 the standard matrix-element form of binomial loss (Leonhardt, *Measuring
-the Quantum State of Light*). The sum is exact at finite cutoff because
-loss only lowers the photon number. w_j[m] is a polynomial in T, so on
-diagonal operators the same kernel continues the channel to any real T.
+the Quantum State of Light*), for 0 <= T <= 1. The sum is exact at finite
+cutoff because loss only lowers the photon number.
 
-One kernel serves a whole grid of T: ``loss_path`` runs Pascal's rule and
+One kernel serves a whole grid of T: ``loss_blocks`` runs Pascal's rule and
 the sum over j with T as a leading axis, one block of at most
-``BLOCK_ENTRIES`` matrix entries at a time, and ``apply_loss`` is its
-one-T call.
+``BLOCK_ENTRIES`` matrix entries at a time, and validates each block as one
+stack; ``loss_path`` yields its states one by one, and ``apply_loss`` is
+the one-T call.
 """
 
 from __future__ import annotations
@@ -54,38 +54,40 @@ def _binomial_table(t, cutoff: int) -> np.ndarray:
     return pmf
 
 
-def loss_path(rho: DensityOperator, transmissivities) -> Iterator[DensityOperator]:
-    """E_T[rho] for every T of a grid, in grid order, by the binomial
-    kernel: one rank-1 elementwise term per number j of lost photons.
+def loss_blocks(rho: DensityOperator, transmissivities) -> Iterator[
+        tuple[np.ndarray, list[DensityOperator]]]:
+    """E_T[rho] for every T of a grid, in grid order, one block of T at a
+    time, by the binomial kernel: one rank-1 elementwise term per number j
+    of lost photons.
 
-    The whole grid is checked before this returns: every T must be finite,
-    and T outside 0 <= T <= 1 is accepted only for diagonal operators (their
-    off-diagonals below 1e-12 are dropped at those T alone), with the result
-    marked unphysical. The states are then built one block of T at a time."""
+    The whole grid is checked before this returns: every T must be finite
+    and lie in 0 <= T <= 1. Each block comes as its read-only (k, c, c)
+    stack of matrices and the k states that view it. The block is validated
+    as one stack, with one batched eigvalsh for a physical input, so every
+    state carries the spectrum that checked it."""
     grid = np.asarray(transmissivities, dtype=float).ravel()
     if not np.all(np.isfinite(grid)):
         raise ValueError("transmissivity must be finite")
-    in_range = (grid >= 0.0) & (grid <= 1.0)
-    diag = np.diag(np.diag(rho.matrix))
-    if not np.all(in_range) and np.max(np.abs(rho.matrix - diag)) > 1e-12:
-        raise ValueError("transmissivity outside [0, 1] is only defined for diagonal operators")
-    return _loss_blocks(rho, grid, in_range, diag)
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise ValueError("transmissivity must lie in [0, 1]")
+    return _loss_blocks(rho, grid)
 
 
-def _loss_blocks(rho, grid, in_range, diag):
-    c = rho.cutoff
+def _loss_blocks(rho, grid):
+    c, m = rho.cutoff, rho.matrix
     for block in _t_blocks(grid.size, c):
-        ok = in_range[block]
-        m = rho.matrix if np.all(ok) else np.where(ok[:, None, None], rho.matrix, diag)
-        # complex so that v_j[m]^2 = w_j[m] also where w is negative (T
-        # outside [0, 1]); there m is diagonal and only those squares enter
-        v = np.sqrt(_binomial_table(grid[block], c).astype(complex))
-        out = np.zeros((ok.size, c, c), dtype=complex)
+        v = np.sqrt(_binomial_table(grid[block], c))
+        out = np.zeros(v.shape, dtype=complex)
         for j in range(c):
             vj = np.diagonal(v, -j, axis1=1, axis2=2)
-            out[:, : c - j, : c - j] += vj[:, :, None] * vj[:, None, :] * m[..., j:, j:]
-        for k in range(ok.size):
-            yield DensityOperator(out[k], c, rho.physical and bool(ok[k]))
+            out[:, : c - j, : c - j] += vj[:, :, None] * vj[:, None, :] * m[j:, j:]
+        yield out, DensityOperator._from_stack(out, rho.physical)
+
+
+def loss_path(rho: DensityOperator, transmissivities) -> Iterator[DensityOperator]:
+    """E_T[rho] for every T of a grid, in grid order: the states of
+    ``loss_blocks``, whose grid checks run before this returns."""
+    return (state for _, states in loss_blocks(rho, transmissivities) for state in states)
 
 
 def apply_loss(rho: DensityOperator, transmissivity: float) -> DensityOperator:

@@ -21,8 +21,13 @@ EIG_FLOOR = 1e-14
 NEGATIVE_EIG_LIMIT = -1e-8
 
 
+def purities(matrices: np.ndarray) -> np.ndarray:
+    """Tr[m^2] of each matrix m of a (..., c, c) stack."""
+    return np.einsum("...ij,...ji->...", matrices, matrices).real
+
+
 def purity(rho: DensityOperator) -> float:
-    return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
+    return float(purities(rho.matrix))
 
 
 def _spectrum(rho: DensityOperator) -> np.ndarray:

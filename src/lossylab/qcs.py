@@ -35,16 +35,23 @@ class QcsResult:
             raise ValueError(f"C^2 must be nonnegative, got {self.c_squared}")
 
 
+def commutator_norms(matrices: np.ndarray) -> np.ndarray:
+    """||[a, m]||_F^2 of each matrix m of a (..., c, c) stack. A box of c + 1
+    levels holds all of [a, m]."""
+    c = matrices.shape[-1]
+    ladder = np.sqrt(np.arange(1, c + 1))
+    comm = np.zeros(matrices.shape[:-2] + (c + 1, c + 1), dtype=complex)
+    # (a m)[i, j] = sqrt(i+1) m[i+1, j]
+    comm[..., : c - 1, :c] = ladder[: c - 1, None] * matrices[..., 1:, :]
+    comm[..., :c, 1 : c + 1] -= matrices * ladder[:c]  # (m a)[i, j] = m[i, j-1] sqrt(j)
+    return np.sum(np.abs(comm) ** 2, axis=(-2, -1))
+
+
 def qcs_commutator(rho: DensityOperator) -> QcsResult:
     """C^2 = ||[a, rho]||_F^2 / Tr[rho^2] = (Tr[rho,X][X,rho] + Tr[rho,P][P,rho]) / (2 Tr[rho^2]),
-    as [a^dag, rho] = -[a, rho]^dag. A box of c + 1 levels holds all of [a, rho]."""
-    c, m = rho.cutoff, rho.matrix
-    ladder = np.sqrt(np.arange(1, c + 1))
-    comm = np.zeros((c + 1, c + 1), dtype=complex)
-    comm[: c - 1, :c] = ladder[: c - 1, None] * m[1:]  # (a rho)[i, j] = sqrt(i+1) rho[i+1, j]
-    comm[:c, 1 : c + 1] -= m * ladder[:c]  # (rho a)[i, j] = rho[i, j-1] sqrt(j)
+    as [a^dag, rho] = -[a, rho]^dag."""
     p = purity(rho)
-    return QcsResult(float(np.sum(np.abs(comm) ** 2)) / p, ROUTE_COMMUTATOR, p)
+    return QcsResult(float(commutator_norms(rho.matrix)) / p, ROUTE_COMMUTATOR, p)
 
 
 def qcs_purity_rate(poly: PurityPolynomial, transmissivity: float) -> QcsResult:

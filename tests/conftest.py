@@ -147,20 +147,14 @@ def kraus_loss():
 def per_t_loss_oracle(rho, transmissivity):
     """Oracle for ``loss_path``: the binomial kernel at one T, with its own
     Pascal-rule table and sum over the number j of lost photons. The float
-    operations and their order per element are the kernel's, so every
-    result must be bit-equal; off-diagonals are dropped and the result is
-    marked unphysical outside 0 <= T <= 1, where only diagonal operators are
-    accepted."""
+    operations and their order per element are the kernel's (its weights
+    are complex where the kernel's are real, which on 0 <= T <= 1 gives the
+    same bits), so every result must be bit-equal."""
     t = float(transmissivity)
     if not np.isfinite(t):
         raise ValueError("transmissivity must be finite")
     c = rho.cutoff
     m = rho.matrix
-    in_range = 0.0 <= t <= 1.0
-    if not in_range:
-        m = np.diag(np.diag(m))
-        if np.max(np.abs(rho.matrix - m)) > 1e-12:
-            raise ValueError("transmissivity outside [0, 1] is only defined for diagonal operators")
     pmf = np.zeros((c, c))
     pmf[0, 0] = 1.0
     for n in range(1, c):
@@ -171,7 +165,7 @@ def per_t_loss_oracle(rho, transmissivity):
     for j in range(c):
         vj = np.diagonal(v, -j)
         out[: c - j, : c - j] += np.outer(vj, vj) * m[j:, j:]
-    return DensityOperator(out, c, rho.physical and in_range)
+    return DensityOperator(out, c, rho.physical)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,12 +78,13 @@ def test_qcs_suite_at_cutoff_64(tmp_path, capsys):
 
 
 def counting(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that records each call; returns the record."""
+    """Replace owner.name by a wrapper that records the positional arguments
+    of each call; returns the record."""
     calls = []
     original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
@@ -99,13 +101,35 @@ def test_qcs_suite_builds_one_purity_polynomial_per_state(monkeypatch, capsys):
 
 
 def test_sweep_runs_one_eigendecomposition_per_row(monkeypatch, capsys):
+    # counts matrices, not calls: a block of T is decomposed as one stack
     calls = counting(monkeypatch, np.linalg, "eigvalsh")
+
+    def decomposed():
+        return sum(int(np.prod(np.shape(args[0])[:-2])) for args in calls)
+
     parse_states("random:1:8:3", 4, False)
-    setup = len(calls)  # building the input state
+    setup = decomposed()  # building the input state
     calls.clear()
     assert run("sweep", "--states", "random:1:8:3", "--seed", "4",
                "--grid", "0:1:9") == 0
-    assert len(calls) == setup + 9
+    assert decomposed() == setup + 9
+
+
+@pytest.mark.parametrize("states", ["squeezed:0.8", "random:1:8:3"])
+def test_sweep_memory_stays_within_one_block(tmp_path, states, capsys):
+    # the columns are computed one block of at most 2^13 entries at a time;
+    # a stack over all 401 T at cutoff 25 would need about 16 MB. The first
+    # run is untraced, so one-time imports and caches stay out of the peak
+    argv = ("sweep", "--states", states, "--seed", "1", "--grid", "0:1:401",
+            "--out", str(tmp_path / "sweep.csv"))
+    assert run(*argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_sweep_single_photon(tmp_path, capsys):
@@ -161,7 +185,7 @@ def test_sweep_rejects_multiple_states():
 @pytest.mark.parametrize("grid", ["0:1.5:4", "-0.5:1:4"])
 @pytest.mark.parametrize("state", ["file", "fock:1"])
 def test_sweep_rejects_grid_outside_unit_interval(state, grid, tmp_path, capsys):
-    # the loss kernel's continuation past T = 1 is no channel: for
+    # the binomial map's continuation past T = 1 is no channel: for
     # diag(0.5, 0.5) its row at T = 1.5 has <N> = 0.75 above the input's 0.5
     if state == "file":
         path = tmp_path / "diag.npy"

@@ -1,14 +1,17 @@
 """Ladder-space plumbing: states, operators, and the beam splitter."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossylab.fock import (DensityOperator, PureState, beam_splitter_block,
-                           block_indices, displacement_matrix, make_coherent,
-                           make_fock, make_squeezed_vacuum, mode_operators,
-                           random_mixed, random_pure, thermal_state)
+from lossylab.fock import (DensityOperator, PureState, _validate_stack,
+                           beam_splitter_block, block_indices,
+                           displacement_matrix, make_coherent, make_fock,
+                           make_squeezed_vacuum, mode_operators, random_mixed,
+                           random_pure, thermal_state)
 
 
 def test_pure_state_normalizes_and_records_tail():
@@ -60,6 +63,57 @@ def test_non_finite_entries_are_rejected(cutoff, data, physical, bad):
     m[j, i] = np.conj(bad)
     with pytest.raises(ValueError, match="finite"):
         DensityOperator(m, cutoff, physical)
+
+
+def _fail(m, check):
+    """A copy of the state matrix m that fails the named check of a
+    DensityOperator and passes every check before it."""
+    m = m.copy()
+    if check == "finite":
+        m[1, 2] = m[2, 1] = np.nan
+    elif check == "hermitian":
+        m[0, 1] += 0.3
+    elif check == "trace":
+        m *= 1.5
+    else:
+        m = np.diag([1.5, -0.5] + [0.0] * (m.shape[0] - 2)).astype(complex)
+    return m
+
+
+CHECKS = ["finite", "hermitian", "trace", "positivity"]
+
+
+@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_stack_validator_raises_for_the_first_failing_member(check, k):
+    # a later member failing an earlier check must not be the one reported
+    c = 4
+    stack = np.array([random_mixed(seed, c, rank=2).matrix for seed in range(6)])
+    stack[k] = _fail(stack[k], check)
+    stack[5] = _fail(stack[5], "hermitian" if check == "finite" else "finite")
+    with pytest.raises(ValueError) as single:
+        DensityOperator(stack[k], c)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+        _validate_stack(stack, physical=True)
+
+
+def test_stack_validator_skips_only_positivity_when_unphysical():
+    c = 4
+    stack = np.array([random_mixed(seed, c, rank=2).matrix for seed in range(3)])
+    stack[1] = _fail(stack[1], "positivity")
+    assert _validate_stack(stack, physical=False) is None
+    stack[2] = _fail(stack[2], "trace")
+    with pytest.raises(ValueError, match="^trace deviates"):
+        _validate_stack(stack, physical=False)
+
+
+def test_stack_validator_returns_each_members_spectrum():
+    stack = np.array([random_mixed(seed, 25, rank=4).matrix for seed in range(7)])
+    eigs = _validate_stack(stack.reshape(7, 1, 25, 25), physical=True)
+    assert eigs.shape == (7, 1, 25)
+    for m, e in zip(stack, eigs[:, 0]):
+        assert np.array_equal(e, np.linalg.eigvalsh(m))
+        assert np.array_equal(e, DensityOperator(m, 25).eigenvalues)
 
 
 def test_embedding_grows_but_never_shrinks():

@@ -118,25 +118,25 @@ def test_multiplicativity():
     np.testing.assert_allclose(direct, chained, atol=1e-12)
 
 
-def test_extended_transmissivity_needs_diagonal():
-    diag = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    rho = DensityOperator(diag, 3)
-    out = apply_loss(rho, 1.2)
-    assert not out.physical
-    assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-    coherences = random_pure(3, 4).density()
-    with pytest.raises(ValueError):
-        apply_loss(coherences, 1.2)
+def test_extended_transmissivity_is_rejected_for_every_operator():
+    # the channel is defined on 0 <= T <= 1 only, diagonal input or not
+    diagonal = DensityOperator(np.diag([0.5, 0.3, 0.2]).astype(complex), 3)
+    for rho in (diagonal, random_pure(3, 4).density()):
+        for t in (-0.4, -1e-300, 1.0000000000000002, 1.2):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                apply_loss(rho, t)
 
 
 def test_extended_range_matches_binomial_continuation():
-    # for diagonal operators the channel is the binomial map at any real T,
-    # so the purity of the lossy single photon continues to (1-T)^2 + T^2
+    # the extended range is the purity polynomial's, which is entire: the
+    # lossy single photon's purity continues to (1-T)^2 + T^2, while the
+    # kernel itself refuses those T
     rho = make_fock(1, 3).density()
     for t in (-0.4, 1.2, 1.5):
-        out = apply_loss(rho, t)
-        np.testing.assert_allclose(purity(out), (1 - t) ** 2 + t ** 2, atol=1e-12)
+        np.testing.assert_allclose(purity_polynomial(rho).value(t),
+                                   (1 - t) ** 2 + t ** 2, atol=1e-12)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            apply_loss(rho, t)
 
 
 def test_loss_generator_matches_finite_difference():
@@ -213,22 +213,27 @@ def test_path_spanning_several_blocks_is_bit_equal(per_t_loss, rho):
 @settings(max_examples=40, deadline=None)
 @given(rho=density_operators(max_cutoff=12),
        grid=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=12))
-def test_path_continues_diagonal_operators_bit_equal(per_t_loss, rho, grid):
-    # |T| + |1 - T| <= 2 here, so the signed binomial sums that give the unit
-    # trace lose at most 2^11 ulp at cutoff 12
+def test_path_rejects_diagonal_operators_outside_the_unit_interval(per_t_loss, rho, grid):
+    # one T outside [0, 1] anywhere in the grid refuses the whole path
     diagonal = DensityOperator(np.diag(np.diag(rho.matrix)), rho.cutoff)
-    assert_path_matches_oracle(diagonal, grid, per_t_loss)
+    if all(0.0 <= t <= 1.0 for t in grid):
+        assert_path_matches_oracle(diagonal, grid, per_t_loss)
+    else:
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            loss_path(diagonal, grid)
 
 
-def test_path_drops_small_coherences_only_outside_the_unit_interval(per_t_loss):
+def test_path_keeps_small_coherences_and_rejects_outside_the_unit_interval(per_t_loss):
     m = np.diag([0.5, 0.3, 0.2]).astype(complex)
     m[0, 1] = m[1, 0] = 1e-13
     m[1, 2], m[2, 1] = 1e-13j, -1e-13j
     rho = DensityOperator(m, 3)
-    grid = [0.4, 1.3, 1.0, -0.2, 0.0, 0.7]
+    grid = [0.4, 1.0, 0.7]
     assert_path_matches_oracle(rho, grid, per_t_loss)
-    kept = [out.matrix[0, 1] != 0 for out in loss_path(rho, grid)]
-    assert kept == [True, False, True, False, False, True]
+    assert all(out.matrix[0, 1] != 0 for out in loss_path(rho, grid))
+    for bad in (1.3, -0.2):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            loss_path(rho, grid + [bad])
 
 
 @pytest.mark.parametrize("where", [0, 3, 6])
@@ -240,9 +245,34 @@ def test_non_finite_grid_raises_before_any_state(where):
 
 
 def test_coherences_outside_the_unit_interval_raise_before_any_state():
+    # raised by the call itself, before the first state is asked for
     grid = [0.2, 0.5, 1.0001, 0.8]
-    with pytest.raises(ValueError, match="diagonal"):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
         loss_path(random_pure(3, 4).density(), grid)
+
+
+@pytest.mark.parametrize("cutoff", [8, 25, 64])
+@pytest.mark.parametrize("physical", [True, False])
+def test_path_states_carry_the_spectrum_of_their_matrix(cutoff, physical):
+    # each block is decomposed as one stack; 2 blocks and 3 T more cross
+    # two block boundaries
+    rho = random_mixed(cutoff, cutoff, rank=3)
+    if not physical:
+        # Hermitian with unit trace, and indefinite
+        m = 2.0 * rho.matrix - random_mixed(cutoff + 1, cutoff, rank=1).matrix
+        rho = DensityOperator(m, cutoff, physical=False)
+    grid = np.linspace(0.0, 1.0, 2 * (2 ** 13 // cutoff ** 2) + 3)
+    count = 0
+    for out in loss_path(rho, grid):
+        count += 1
+        assert out.physical == physical
+        assert not out.matrix.flags.writeable
+        if physical:
+            assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
+            assert not out.eigenvalues.flags.writeable
+        else:
+            assert out.eigenvalues is None
+    assert count == grid.size
 
 
 def test_fock_120_path_matches_exact_binomial():
