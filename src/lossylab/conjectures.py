@@ -14,8 +14,8 @@ The witness, the tilt bound and the dark-port g2 scan read one object:
 the difference-port number distribution q of a balanced two-copy
 interference, a plain 1-D array with q[m] the probability of m photons
 in the difference port. ``fair_pair`` computes it for twin copies of a
-state with the spectral dark-port engine; no difference-port operator
-is built. Loss reweights the dark port by (1 - 2T)^m, so g2 at T comes
+state with the dark-port block engine; no difference-port operator is
+built. Loss reweights the dark port by (1 - 2T)^m, so g2 at T comes
 from the witness's tilted moments at lam = 1 - 2T. The counterexample
 pairs, which are not fair mixtures of twin pairs, are given by their
 exact distributions and reproduce their witness margins bit-stably.

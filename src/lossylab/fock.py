@@ -159,9 +159,6 @@ class DensityOperator:
         m[: self.cutoff, : self.cutoff] = self.matrix
         return DensityOperator(m, cutoff, self.physical)
 
-    def populations(self) -> np.ndarray:
-        return np.abs(np.diag(self.matrix).real)
-
     def mean_photon_number(self) -> float:
         return float(np.sum(np.arange(self.cutoff) * np.diag(self.matrix).real))
 
@@ -298,25 +295,37 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def block_indices(n: int, c1: int, c2: int) -> np.ndarray:
+def block_indices(n: int, c1: int, c2: int) -> range:
     """Mode-1 counts k of the states |k, n - k> that a c1 x c2 box holds."""
-    return np.arange(max(0, n - c2 + 1), min(n, c1 - 1) + 1)
+    return range(max(0, n - c2 + 1), min(n, c1 - 1) + 1)
 
 
-@lru_cache(maxsize=256)
-def beam_splitter_block(n: int, transmissivity: float) -> np.ndarray:
-    """Block of B(T) = exp(arccos(sqrt(T)) (a1 a2^dag - a1^dag a2)) on total photon number n.
-
-    Rows and columns run over |k, n - k> for k = 0, ..., n. The block is
-    complete, so it is exact to eigensolver precision on any ladder that
-    holds n photons in each mode.
-    """
+def splitter_blocks(count: int, transmissivity: float):
+    """Blocks n = 0, ..., count - 1 of B(T) = exp(arccos(sqrt(T)) (a1 a2^dag - a1^dag a2))
+    over |k, n - k>, k = 0, ..., n: real, read-only, exact on any ladder that holds
+    n photons in each mode. With X1 = B a1^dag B^dag = sqrt(T) a1^dag + sqrt(1-T) a2^dag
+    and X2 = B a2^dag B^dag = sqrt(T) a2^dag - sqrt(1-T) a1^dag, column K of block n is
+    [sqrt(K) X1 (column K-1) + sqrt(n-K) X2 (column K)] / n of block n - 1; either
+    term alone is unstable (error 5e-3 at n = 100)."""
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    theta = np.arccos(np.sqrt(transmissivity))
-    # H = i K is Hermitian tridiagonal; exp(theta K) = exp(-i theta H)
-    k = np.arange(1, n + 1)
-    hop = 1j * np.sqrt(k * (n - k + 1))
-    h = np.diag(hop, 1) + np.diag(-hop, -1)
-    w, v = np.linalg.eigh(h)
-    return _readonly((v * np.exp(-1j * theta * w)) @ v.conj().T)
+    root = np.sqrt(np.arange(count + 1.0))
+    t_root, r_root = np.sqrt(transmissivity) * root, np.sqrt(1.0 - transmissivity) * root
+    block = np.ones((1, 1))
+    for n in range(count):
+        if n:
+            pad = np.zeros((n + 2, n + 2))  # block n - 1 inside a border of zeros
+            pad[1:-1, 1:-1] = block
+            # sqrt(K) times column K - 1, and sqrt(n - K) times column K
+            left, right = pad[:, :-1] * root[: n + 1], pad[:, 1:] * root[n::-1]
+            # a1^dag takes row j - 1 to row j with sqrt(j); a2^dag keeps row j with sqrt(n - j)
+            block = (t_root[: n + 1, None] * left[:-1] + r_root[n::-1, None] * left[1:]
+                     + t_root[n::-1, None] * right[1:] - r_root[: n + 1, None] * right[:-1])
+            block /= n
+        yield _readonly(block)
+
+
+def beam_splitter_block(n: int, transmissivity: float) -> np.ndarray:
+    """Block n of ``splitter_blocks``: real, read-only, rebuilt on each call."""
+    *_, block = splitter_blocks(n + 1, transmissivity)
+    return block

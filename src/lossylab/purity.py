@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .fock import DensityOperator, PureState, beam_splitter_block, block_indices
+from .fock import DensityOperator, PureState, block_indices, splitter_blocks
 from .loss import _binomial_table, _t_blocks, apply_loss, loss_path
 
 EIG_FLOOR = 1e-14
@@ -79,41 +79,31 @@ class PurityPolynomial:
         lam = 1.0 - 2.0 * np.asarray(transmissivity, dtype=float)
         return (-2.0) ** order * npoly.polyval(lam, dcoeffs)
 
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
 
 # ---------------------------------------------------------------------------
 # dark-port population engine
 # ---------------------------------------------------------------------------
 
 
-def _signed_eigenpairs(rho: DensityOperator):
-    w, v = np.linalg.eigh(rho.matrix)
-    keep = np.abs(w) > 1e-15
-    return w[keep], v[:, keep]
-
-
 def pair_dark_populations(rho: DensityOperator, sigma: DensityOperator) -> np.ndarray:
     """Number populations of the difference mode of rho x sigma after balanced mixing.
 
-    Spectral path: each eigenvector pair is sent through B(1/2)^dag as a state
-    vector, one total-photon-number block at a time; the blocks are complete
-    because the embedding ladder holds the total photon number. Signed
-    eigenvalues are kept so indefinite operators work too.
+    B(1/2) conserves total photon number, so the diagonal of B_n^T (rho x sigma)_n B_n,
+    with (rho x sigma)_n[k, l] = rho[k, l] sigma[n - k, n - l] and B_n its splitter
+    block, holds the populations of |a, n - a>: n - a photons in the difference mode.
+    B_n is real and the block Hermitian, so only the block's real part counts.
+    Nothing is diagonalized, so indefinite operators work too.
     """
     cr, cs = rho.cutoff, sigma.cutoff
-    wr, vr = _signed_eigenpairs(rho)
-    ws, vs = _signed_eigenpairs(sigma)
-    weights = np.outer(wr, ws).ravel()
-    d = cr + cs - 1
-    pops = np.zeros(d)
-    for n in range(d):
+    # sigma[n - k, n - l] = flipped[k + s, l + s] with s = cs - 1 - n
+    flipped = sigma.matrix[::-1, ::-1]
+    pops = np.zeros(cr + cs - 1)
+    for n, block in enumerate(splitter_blocks(pops.size, 0.5)):
         ks = block_indices(n, cr, cs)
-        # amplitudes <k, n - k | v_i, v_j> of every eigenvector pair (i, j)
-        amps = (vr[ks, :, None] * vs[n - ks, None, :]).reshape(ks.size, -1)
-        out = beam_splitter_block(n, 0.5)[ks].conj().T @ amps  # rows |a, n - a>
-        pops[n::-1] += np.abs(out) ** 2 @ weights
+        k, j = slice(ks.start, ks.stop), slice(ks.start + cs - 1 - n, ks.stop + cs - 1 - n)
+        pair = (rho.matrix[k, k] * flipped[j, j]).real
+        b = block[k]
+        pops[n::-1] += (b * (pair @ b)).sum(axis=0)
     return pops
 
 

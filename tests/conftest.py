@@ -5,8 +5,7 @@ from scipy.linalg import expm
 from scipy.ndimage import convolve1d
 from scipy.special import eval_genlaguerre, gammaln, hyp2f1
 
-from lossylab.fock import (DensityOperator, beam_splitter_block, block_indices,
-                           mode_operators, random_mixed, random_pure)
+from lossylab.fock import DensityOperator, mode_operators, random_mixed, random_pure
 from lossylab.inequalities import EXACT_TOL
 from lossylab.phasespace import QuasiProbGrid
 from lossylab.purity import fock_purity_closed_form
@@ -57,24 +56,82 @@ def dense_splitter():
     return build
 
 
+def eigh_splitter_block(n: int, transmissivity: float) -> np.ndarray:
+    """Oracle for ``fock.splitter_blocks``: block n of
+    B(T) = exp(theta (a1 a2^dag - a1^dag a2)), theta = arccos(sqrt(T)), on
+    |k, n - k> for k = 0, ..., n, by diagonalizing the Hermitian tridiagonal
+    H = i (a1 a2^dag - a1^dag a2), so B = exp(-i theta H). Complex, and
+    exact to eigensolver precision."""
+    theta = np.arccos(np.sqrt(transmissivity))
+    k = np.arange(1, n + 1)
+    hop = 1j * np.sqrt(k * (n - k + 1))
+    h = np.diag(hop, 1) + np.diag(-hop, -1)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
+@pytest.fixture(name="eigh_splitter_block", scope="session")
+def eigh_splitter_block_fixture():
+    return eigh_splitter_block
+
+
+def _box_indices(n, c1, c2):
+    # mode-1 counts k of the states |k, n - k> in a c1 x c2 box
+    return np.arange(max(0, n - c2 + 1), min(n, c1 - 1) + 1)
+
+
+def spectral_dark_populations(rho: DensityOperator, sigma: DensityOperator) -> np.ndarray:
+    """Oracle for ``purity.pair_dark_populations``: the spectral route.
+
+    Every pair of eigenvectors of rho and sigma is sent through B(1/2)^dag
+    as a state vector, one total-photon-number block at a time, with the
+    eigh oracle blocks, and weighted by its product of signed eigenvalues,
+    so indefinite operators work too; eigenvalues with |w| <= 1e-15 are
+    dropped. O(rank^2) vectors per block.
+    """
+    def eigenpairs(m):
+        w, v = np.linalg.eigh(m)
+        keep = np.abs(w) > 1e-15
+        return w[keep], v[:, keep]
+
+    cr, cs = rho.cutoff, sigma.cutoff
+    wr, vr = eigenpairs(rho.matrix)
+    ws, vs = eigenpairs(sigma.matrix)
+    weights = np.outer(wr, ws).ravel()
+    d = cr + cs - 1
+    pops = np.zeros(d)
+    for n in range(d):
+        ks = _box_indices(n, cr, cs)
+        # amplitudes <k, n - k | v_i, v_j> of every eigenvector pair (i, j)
+        amps = (vr[ks, :, None] * vs[n - ks, None, :]).reshape(ks.size, -1)
+        out = eigh_splitter_block(n, 0.5)[ks].conj().T @ amps  # rows |a, n - a>
+        pops[n::-1] += np.abs(out) ** 2 @ weights
+    return pops
+
+
+@pytest.fixture(name="spectral_dark_populations", scope="session")
+def spectral_dark_populations_fixture():
+    return spectral_dark_populations
+
+
 @pytest.fixture
 def dark_port_distribution():
-    """Oracle for the spectral dark-port engine: difference-mode number
-    populations of a dense two-mode operator phi with row index
-    n1 * c2 + n2, for (c1, c2) = cutoffs.
+    """Oracle for the dark-port engine: difference-mode number populations
+    of a dense two-mode operator phi with row index n1 * c2 + n2, for
+    (c1, c2) = cutoffs.
 
     B(1/2) conserves total photon number, so only the diagonal blocks
     Phi[n, n] reach the diagonal of B^dag Phi B; each is rotated by its
-    own splitter block.
+    own eigh oracle block.
     """
     def rotate(phi, cutoffs):
         c1, c2 = cutoffs
         d = c1 + c2 - 1
         pops = np.zeros(d)
         for n in range(d):
-            ks = block_indices(n, c1, c2)
+            ks = _box_indices(n, c1, c2)
             rows = ks * c2 + (n - ks)
-            b = beam_splitter_block(n, 0.5)[ks]
+            b = eigh_splitter_block(n, 0.5)[ks]
             diag = np.einsum("ka,kl,la->a", b.conj(), phi[np.ix_(rows, rows)], b)
             pops[n::-1] += diag.real
         return pops

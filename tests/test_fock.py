@@ -229,6 +229,14 @@ def test_beam_splitter_blocks_and_single_photon_rule():
     np.testing.assert_array_equal(block_indices(4, 4, 3), [2, 3])
 
 
+@pytest.mark.parametrize("n, t", [(382, 0.5), (200, 0.3)])
+def test_splitter_blocks_match_eigh_oracle_at_large_photon_number(n, t, eigh_splitter_block):
+    block = beam_splitter_block(n, t)
+    assert block.dtype == float and not block.flags.writeable
+    np.testing.assert_allclose(block, eigh_splitter_block(n, t), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(block.T @ block, np.eye(n + 1), rtol=0, atol=1e-12)
+
+
 def test_hong_ou_mandel_cancellation():
     # block 2 runs over |0,2>, |1,1>, |2,0>
     out = beam_splitter_block(2, 0.5) @ np.array([0.0, 1.0, 0.0])

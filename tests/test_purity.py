@@ -1,5 +1,6 @@
 """Purity, entropies, the dark-port polynomial, and overlap identities."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -8,8 +9,9 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from lossylab.fock import (make_coherent, make_fock, random_mixed, random_pure,
-                           thermal_state)
+from lossylab.conjectures import indefinite_convex_operator
+from lossylab.fock import (DensityOperator, make_coherent, make_fock, random_mixed,
+                           random_pure, thermal_state)
 from lossylab.loss import apply_loss
 from lossylab.purity import (fock_purity_closed_form, lossy_overlap,
                              min_purity_pure, mutual_information_bs,
@@ -60,10 +62,11 @@ def test_coherent_pair_dark_populations_are_poisson():
     np.testing.assert_allclose(p, expected, atol=1e-10)
 
 
-def test_twin_fock_pair_dark_populations_at_large_photon_number(dark_port_distribution):
+@pytest.mark.parametrize("n", [30, 60])
+def test_twin_fock_pair_dark_populations_at_large_photon_number(n, dark_port_distribution,
+                                                                spectral_dark_populations):
     # |n, n> -> sum_j c_j |2j, 2n - 2j> with
     # |c_j|^2 = (2j)! (2n - 2j)! / (4^n (j!)^2 ((n - j)!)^2)
-    n = 30
     rho = make_fock(n, n + 1).density()
     j = np.arange(n + 1)
     expected = np.zeros(2 * n + 1)
@@ -71,20 +74,26 @@ def test_twin_fock_pair_dark_populations_at_large_photon_number(dark_port_distri
         gammaln(2 * j + 1) + gammaln(2 * n - 2 * j + 1) - n * np.log(4.0)
         - 2.0 * gammaln(j + 1) - 2.0 * gammaln(n - j + 1))
     np.testing.assert_allclose(pair_dark_populations(rho, rho), expected, atol=1e-10)
-    np.testing.assert_allclose(
-        dark_port_distribution(np.kron(rho.matrix, rho.matrix), (n + 1, n + 1)),
-        expected, atol=1e-10)
+    np.testing.assert_allclose(spectral_dark_populations(rho, rho), expected, atol=1e-10)
+    if n <= 30:  # the dense pair holds (n + 1)^4 entries
+        np.testing.assert_allclose(
+            dark_port_distribution(np.kron(rho.matrix, rho.matrix), (n + 1, n + 1)),
+            expected, atol=1e-10)
 
 
-def test_coherent_pair_dark_populations_at_cutoff_48(dark_port_distribution):
+@pytest.mark.parametrize("cutoff", [48, 128])
+def test_coherent_pair_dark_populations_at_large_cutoff(cutoff, dark_port_distribution,
+                                                        spectral_dark_populations):
     beta, gamma = 2.0, -1.5 + 1.0j
-    rho = make_coherent(beta, 48).density()
-    sig = make_coherent(gamma, 48).density()
-    expected = poisson.pmf(np.arange(95), abs(beta - gamma) ** 2 / 2.0)
+    rho = make_coherent(beta, cutoff).density()
+    sig = make_coherent(gamma, cutoff).density()
+    expected = poisson.pmf(np.arange(2 * cutoff - 1), abs(beta - gamma) ** 2 / 2.0)
     np.testing.assert_allclose(pair_dark_populations(rho, sig), expected, atol=1e-10)
-    np.testing.assert_allclose(
-        dark_port_distribution(np.kron(rho.matrix, sig.matrix), (48, 48)),
-        expected, atol=1e-10)
+    np.testing.assert_allclose(spectral_dark_populations(rho, sig), expected, atol=1e-10)
+    if cutoff <= 48:  # the dense pair holds cutoff^4 entries
+        np.testing.assert_allclose(
+            dark_port_distribution(np.kron(rho.matrix, sig.matrix), (cutoff, cutoff)),
+            expected, atol=1e-10)
 
 
 def test_dark_port_distribution_agrees_with_spectral_engine(dark_port_distribution):
@@ -93,6 +102,50 @@ def test_dark_port_distribution_agrees_with_spectral_engine(dark_port_distributi
     q = dark_port_distribution(np.kron(rho.matrix, sig.matrix), (6, 6))
     p = pair_dark_populations(rho, sig)
     np.testing.assert_allclose(q, p, atol=1e-12)
+
+
+def _hermitian_unit_trace(seed, cutoff):
+    # indefinite in general: a Hermitian matrix shifted to unit trace
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((cutoff, cutoff)) + 1j * rng.standard_normal((cutoff, cutoff))
+    h = (a + a.conj().T) / 2.0
+    h += (1.0 - np.trace(h).real) / cutoff * np.eye(cutoff)
+    return DensityOperator(h, cutoff, physical=False)
+
+
+ENGINE_PAIRS = {
+    "hermitian-4": lambda: (_hermitian_unit_trace(1, 4), _hermitian_unit_trace(2, 4)),
+    "hermitian-9": lambda: (_hermitian_unit_trace(3, 9), _hermitian_unit_trace(4, 9)),
+    "hermitian-16": lambda: (_hermitian_unit_trace(5, 16), _hermitian_unit_trace(6, 16)),
+    "hermitian-4-9": lambda: (_hermitian_unit_trace(7, 4), _hermitian_unit_trace(8, 9)),
+    "indefinite-6": lambda: (indefinite_convex_operator(6), indefinite_convex_operator(6)),
+    "indefinite-6-hermitian": lambda: (indefinite_convex_operator(6),
+                                       _hermitian_unit_trace(9, 6)),
+    "mixed-7-11": lambda: (random_mixed(10, 7, 3), random_mixed(11, 11, 4)),
+    "mixed-11-7": lambda: (random_mixed(11, 11, 4), random_mixed(10, 7, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_PAIRS))
+def test_block_engine_matches_spectral_oracle(case, spectral_dark_populations):
+    rho, sigma = ENGINE_PAIRS[case]()
+    p = pair_dark_populations(rho, sigma)
+    q = spectral_dark_populations(rho, sigma)
+    assert p.shape == q.shape == (rho.cutoff + sigma.cutoff - 1,)
+    assert np.max(np.abs(p - q)) <= 1e-12 * np.max(np.abs(q))
+
+
+def test_purity_polynomial_memory_stays_per_block():
+    # the splitter blocks are built one at a time and never kept, so a
+    # full-rank state at cutoff 128 needs a few blocks of 255^2 entries
+    rho = random_mixed(1, 128, 128)
+    tracemalloc.start()
+    try:
+        purity_polynomial(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_pure_polynomial_is_symmetric_and_even():
