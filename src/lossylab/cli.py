@@ -4,6 +4,12 @@ Four subcommands: ``verify`` runs named check batteries and writes a check
 CSV, ``sweep`` tabulates purity, entropies, coherence scale, and mean
 photon number against transmissivity, ``phasespace`` exports a
 quasiprobability grid, and ``conjecture`` runs the conjecture scans.
+Each subcommand takes only the flags it reads, and declares each default
+on its flag; a ``--config`` file's key=value pairs become the chosen
+subcommand's defaults, so explicit flags win and an unknown key is a
+configuration error. A check or scan row passes when its margin is
+>= -tolerance, so a NaN margin fails; each tolerance is fixed by its check,
+and no flag changes it.
 Exit status is 0 for success with no violations, 1 when any check or scan
 reports a violation or a scan has no rows, and 2 on configuration errors
 (including non-finite state entries). Identical
@@ -203,7 +209,7 @@ def _density(state) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-def _purity_suite(state_id, state, t_grid, tol):
+def _purity_suite(state_id, state, t_grid):
     rho1 = _density(state)
     pure = isinstance(state, PureState)
     # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
@@ -215,38 +221,38 @@ def _purity_suite(state_id, state, t_grid, tol):
     convex_grid = t_grid if pure else t_grid[t_grid <= 0.5]
     reports = [
         inequality_report("dark_coefficients", state_id, {},
-                          0.0, float(np.min(poly.coefficients)), tol or 1e-10,
+                          0.0, float(np.min(poly.coefficients)), 1e-10,
                           claim="dark-port coefficients are nonnegative"),
     ]
     if convex_grid.size:
         reports.append(inequality_report(
             "purity_convexity", state_id, {},
-            0.0, float(np.min(poly.derivative(convex_grid, 2))), tol or 1e-9,
+            0.0, float(np.min(poly.derivative(convex_grid, 2))), 1e-9,
             claim="P'' >= 0 on the applicable grid"))
     if pure:
         mirrored = poly.value(1.0 - t_grid)
         reports.append(equality_report(
             "purity_symmetry", state_id, {},
-            float(np.max(np.abs(values - mirrored))), 0.0, tol or 1e-10,
+            float(np.max(np.abs(values - mirrored))), 0.0, 1e-10,
             claim="P(T) = P(1-T) for pure inputs"))
     t_match = [t for t in (float(t_grid[0]), float(t_grid[t_grid.size // 2]),
                            float(t_grid[-1])) if 0.0 <= t <= 1.0]
     for t, rho_t in zip(t_match, loss_path(rho1, t_match)):
         reports.append(equality_report(
             "lossy_trace_match", state_id, {"T": t},
-            poly.value(t), purity(rho_t), tol or 1e-10,
+            poly.value(t), purity(rho_t), 1e-10,
             claim="polynomial purity equals trace purity"))
     if pure:
         reports.append(inequality_report(
             "pure_min_at_half", state_id, {}, poly.value(0.5), float(np.min(values)),
-            tol or 1e-10, claim="pure-state purity is minimized at T = 1/2"))
+            1e-10, claim="pure-state purity is minimized at T = 1/2"))
     return reports
 
 
-def _qcs_suite(state_id, state, t_grid, tol):
+def _qcs_suite(state_id, state, t_grid):
     rho1 = _density(state)
     pure = isinstance(state, PureState)
-    agree_tol = tol or 1e-8
+    agree_tol = 1e-8
     poly = purity_polynomial(rho1)
     reports = []
     t_lossy = [float(t) for t in t_grid if 0.0 < t <= 1.0]
@@ -275,9 +281,9 @@ def _qcs_suite(state_id, state, t_grid, tol):
     return reports
 
 
-def _phasespace_suite(state_id, state, t_grid, tol, quad):
+def _phasespace_suite(state_id, state, quad):
     rho1 = _density(state)
-    route_tol = tol or 1e-5
+    route_tol = 1e-5
     exact = purity(rho1)
     reports = [
         equality_report("purity_route_chi", state_id, {"s": -0.4},
@@ -301,7 +307,7 @@ def _phasespace_suite(state_id, state, t_grid, tol, quad):
     return reports
 
 
-def _inequality_suite(state_id, state, t_grid, tol):
+def _inequality_suite(state_id, state):
     rho1 = _density(state)
     reports = [
         cauchy_schwarz_ladder(rho1, state_id),
@@ -326,13 +332,13 @@ def cmd_verify(args) -> int:
     reports = []
     for state_id, state in states:
         if args.suite in ("purity", "all"):
-            reports += _purity_suite(state_id, state, t_grid, args.tol)
+            reports += _purity_suite(state_id, state, t_grid)
         if args.suite in ("qcs", "all"):
-            reports += _qcs_suite(state_id, state, t_grid, args.tol)
+            reports += _qcs_suite(state_id, state, t_grid)
         if args.suite in ("phasespace", "all"):
-            reports += _phasespace_suite(state_id, state, t_grid, args.tol, quad)
+            reports += _phasespace_suite(state_id, state, quad)
         if args.suite in ("inequalities", "all"):
-            reports += _inequality_suite(state_id, state, t_grid, args.tol)
+            reports += _inequality_suite(state_id, state)
     if args.out:
         write_check_csv(args.out, reports)
     failed = sum(1 for r in reports if not r.passed)
@@ -420,49 +426,43 @@ def cmd_phasespace(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    results = []
+    if args.phi is not None and args.name != "unfairness":
+        raise ConfigError("--phi applies only to --name unfairness")
+    default_grid = "-1:1:21" if args.name == "unfairness" else "0:1:21"
+    grid = parse_grid(default_grid if args.grid is None else args.grid)
     if args.name == "unfairness":
-        lam_grid = parse_grid("-1:1:21" if args.grid_defaulted else args.grid)
-        if args.phi:
-            if args.phi in PAIR_BUILDERS:
-                pairs = [(args.phi, PAIR_BUILDERS[args.phi]())]
-            else:
+        if args.phi is not None:
+            if args.phi not in PAIR_BUILDERS:
                 raise ConfigError(
                     f"unknown pair {args.phi!r}; choose from "
                     f"{', '.join(sorted(PAIR_BUILDERS))}")
+            pairs = [(args.phi, PAIR_BUILDERS[args.phi]())]
         else:
             states = parse_states(args.states, args.seed, args.allow_nonpositive)
             pairs = [(sid, fair_pair(_density(st))) for sid, st in states]
-        results.append(unfairness_scan(pairs, lam_grid))
+        result = unfairness_scan(pairs, grid)
     else:
         states = [(sid, _density(st)) for sid, st in
                   parse_states(args.states, args.seed, args.allow_nonpositive)]
-        t_grid = parse_grid(args.grid)
         if args.name == "log-convexity":
-            results.append(log_convexity_corpus(states, t_grid))
+            result = log_convexity_corpus(states, grid)
         elif args.name == "ell-log-convexity":
-            capped = t_grid[t_grid < 0.5]
+            capped = grid[grid < 0.5]
             if capped.size == 0:
                 raise ConfigError("ell-log-convexity needs grid points below 1/2")
-            results.append(ell_log_convexity_corpus(states, capped))
-        elif args.name == "dark-port-g2":
-            capped = t_grid[t_grid <= 0.5]
+            result = ell_log_convexity_corpus(states, capped)
+        else:
+            capped = grid[grid <= 0.5]
             if capped.size == 0:
                 raise ConfigError("dark-port-g2 needs grid points at or below 1/2")
-            results.append(dark_port_g2_scan(states, capped))
-        else:
-            raise ConfigError(f"unknown conjecture {args.name!r}")
+            result = dark_port_g2_scan(states, capped)
     if args.out:
-        write_scan_csv(args.out, results)
-    bad = [r for r in results if r.disposition in ("violation", "empty")]
-    total = sum(len(r.rows) for r in results)
-    row_tol = args.tol if args.tol is not None else 1e-9
-    failed = sum(1 for r in results for (_, _, m) in r.rows if not m >= -row_tol)
-    for r in results:
-        print(f"{r.conjecture}: {r.disposition} over {r.corpus}, grid {r.grid}, "
-              f"min margin {r.min_margin:.6g}")
-    print(f"checks: {total} run, {total - failed} passed, {failed} failed")
-    return 1 if bad else 0
+        write_scan_csv(args.out, [result])
+    total = len(result.rows)
+    print(f"{result.conjecture}: {result.disposition} over {result.corpus}, "
+          f"grid {result.grid}, min margin {result.min_margin:.6g}")
+    print(f"checks: {total} run, {total - result.failed} passed, {result.failed} failed")
+    return 1 if result.disposition in ("violation", "empty") else 0
 
 
 # ---------------------------------------------------------------------------
@@ -470,107 +470,94 @@ def cmd_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The lossylab parser. config maps a subcommand to the key=value pairs
+    of a config file, which become that subcommand's defaults."""
     parser = argparse.ArgumentParser(
         prog="lossylab",
         description="verification batteries for loss-channel identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--states", "--state", dest="states", default=None,
+    def subcommand(name, help, run):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--states", "--state", dest="states", default="random:5",
                        help="comma-separated families: fock:N, coherent:A, "
                             "squeezed:R, random:COUNT[:CUTOFF[:RANK]], file:PATH")
-        p.add_argument("--grid", default=None, help="start:stop:steps")
-        p.add_argument("--s", type=float, default=None,
-                       help="quasiprobability order")
-        p.add_argument("--out", default=None, help="CSV output path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default check tolerance")
-        p.add_argument("--allow-nonpositive", action="store_true", default=None,
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--out", help="CSV output path")
+        p.add_argument("--allow-nonpositive", action="store_true",
                        help="accept indefinite trace-one operator files")
-        p.add_argument("--quadrature", default=None, metavar="R:THETA",
-                       help="radial:angular quadrature sizes")
-        p.add_argument("--config", default=None,
-                       help="key=value file; explicit flags win")
+        p.add_argument("--config",
+                       help="key=value file of this subcommand's flags; "
+                            "explicit flags win")
+        return p
 
-    p_verify = sub.add_parser("verify", help="run a named check battery")
-    common(p_verify)
+    p_verify = subcommand("verify", "run a named check battery", cmd_verify)
     p_verify.add_argument("--suite", choices=SUITES, default="all")
+    p_verify.add_argument("--grid", default="0:1:21",
+                          help="start:stop:steps, read by the purity and qcs suites")
+    p_verify.add_argument("--quadrature", default="80:128", metavar="R:THETA",
+                          help="radial:angular quadrature sizes")
 
-    p_sweep = sub.add_parser("sweep", help="tabulate observables against T")
-    common(p_sweep)
+    p_sweep = subcommand("sweep", "tabulate observables against T", cmd_sweep)
+    p_sweep.add_argument("--grid", default="0:1:21", help="start:stop:steps")
 
-    p_phase = sub.add_parser("phasespace", help="export a quasiprobability grid")
-    common(p_phase)
-    p_phase.add_argument("--T", dest="transmissivity", type=float, default=None)
-    p_phase.add_argument("--points", type=int, default=None)
-    p_phase.add_argument("--half-width", type=float, default=None)
+    p_phase = subcommand("phasespace", "export a quasiprobability grid",
+                         cmd_phasespace)
+    p_phase.add_argument("--s", type=float, default=0.0,
+                         help="quasiprobability order")
+    p_phase.add_argument("--T", dest="transmissivity", type=float)
+    p_phase.add_argument("--points", type=int)
+    p_phase.add_argument("--half-width", type=float)
 
-    p_conj = sub.add_parser("conjecture", help="run a conjecture scan")
-    common(p_conj)
+    p_conj = subcommand("conjecture", "run a conjecture scan", cmd_conjecture)
     p_conj.add_argument("--name", choices=CONJECTURES, default="log-convexity")
-    p_conj.add_argument("--phi", default=None,
-                        help="named pair operator for the witness: "
+    p_conj.add_argument("--grid",
+                        help="start:stop:steps (default -1:1:21 for unfairness, "
+                             "0:1:21 otherwise)")
+    p_conj.add_argument("--phi",
+                        help="named pair operator for the unfairness witness: "
                              + ", ".join(sorted(PAIR_BUILDERS)))
+
+    for name, values in (config or {}).items():
+        sub.choices[name].set_defaults(**config_defaults(sub.choices[name], values))
     return parser
 
 
-CONFIG_DEFAULTS = {
-    "states": "random:5",
-    "grid": "0:1:21",
-    "s": 0.0,
-    "seed": 7,
-    "allow_nonpositive": False,
-    "quadrature": "80:128",
-}
-
-CONFIG_CASTS = {
-    "s": float,
-    "seed": int,
-    "tol": float,
-    "transmissivity": float,
-    "points": int,
-    "half_width": float,
-    "allow_nonpositive": lambda v: str(v).lower() in ("1", "true", "yes", "on"),
-}
-
-
-def apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then from built-in defaults."""
-    file_values = read_config_file(args.config) if args.config else {}
-    args.grid_defaulted = args.grid is None and "grid" not in file_values
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
+def config_defaults(parser: argparse.ArgumentParser, values: dict) -> dict:
+    """Config-file values as defaults of parser's flags. A key is a flag's
+    destination (``--half-width`` is half_width, ``--T`` transmissivity);
+    each value is read by the flag's own type and choices, and a switch is
+    on for 1, true, yes or on."""
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    defaults = {}
+    for key, raw in values.items():
+        action = flags.get(key)
+        if action is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key) is None:
-            cast = CONFIG_CASTS.get(key, str)
-            try:
-                setattr(args, key, cast(raw))
-            except ValueError:
-                raise ConfigError(f"bad value for config key {key!r}") from None
-    for key, fallback in CONFIG_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, fallback)
-    return args
+        if action.nargs == 0:
+            defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
+            continue
+        try:
+            value = action.type(raw) if action.type else raw
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(raw)
+        except ValueError:
+            raise ConfigError(f"bad value for config key {key!r}") from None
+        defaults[action.dest] = value
+    return defaults
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = apply_config(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "phasespace":
-            return cmd_phasespace(args)
-        return cmd_conjecture(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        args = build_parser().parse_args(argv)
+        if args.config:
+            # parsed again with the file's values as defaults: explicit flags win
+            config = {args.command: read_config_file(args.config)}
+            args = build_parser(config).parse_args(argv)
+        return args.run(args)
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,6 +75,7 @@ def _scan(conjecture: str, items, grid, margins_on, tolerance: float,
         argmin={"state_id": worst[0], axis: worst[1]} if worst else {},
         rows=rows,
         violations=violations,
+        failed=sum(1 for _, _, m in rows if not m >= -tolerance),
         disposition="violation" if violations else clean,
     )
 
@@ -341,6 +342,5 @@ def fock_one_extended_range_report(transmissivity: float = 1.2) -> CheckReport:
         rhs=0.0,
         margin=margin,
         tolerance=SCAN_TOL,
-        passed=bool(margin >= -SCAN_TOL),
         claim="P P'' - (P')^2 >= 0 fails outside the physical range",
     )

@@ -183,7 +183,6 @@ def second_derivative_forms(state, transmissivity: float,
         rhs=poly_value,
         margin=float(margin),
         tolerance=FORM_TOL,
-        passed=bool(margin >= -FORM_TOL),
         claim="operator forms of d2P/dT2 agree; nonnegative for pure (all T) "
               "and mixed (T <= 1/2) inputs",
     )
@@ -286,7 +285,6 @@ def phase_space_derivative_check(state_like, transmissivity: float, k: int,
         rhs=operator_side,
         margin=float(margin),
         tolerance=tol,
-        passed=bool(margin >= -tol),
         claim="int P(a)P(b)|a-b|^(2k) e^(-T|a-b|^2) = (-1)^k d^k P/dT^k with "
               "convexity-pattern signs",
     )
@@ -368,7 +366,6 @@ def husimi_pair_from_states(rho: DensityOperator, sigma: DensityOperator,
         rhs=0.0,
         margin=float(margin),
         tolerance=QUAD_TOL,
-        passed=bool(margin >= -QUAD_TOL),
         claim="pair integral equals d Tr[rho_T sigma_T]/dT and is <= 0",
     )
 

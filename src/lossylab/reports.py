@@ -21,27 +21,27 @@ class CheckReport:
     rhs: float
     margin: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     claim: str = ""
 
     def __post_init__(self):
         # plain floats, so the CSV's repr never renders a NumPy scalar
         for name in ("lhs", "rhs", "margin", "tolerance"):
             setattr(self, name, float(getattr(self, name)))
+        # the one pass rule of every check; a NaN margin fails
+        self.passed = self.margin >= -self.tolerance
 
 
 def inequality_report(check_name, state_id, params, lhs, rhs, tolerance, claim="") -> CheckReport:
     """Report for a claim of the form lhs <= rhs; margin = rhs - lhs."""
-    margin = rhs - lhs
-    return CheckReport(check_name, state_id, dict(params), lhs, rhs, margin, tolerance,
-                       bool(margin >= -tolerance), claim)
+    return CheckReport(check_name, state_id, dict(params), lhs, rhs, rhs - lhs, tolerance,
+                       claim=claim)
 
 
 def equality_report(check_name, state_id, params, lhs, rhs, tolerance, claim="") -> CheckReport:
     """Report for a claim lhs = rhs; margin = -|lhs - rhs|."""
-    margin = -abs(lhs - rhs)
-    return CheckReport(check_name, state_id, dict(params), lhs, rhs, margin, tolerance,
-                       bool(margin >= -tolerance), claim)
+    return CheckReport(check_name, state_id, dict(params), lhs, rhs, -abs(lhs - rhs),
+                       tolerance, claim=claim)
 
 
 def format_params(params: dict) -> str:
@@ -77,7 +77,8 @@ def write_check_csv(path, reports) -> None:
 class ScanResult:
     """Outcome of a conjecture scan over a corpus and a parameter grid.
 
-    rows holds (state_id, grid_value, margin) triples; disposition is one of
+    rows holds (state_id, grid_value, margin) triples, and failed counts
+    the rows that fail at the scan's tolerance; disposition is one of
     "no-violation-found", "violation", "proven-case-verified", or "empty".
     A point fails unless margin >= -tolerance, so a NaN margin fails. The
     refinement protocol: a state with a failing point is re-scanned on a
@@ -95,6 +96,7 @@ class ScanResult:
     argmin: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)
+    failed: int = 0
     disposition: str = "no-violation-found"
 
     def __post_init__(self):

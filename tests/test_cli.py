@@ -297,8 +297,19 @@ def test_conjecture_counterexamples_exit_nonzero(capsys):
     assert run("conjecture", "--name", "unfairness", "--phi", "bell-like") == 1
     text = capsys.readouterr().out
     assert "violation" in text
+    # rows are counted at the scan's own tolerance, as the disposition is
+    assert text.strip().endswith("checks: 21 run, 0 passed, 21 failed")
     assert run("conjecture", "--name", "unfairness", "--phi", "separable-01") == 1
     assert run("conjecture", "--name", "unfairness", "--phi", "no-such-pair") == 2
+
+
+@pytest.mark.parametrize("name", ["log-convexity", "ell-log-convexity", "dark-port-g2"])
+def test_phi_applies_only_to_unfairness(name, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert run("conjecture", "--name", name, "--phi", "bell-like",
+               "--out", str(out)) == 2
+    assert "--phi applies only to --name unfairness" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _scan_margins(path):
@@ -342,6 +353,20 @@ def test_conjecture_scans_pass_on_random_corpus(capsys, tmp_path):
                "--states", "random:3", "--grid", "0.05:0.45:5") == 0
     assert run("conjecture", "--name", "dark-port-g2",
                "--states", "random:3", "--grid", "0:0.5:4") == 0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *[(command, "--s", "0.3") for command in ("verify", "sweep", "conjecture")],
+    *[(command, "--quadrature", "40:64")
+      for command in ("sweep", "phasespace", "conjecture")],
+    ("phasespace", "--grid", "0:1:3"),
+    *[(command, "--tol", "1")
+      for command in ("verify", "sweep", "phasespace", "conjecture")],
+])
+def test_flags_a_subcommand_does_not_read_exit_two(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(command, "--states", "fock:1", flag, value)
+    assert info.value.code == 2
 
 
 def test_malformed_arguments_exit_two(capsys):
@@ -413,6 +438,20 @@ def test_allow_nonpositive_keeps_a_positive_operator_file_physical(tmp_path, cap
                "--allow-nonpositive") == 0
 
 
+def test_indefinite_operator_file_fails_closed(tmp_path, capsys):
+    # let in by --allow-nonpositive, the operator still fails the purity
+    # battery: its dark-port coefficients go negative, and no flag loosens
+    # the check's tolerance
+    path = tmp_path / "indef.npy"
+    np.save(path, np.diag([2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0, 0.0]))
+    out = tmp_path / "checks.csv"
+    assert run("verify", "--suite", "purity", "--states", f"file:{path}",
+               "--allow-nonpositive", "--out", str(out)) == 1
+    with open(out, newline="") as fh:
+        failed = [r["check_name"] for r in csv.DictReader(fh) if r["pass"] == "false"]
+    assert failed == ["dark_coefficients"]
+
+
 def test_file_state_loading(tmp_path, capsys):
     vec = np.zeros(4)
     vec[1] = 1.0
@@ -470,6 +509,24 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no_such_key = 1\n")
     assert run("sweep", "--config", str(bad)) == 2
+
+    # a key must be a flag of the chosen subcommand; sweep has no --s
+    bad.write_text("s = 0.3\n")
+    assert run("sweep", "--config", str(bad)) == 2
+    assert "unknown config key 's'" in capsys.readouterr().err
+    # each value is read by its flag's own type
+    bad.write_text("seed = abc\n")
+    assert run("sweep", "--config", str(bad)) == 2
+    assert "bad value for config key 'seed'" in capsys.readouterr().err
+
+    # a false switch leaves positivity checked
+    path = tmp_path / "indef.npy"
+    np.save(path, np.diag([2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0, 0.0]))
+    off = tmp_path / "off.cfg"
+    off.write_text("allow_nonpositive = false\n")
+    assert run("verify", "--suite", "purity", "--states", f"file:{path}",
+               "--config", str(off)) == 2
+    assert "operator file rejected" in capsys.readouterr().err
 
 
 def test_deterministic_output(tmp_path):
