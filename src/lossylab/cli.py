@@ -5,21 +5,26 @@ CSV, ``sweep`` tabulates purity, entropies, coherence scale, and mean
 photon number against transmissivity, ``phasespace`` exports a
 quasiprobability grid, and ``conjecture`` runs the conjecture scans.
 Each subcommand takes only the flags it reads, and declares each default
-on its flag; a ``--config`` file's key=value pairs become the chosen
+on its flag; the one exception is that a ``verify`` suite that does not
+read ``--grid`` or ``--quadrature`` ignores it, so one command line runs
+any suite. ``conjecture --phi`` scans a named pair and refuses the state
+flags. A ``--config`` file's key=value pairs become the chosen
 subcommand's defaults, so explicit flags win and an unknown key is a
 configuration error. A check or scan row passes when its margin is
 >= -tolerance, so a NaN margin fails; each tolerance is fixed by its check,
 and no flag changes it.
 Exit status is 0 for success with no violations, 1 when any check or scan
 reports a violation or a scan has no rows, and 2 on configuration errors
-(including non-finite state entries). Identical
+(including non-finite state entries or parameters). Identical
 configuration and seed produce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
+import math
 import sys
 
 import numpy as np
@@ -56,6 +61,9 @@ PAIR_BUILDERS = {
     "separable-01": separable_01_pair,
     "twin-photon": twin_photon_pair,
 }
+# the state flags conjecture --phi reads none of, each with a default other
+# than its flag's
+PHI_UNREAD = {"states": "", "seed": "-1", "allow_nonpositive": "1"}
 
 
 class ConfigError(Exception):
@@ -132,11 +140,11 @@ def parse_states(spec: str, seed: int, allow_nonpositive: bool):
             out.append((item, make_fock(n, max(n + 2, 4))))
         elif head == "coherent":
             alpha = _as_complex(tail, item)
-            cutoff = max(int(np.ceil(abs(alpha) ** 2 + 9.0 * abs(alpha) + 8.0)), 8)
+            cutoff = _ladder_size(lambda: abs(alpha) ** 2 + 9.0 * abs(alpha) + 8.0, 8, item)
             out.append((item, make_coherent(alpha, cutoff)))
         elif head == "squeezed":
             r = _as_float(tail, item)
-            cutoff = max(int(np.ceil(16.0 * np.sinh(abs(r)) ** 2 + 12.0)), 12)
+            cutoff = _ladder_size(lambda: 16.0 * np.sinh(abs(r)) ** 2 + 12.0, 12, item)
             out.append((item, make_squeezed_vacuum(r, cutoff)))
         elif head == "random":
             parts = tail.split(":") if tail else ["1"]
@@ -170,16 +178,33 @@ def _as_int(text: str, context: str) -> int:
 
 def _as_float(text: str, context: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"bad number in {context!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number in {context!r}")
+    return value
 
 
 def _as_complex(text: str, context: str) -> complex:
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
         raise ConfigError(f"bad complex number in {context!r}") from None
+    if not cmath.isfinite(value):
+        raise ConfigError(f"non-finite number in {context!r}")
+    return value
+
+
+def _ladder_size(levels, floor: int, context: str) -> int:
+    """ceil(levels()), at least floor: the cutoff a state family sizes from
+    its parameter. A parameter too large for the sizing rule to evaluate is
+    a configuration error."""
+    try:
+        with np.errstate(over="raise"):
+            return max(math.ceil(levels()), floor)
+    except (OverflowError, FloatingPointError):
+        raise ConfigError(f"{context!r} is too large to size a ladder for") from None
 
 
 def read_config_file(path: str) -> dict:
@@ -549,13 +574,28 @@ def config_defaults(parser: argparse.ArgumentParser, values: dict) -> dict:
     return defaults
 
 
+def _refuse_state_flags_with_phi(declared, argv, config: dict) -> None:
+    """``conjecture --phi`` scans a named pair, so it refuses every state
+    flag, set on the command line or as a config key. ``declared`` is argv
+    parsed under the flags' declared defaults; parsed again under other
+    defaults, a flag that argv sets reads the same."""
+    probe = build_parser({"conjecture": PHI_UNREAD}).parse_args(argv)
+    given = ["--" + dest.replace("_", "-") for dest in PHI_UNREAD
+             if dest in config or getattr(declared, dest) == getattr(probe, dest)]
+    if given:
+        raise ConfigError(f"--phi scans a named pair and takes no {', '.join(given)}")
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        declared = args = build_parser().parse_args(argv)
+        config = {}
         if args.config:
             # parsed again with the file's values as defaults: explicit flags win
-            config = {args.command: read_config_file(args.config)}
-            args = build_parser(config).parse_args(argv)
+            config = read_config_file(args.config)
+            args = build_parser({args.command: config}).parse_args(argv)
+        if args.command == "conjecture" and args.phi is not None:
+            _refuse_state_flags_with_phi(declared, argv, config)
         return args.run(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

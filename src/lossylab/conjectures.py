@@ -27,7 +27,7 @@ import numpy as np
 
 from .fock import DensityOperator, make_fock
 from .purity import PurityPolynomial, pair_dark_populations, purity_polynomial
-from .reports import CheckReport, ScanResult, inequality_report
+from .reports import ScanResult
 
 SCAN_TOL = 1e-9
 PROVEN_TOL = 1e-10
@@ -105,19 +105,10 @@ def _log_convexity_margins(poly: PurityPolynomial, t_grid: np.ndarray) -> np.nda
             - poly.derivative(t_grid, 1) ** 2)
 
 
-def log_convexity_scan(rho1: DensityOperator, t_grid, state_id: str = "state",
-                       tolerance: float = SCAN_TOL) -> ScanResult:
-    """Scan P * P'' - (P')^2 >= 0 over a transmissivity grid.
-
-    Margins come from exact polynomial derivatives, so a negative value is
-    a property of the operator, not of quadrature; the refinement step
-    locates the minimum more precisely before declaring a violation.
-    """
-    return log_convexity_corpus([(state_id, rho1)], t_grid, tolerance)
-
-
 def log_convexity_corpus(states, t_grid, tolerance: float = SCAN_TOL) -> ScanResult:
-    """Run the log-convexity scan over many (state_id, operator) pairs."""
+    """Scan P * P'' - (P')^2 >= 0 over (state_id, operator) pairs and a T
+    grid. Margins are exact polynomial derivatives, so a negative one is a
+    property of the operator, not of quadrature."""
     polys = ((state_id, purity_polynomial(rho1)) for state_id, rho1 in states)
     return _scan("log_convexity", polys, t_grid, _log_convexity_margins, tolerance)
 
@@ -138,28 +129,14 @@ def _ell_sides(q: np.ndarray, transmissivity: float) -> tuple:
     return float(first ** 2), float((q @ w) * (q @ (m * m * w)))
 
 
-def ell_log_convexity_check(rho1: DensityOperator, transmissivity: float,
-                            state_id: str = "") -> CheckReport:
-    """Second-moment bound on the tilted dark-port distribution.
-
-    With q the difference-port number distribution of the twin pair and
-    w = 1 - 2T the tilt base, (sum q m w^m)^2 <= (sum q w^m)(sum q m^2 w^m).
-    This is a proven Cauchy-Schwarz case and must pass for every state.
-    """
-    lhs, rhs = _ell_sides(fair_pair(rho1), transmissivity)
-    return inequality_report(
-        "ell_log_convexity", state_id, {"T": float(transmissivity)}, lhs, rhs,
-        PROVEN_TOL,
-        claim="tilted dark-port first moment squared <= zeroth times second",
-    )
-
-
 def _ell_margins(q: np.ndarray, t_grid: np.ndarray) -> list:
     return [rhs - lhs for lhs, rhs in (_ell_sides(q, t) for t in t_grid)]
 
 
 def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
-    """The proven tilt bound over (state_id, operator) pairs and a T grid."""
+    """The proven Cauchy-Schwarz bound (sum q m w^m)^2 <= (sum q w^m)(sum q m^2 w^m),
+    w = 1 - 2T, on the difference-port distribution q of the twin pair of each
+    (state_id, operator) pair, over a grid of T < 1/2: it must pass for every state."""
     qs = ((state_id, fair_pair(rho1)) for state_id, rho1 in states)
     return _scan("ell_log_convexity", qs, t_grid, _ell_margins, PROVEN_TOL,
                  clean="proven-case-verified")
@@ -170,32 +147,14 @@ def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def unfairness_witness(q: np.ndarray, lam: float,
-                       state_id: str = "") -> CheckReport:
-    """Moment witness on a difference-port distribution q.
-
-    With q_m the difference-port populations, the claim for fair mixtures
-    of twin pairs is
-        (sum q_m m lam^(m-1))^2 <= (sum q_m lam^m)(sum q_m m(m-1) lam^(m-2)).
-    Powers are kept factored through the m and m(m-1) weights, so m = 0, 1
-    terms vanish identically and lam = 0 is safe. Operators that cannot be
-    written as such mixtures may fail; a negative margin witnesses that.
-    """
-    lhs, rhs = _witness_sides(q, lam)
-    return inequality_report(
-        "unfairness_witness", state_id, {"lambda": float(lam)}, lhs, rhs,
-        PROVEN_TOL,
-        claim="difference-port tilted moments satisfy the fair-mixture bound",
-    )
-
-
 def _witness_sides(q: np.ndarray, lam: float) -> tuple:
     zeroth, first, second = _tilted_moments(q, lam)
     return first ** 2, zeroth * second
 
 
 def _tilted_moments(q: np.ndarray, lam: float) -> tuple:
-    """(sum q_m lam^m, sum q_m m lam^(m-1), sum q_m m(m-1) lam^(m-2))."""
+    """(sum q_m lam^m, sum q_m m lam^(m-1), sum q_m m(m-1) lam^(m-2)), with the
+    powers factored through the m and m(m-1) weights, so lam = 0 is safe."""
     if not abs(lam) <= 1.0:
         raise ValueError("the tilt parameter must satisfy |lam| <= 1")
     m = np.arange(q.size, dtype=float)
@@ -247,8 +206,10 @@ def _witness_margins(q: np.ndarray, lam_grid: np.ndarray) -> list:
 
 
 def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL) -> ScanResult:
-    """Evaluate the witness over (state_id, q) pairs, q a difference-port
-    distribution, and a lam grid inside [-1, 1]."""
+    """Moment witness over (state_id, q) pairs, q a difference-port
+    distribution, and a lam grid inside [-1, 1]. Fair mixtures of twin pairs
+    satisfy (sum q_m m lam^(m-1))^2 <= (sum q_m lam^m)(sum q_m m(m-1) lam^(m-2));
+    a negative margin witnesses an operator that is not one."""
     return _scan("unfairness_witness", pairs, lam_grid, _witness_margins, tolerance,
                  axis="lambda", unit="pairs")
 
@@ -256,28 +217,6 @@ def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL) -> ScanResult:
 # ---------------------------------------------------------------------------
 # dark-port statistics
 # ---------------------------------------------------------------------------
-
-
-def g2(rho: DensityOperator):
-    """Second-order correlation Tr[rho N(N-1)] / Tr[rho N]^2, or None when
-    the mean photon number is numerically zero."""
-    return g_factorial(rho, 2)
-
-
-def g_factorial(rho: DensityOperator, order: int):
-    """Normalized factorial moment Tr[rho N(N-1)...(N-order+1)] / <N>^order,
-    or None when the mean photon number is numerically zero."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    n_diag = np.arange(rho.cutoff, dtype=float)
-    pops = np.diag(rho.matrix).real
-    mean_n = float(pops @ n_diag)
-    if mean_n <= MEAN_N_FLOOR:
-        return None
-    fact = np.ones_like(n_diag)
-    for j in range(order):
-        fact *= np.clip(n_diag - j, 0.0, None)
-    return float(pops @ fact) / mean_n ** order
 
 
 def _g2_margin(q: np.ndarray, transmissivity: float):
@@ -310,37 +249,3 @@ def dark_port_g2_scan(states, t_grid, tolerance: float = G2_TOL) -> ScanResult:
         raise ValueError("the dark-port g2 scan needs 0 <= T <= 1/2")
     qs = ((state_id, _dark_port_q(rho1)) for state_id, rho1 in states)
     return _scan("dark_port_g2", qs, grid, _g2_margins, tolerance)
-
-
-# ---------------------------------------------------------------------------
-# reference counterexample operators
-# ---------------------------------------------------------------------------
-
-
-def indefinite_convex_operator(cutoff: int = 4) -> DensityOperator:
-    """diag(2/3, -1/3, 2/3, 0, ...): unit trace but not positive, yet it
-    passes every convexity and log-convexity scan on (0, 1). It shows the
-    scans cannot certify positivity."""
-    if cutoff < 3:
-        raise ValueError("need at least three levels")
-    diag = np.zeros(cutoff)
-    diag[:3] = [2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]
-    return DensityOperator(np.diag(diag).astype(complex), cutoff, physical=False)
-
-
-def fock_one_extended_range_report(transmissivity: float = 1.2) -> CheckReport:
-    """Log-convexity margin of the single photon at a transmissivity outside
-    [0, 1], where the inequality is known to fail."""
-    rho = make_fock(1, 4).density()
-    poly = purity_polynomial(rho)
-    margin = float(_log_convexity_margins(poly, np.array([transmissivity]))[0])
-    return CheckReport(
-        check_name="log_convexity_extended",
-        state_id="fock:1",
-        params={"T": float(transmissivity)},
-        lhs=margin,
-        rhs=0.0,
-        margin=margin,
-        tolerance=SCAN_TOL,
-        claim="P P'' - (P')^2 >= 0 fails outside the physical range",
-    )

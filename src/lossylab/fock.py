@@ -323,9 +323,3 @@ def splitter_blocks(count: int, transmissivity: float):
                      + t_root[n::-1, None] * right[1:] - r_root[: n + 1, None] * right[:-1])
             block /= n
         yield _readonly(block)
-
-
-def beam_splitter_block(n: int, transmissivity: float) -> np.ndarray:
-    """Block n of ``splitter_blocks``: real, read-only, rebuilt on each call."""
-    *_, block = splitter_blocks(n + 1, transmissivity)
-    return block

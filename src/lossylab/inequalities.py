@@ -17,8 +17,7 @@ from numpy.polynomial import polynomial as npoly
 from .fock import DensityOperator, PureState, make_coherent, mode_operators, thermal_state
 from .loss import apply_loss, loss_path
 from .phasespace import Quadrature2D, quasi_prob
-from .purity import (PurityPolynomial, lossy_overlap, overlap_polynomial,
-                     purity_polynomial)
+from .purity import lossy_overlap, overlap_polynomial, purity_polynomial
 from .reports import CheckReport, equality_report, inequality_report
 
 EXACT_TOL = 1e-10

@@ -1,4 +1,4 @@
-"""Pure-loss channel on the truncated ladder: binomial kernel, generator, composition.
+"""Pure-loss channel on the truncated ladder: one binomial kernel over a grid of T.
 
 The channel with transmissivity T keeps each photon with probability T, so
 a matrix element moves down its diagonal by the number j of photons lost:
@@ -23,8 +23,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .fock import DensityOperator, mode_operators
-from .reports import CheckReport, equality_report
+from .fock import DensityOperator
 
 # matrix entries per block of T: bounds the kernel's working set at
 # 128 KiB per complex stack, whatever the grid length
@@ -93,44 +92,3 @@ def loss_path(rho: DensityOperator, transmissivities) -> Iterator[DensityOperato
 def apply_loss(rho: DensityOperator, transmissivity: float) -> DensityOperator:
     """E_T[rho] at one T: the one-point ``loss_path``."""
     return next(loss_path(rho, [transmissivity]))
-
-
-def loss_generator(rho_t: DensityOperator, transmissivity: float) -> np.ndarray:
-    """d(rho_T)/dT = -(1/2T)(2 a rho a^dag - a^dag a rho - rho a^dag a)."""
-    t = float(transmissivity)
-    if t <= 0.0:
-        raise ValueError("the generator is singular at T = 0")
-    ops = mode_operators(rho_t.cutoff)
-    m = rho_t.matrix
-    lind = 2.0 * (ops.annihilate @ m @ ops.create) - ops.number @ m - m @ ops.number
-    return -lind / (2.0 * t)
-
-
-def multiplicativity_check(rho: DensityOperator, t1: float, t2: float) -> CheckReport:
-    """E_{t1} after E_{t2} equals E_{t1 t2}; deviation in max norm."""
-    lhs = apply_loss(apply_loss(rho, t2), t1)
-    rhs = apply_loss(rho, t1 * t2)
-    dev = float(np.max(np.abs(lhs.matrix - rhs.matrix)))
-    return equality_report(
-        "loss_multiplicativity", "", {"t1": t1, "t2": t2}, dev, 0.0, 1e-10,
-        claim="max |E_t1[E_t2[rho]] - E_{t1 t2}[rho]| = 0",
-    )
-
-
-def transmission_from_decay(gamma_t: float) -> float:
-    """T = exp(-gamma t) for exponential amplitude decay."""
-    if gamma_t < 0:
-        raise ValueError("decay exponent must be nonnegative")
-    return float(np.exp(-gamma_t))
-
-
-def transmission_from_angle(theta: float) -> float:
-    """T = cos(theta/2)^2 for a beam-splitter mixing angle."""
-    return float(np.cos(theta / 2.0) ** 2)
-
-
-def transmission_from_efficiency(eta: float) -> float:
-    """Detector efficiency is already a transmissivity."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("efficiency must lie in [0, 1]")
-    return float(eta)

@@ -20,8 +20,6 @@ import numpy as np
 
 from ._special import eval_genlaguerre, gammaln, roots_laguerre
 from .fock import DensityOperator, displacement_matrix
-from .loss import apply_loss
-from .reports import CheckReport, equality_report
 
 IMAG_TOL = 1e-9
 
@@ -215,44 +213,6 @@ class QuasiProbGrid:
 def quasi_prob_grid(rho: DensityOperator, s: float, grid: GridSpec) -> QuasiProbGrid:
     values = quasi_prob(rho, grid.alphas(), s)
     return QuasiProbGrid(grid, s, values.reshape(grid.n, grid.n))
-
-
-# ---------------------------------------------------------------------------
-# loss identities
-# ---------------------------------------------------------------------------
-
-
-def loss_identity_quasi(rho1: DensityOperator, transmissivity: float, alpha: complex,
-                        s: float) -> CheckReport:
-    """P of the lossy state equals a rescaled P of the input at a shifted order."""
-    t = float(transmissivity)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
-    s_shift = (s + t - 1.0) / t
-    if s >= 1.0 or s_shift >= 1.0:
-        raise ValueError("both orders must stay below 1")
-    lhs = quasi_prob(apply_loss(rho1, t), alpha, s)
-    rhs = quasi_prob(rho1, alpha / np.sqrt(t), s_shift) / t
-    return equality_report(
-        "loss_identity_quasiprob", "", {"T": t, "s": s, "alpha": str(alpha)},
-        lhs, rhs, 1e-9,
-        claim="P_lossy(alpha, s) = P_in(alpha/sqrt(T), (s+T-1)/T) / T",
-    )
-
-
-def loss_identity_chi(rho1: DensityOperator, transmissivity: float, alpha: complex,
-                      s: float) -> CheckReport:
-    t = float(transmissivity)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
-    lhs = char_fn(apply_loss(rho1, t), alpha, s)
-    rhs = char_fn(rho1, np.sqrt(t) * alpha, (s + t - 1.0) / t)
-    dev = abs(lhs - rhs)
-    return equality_report(
-        "loss_identity_charfn", "", {"T": t, "s": s, "alpha": str(alpha)},
-        dev, 0.0, 1e-9,
-        claim="chi_lossy(alpha, s) = chi_in(sqrt(T) alpha, (s+T-1)/T); deviation reported",
-    )
 
 
 # ---------------------------------------------------------------------------

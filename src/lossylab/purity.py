@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .fock import DensityOperator, PureState, block_indices, splitter_blocks
-from .loss import _binomial_table, _t_blocks, apply_loss, loss_path
+from .loss import _binomial_table, apply_loss, loss_path
 
 EIG_FLOOR = 1e-14
 NEGATIVE_EIG_LIMIT = -1e-8
@@ -130,7 +130,7 @@ def min_purity_pure(psi: PureState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# overlaps, mutual information, closed forms
+# overlaps and mutual information
 # ---------------------------------------------------------------------------
 
 
@@ -154,14 +154,3 @@ def mutual_information_bs(rho: DensityOperator, transmissivity: float) -> float:
     t = float(transmissivity)
     h_a, h_b = (von_neumann(out) for out in loss_path(rho, [t, 1.0 - t]))
     return h_a + h_b - von_neumann(rho)
-
-
-def fock_purity_closed_form(n: int, transmissivity):
-    """Purity of a lossy number state, sum_k (C(n, k) T^k (1-T)^(n-k))^2, valid
-    for any real transmissivity; each binomial row comes from Pascal's rule."""
-    t = np.asarray(transmissivity, dtype=float)
-    flat = t.ravel()
-    acc = np.empty(flat.size)
-    for block in _t_blocks(flat.size, n + 1):
-        acc[block] = np.sum(_binomial_table(flat[block], n + 1)[:, n] ** 2, axis=-1)
-    return float(acc[0]) if t.ndim == 0 else acc.reshape(t.shape)

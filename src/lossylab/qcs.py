@@ -3,8 +3,7 @@
 C^2 is the mean-square quadrature commutator normalized by purity. Routes: commutator
 (definition), purity-rate (response of Tr[rho_T^2] to loss), two-copy (swap expectation per
 total-photon-number block), and a Lindblad moment form; the first and third are exact on the
-zero-padded state, as a and a1 - a2 lower the photon number by one. A fifth route integrates
-position/momentum kernels on a grid (accuracy ~1e-4); all others agree to ~1e-8.
+zero-padded state, as a and a1 - a2 lower the photon number by one. All four agree to ~1e-8.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, PureState, mode_operators
-from .loss import loss_path
+from .fock import DensityOperator, mode_operators
 from .purity import PurityPolynomial, purity
 
 ROUTE_COMMUTATOR = "commutator"
@@ -95,55 +93,3 @@ def qcs_lindblad(rho_t: DensityOperator) -> QcsResult:
     term_n = float(np.einsum("ij,ji->", ops.number @ m, m).real)
     term_a = float(np.einsum("ij,ji->", ops.annihilate @ m @ ops.create, m).real)
     return QcsResult(2.0 / p * (term_n - term_a) + 1.0, ROUTE_LINDBLAD, p)
-
-
-def qcs_lindblad_pure_variant(psi: PureState, transmissivity: float) -> QcsResult:
-    """For a pure input: C^2 = (2T/P)(Tr[N rho_T^2]/T - Tr[N rho_{1-T}^2]/(1-T)) + 1.
-
-    Valid only when the unlossed state is pure; the complementary-output
-    moment replaces the sandwiched ladder term of the general route.
-    """
-    t = float(transmissivity)
-    if not 0.0 < t < 1.0:
-        raise ValueError("the pure-input variant needs T strictly inside (0, 1)")
-    rho1 = psi.density()
-    ops = mode_operators(rho1.cutoff)
-    m_t, m_r = (rho.matrix for rho in loss_path(rho1, [t, 1.0 - t]))
-    p = float(np.einsum("ij,ji->", m_t, m_t).real)
-    mom_t = float(np.einsum("ij,ji->", ops.number @ m_t, m_t).real)
-    mom_r = float(np.einsum("ij,ji->", ops.number @ m_r, m_r).real)
-    val = 2.0 * t / p * (mom_t / t - mom_r / (1.0 - t)) + 1.0
-    return QcsResult(val, ROUTE_LINDBLAD, p)
-
-
-def qcs_kernel_form(rho: DensityOperator, x_max: float | None = None,
-                    n_points: int = 401) -> QcsResult:
-    """C^2 from position/momentum kernels on a trapezoid grid:
-    (1/2P) [ iint (x-x')^2 |rho(x,x')|^2 + iint (p-p')^2 |rho(p,p')|^2 ].
-    """
-    c = rho.cutoff
-    if x_max is None:
-        x_max = 6.0 + np.sqrt(rho.support() + 1.0)
-    xs = np.linspace(-x_max, x_max, n_points)
-    dx = xs[1] - xs[0]
-    # Hermite functions phi_n(x) by the stable two-term recurrence
-    phi = np.zeros((n_points, c))
-    phi[:, 0] = np.pi ** (-0.25) * np.exp(-xs ** 2 / 2.0)
-    if c > 1:
-        phi[:, 1] = np.sqrt(2.0) * xs * phi[:, 0]
-    for n in range(2, c):
-        phi[:, n] = (np.sqrt(2.0 / n) * xs * phi[:, n - 1]
-                     - np.sqrt((n - 1.0) / n) * phi[:, n - 2])
-    w = np.full(n_points, dx)
-    w[0] = w[-1] = dx / 2.0
-    diff_sq = (xs[:, None] - xs[None, :]) ** 2
-    total = 0.0
-    for momentum in (False, True):
-        m = rho.matrix
-        if momentum:
-            phase = (-1j) ** np.arange(c)
-            m = (phase[:, None] * m) * phase.conj()[None, :]
-        kernel = phi @ m @ phi.T
-        total += float(np.sum((w[:, None] * w[None, :]) * diff_sq * np.abs(kernel) ** 2))
-    p = purity(rho)
-    return QcsResult(total / (2.0 * p), "kernel", p)

@@ -5,10 +5,14 @@ from scipy.linalg import expm
 from scipy.ndimage import convolve1d
 from scipy.special import eval_genlaguerre, gammaln, hyp2f1
 
-from lossylab.fock import DensityOperator, mode_operators, random_mixed, random_pure
+from lossylab.conjectures import MEAN_N_FLOOR
+from lossylab.fock import (DensityOperator, PureState, mode_operators, random_mixed,
+                           random_pure)
 from lossylab.inequalities import EXACT_TOL
-from lossylab.phasespace import QuasiProbGrid
-from lossylab.purity import fock_purity_closed_form
+from lossylab.loss import _binomial_table, _t_blocks, apply_loss, loss_path
+from lossylab.phasespace import QuasiProbGrid, char_fn, quasi_prob
+from lossylab.purity import purity
+from lossylab.qcs import ROUTE_LINDBLAD, QcsResult
 from lossylab.reports import CheckReport, equality_report
 
 # CI selects this with --hypothesis-profile=ci: a failure prints the blob
@@ -417,8 +421,23 @@ def displacement_oracle():
     return per_element_displacement
 
 
-# A second closed form for the lossy Fock purity; the library keeps only the
-# binomial-square route, so this check lives with the tests.
+def fock_purity_closed_form(n: int, transmissivity):
+    """Purity of a lossy number state, sum_k (C(n, k) T^k (1-T)^(n-k))^2, valid
+    for any real transmissivity; each binomial row comes from Pascal's rule."""
+    t = np.asarray(transmissivity, dtype=float)
+    flat = t.ravel()
+    acc = np.empty(flat.size)
+    for block in _t_blocks(flat.size, n + 1):
+        acc[block] = np.sum(_binomial_table(flat[block], n + 1)[:, n] ** 2, axis=-1)
+    return float(acc[0]) if t.ndim == 0 else acc.reshape(t.shape)
+
+
+@pytest.fixture(name="fock_purity_closed_form", scope="session")
+def fock_purity_closed_form_fixture():
+    return fock_purity_closed_form
+
+
+# A second closed form for the lossy Fock purity, checked against the first.
 def fock_hypergeometric_identity(n: int, t_grid=None, state_id: str = "") -> CheckReport:
     """Lossy Fock purity equals (1-T)^(2n) 2F1(-n, -n; 1; T^2/(T-1)^2), a
     function convex in T and symmetric about T = 1/2."""
@@ -436,3 +455,177 @@ def fock_hypergeometric_identity(n: int, t_grid=None, state_id: str = "") -> Che
         deviation, 0.0, EXACT_TOL,
         claim="binomial-square Fock purity = (1-T)^(2n) 2F1(-n,-n;1;T^2/(T-1)^2)",
     )
+
+
+def loss_generator(rho_t: DensityOperator, transmissivity: float) -> np.ndarray:
+    """d(rho_T)/dT = -(1/2T)(2 a rho a^dag - a^dag a rho - rho a^dag a)."""
+    t = float(transmissivity)
+    if t <= 0.0:
+        raise ValueError("the generator is singular at T = 0")
+    ops = mode_operators(rho_t.cutoff)
+    m = rho_t.matrix
+    lind = 2.0 * (ops.annihilate @ m @ ops.create) - ops.number @ m - m @ ops.number
+    return -lind / (2.0 * t)
+
+
+@pytest.fixture(name="loss_generator", scope="session")
+def loss_generator_fixture():
+    return loss_generator
+
+
+def multiplicativity_check(rho: DensityOperator, t1: float, t2: float) -> CheckReport:
+    """E_{t1} after E_{t2} equals E_{t1 t2}; deviation in max norm."""
+    lhs = apply_loss(apply_loss(rho, t2), t1)
+    rhs = apply_loss(rho, t1 * t2)
+    dev = float(np.max(np.abs(lhs.matrix - rhs.matrix)))
+    return equality_report(
+        "loss_multiplicativity", "", {"t1": t1, "t2": t2}, dev, 0.0, 1e-10,
+        claim="max |E_t1[E_t2[rho]] - E_{t1 t2}[rho]| = 0",
+    )
+
+
+@pytest.fixture(name="multiplicativity_check", scope="session")
+def multiplicativity_check_fixture():
+    return multiplicativity_check
+
+
+def loss_identity_quasi(rho1: DensityOperator, transmissivity: float, alpha: complex,
+                        s: float) -> CheckReport:
+    """P of the lossy state equals a rescaled P of the input at a shifted order."""
+    t = float(transmissivity)
+    if not 0.0 < t <= 1.0:
+        raise ValueError("transmissivity must lie in (0, 1]")
+    s_shift = (s + t - 1.0) / t
+    if s >= 1.0 or s_shift >= 1.0:
+        raise ValueError("both orders must stay below 1")
+    lhs = quasi_prob(apply_loss(rho1, t), alpha, s)
+    rhs = quasi_prob(rho1, alpha / np.sqrt(t), s_shift) / t
+    return equality_report(
+        "loss_identity_quasiprob", "", {"T": t, "s": s, "alpha": str(alpha)},
+        lhs, rhs, 1e-9,
+        claim="P_lossy(alpha, s) = P_in(alpha/sqrt(T), (s+T-1)/T) / T",
+    )
+
+
+@pytest.fixture(name="loss_identity_quasi", scope="session")
+def loss_identity_quasi_fixture():
+    return loss_identity_quasi
+
+
+def loss_identity_chi(rho1: DensityOperator, transmissivity: float, alpha: complex,
+                      s: float) -> CheckReport:
+    t = float(transmissivity)
+    if not 0.0 < t <= 1.0:
+        raise ValueError("transmissivity must lie in (0, 1]")
+    lhs = char_fn(apply_loss(rho1, t), alpha, s)
+    rhs = char_fn(rho1, np.sqrt(t) * alpha, (s + t - 1.0) / t)
+    dev = abs(lhs - rhs)
+    return equality_report(
+        "loss_identity_charfn", "", {"T": t, "s": s, "alpha": str(alpha)},
+        dev, 0.0, 1e-9,
+        claim="chi_lossy(alpha, s) = chi_in(sqrt(T) alpha, (s+T-1)/T); deviation reported",
+    )
+
+
+@pytest.fixture(name="loss_identity_chi", scope="session")
+def loss_identity_chi_fixture():
+    return loss_identity_chi
+
+
+def qcs_kernel_form(rho: DensityOperator, x_max: float | None = None,
+                    n_points: int = 401) -> QcsResult:
+    """C^2 from position/momentum kernels on a trapezoid grid:
+    (1/2P) [ iint (x-x')^2 |rho(x,x')|^2 + iint (p-p')^2 |rho(p,p')|^2 ].
+    """
+    c = rho.cutoff
+    if x_max is None:
+        x_max = 6.0 + np.sqrt(rho.support() + 1.0)
+    xs = np.linspace(-x_max, x_max, n_points)
+    dx = xs[1] - xs[0]
+    # Hermite functions phi_n(x) by the stable two-term recurrence
+    phi = np.zeros((n_points, c))
+    phi[:, 0] = np.pi ** (-0.25) * np.exp(-xs ** 2 / 2.0)
+    if c > 1:
+        phi[:, 1] = np.sqrt(2.0) * xs * phi[:, 0]
+    for n in range(2, c):
+        phi[:, n] = (np.sqrt(2.0 / n) * xs * phi[:, n - 1]
+                     - np.sqrt((n - 1.0) / n) * phi[:, n - 2])
+    w = np.full(n_points, dx)
+    w[0] = w[-1] = dx / 2.0
+    diff_sq = (xs[:, None] - xs[None, :]) ** 2
+    total = 0.0
+    for momentum in (False, True):
+        m = rho.matrix
+        if momentum:
+            phase = (-1j) ** np.arange(c)
+            m = (phase[:, None] * m) * phase.conj()[None, :]
+        kernel = phi @ m @ phi.T
+        total += float(np.sum((w[:, None] * w[None, :]) * diff_sq * np.abs(kernel) ** 2))
+    p = purity(rho)
+    return QcsResult(total / (2.0 * p), "kernel", p)
+
+
+@pytest.fixture(name="qcs_kernel_form", scope="session")
+def qcs_kernel_form_fixture():
+    return qcs_kernel_form
+
+
+def qcs_lindblad_pure_variant(psi: PureState, transmissivity: float) -> QcsResult:
+    """For a pure input: C^2 = (2T/P)(Tr[N rho_T^2]/T - Tr[N rho_{1-T}^2]/(1-T)) + 1.
+
+    Valid only when the unlossed state is pure; the complementary-output
+    moment replaces the sandwiched ladder term of the general route.
+    """
+    t = float(transmissivity)
+    if not 0.0 < t < 1.0:
+        raise ValueError("the pure-input variant needs T strictly inside (0, 1)")
+    rho1 = psi.density()
+    ops = mode_operators(rho1.cutoff)
+    m_t, m_r = (rho.matrix for rho in loss_path(rho1, [t, 1.0 - t]))
+    p = float(np.einsum("ij,ji->", m_t, m_t).real)
+    mom_t = float(np.einsum("ij,ji->", ops.number @ m_t, m_t).real)
+    mom_r = float(np.einsum("ij,ji->", ops.number @ m_r, m_r).real)
+    val = 2.0 * t / p * (mom_t / t - mom_r / (1.0 - t)) + 1.0
+    return QcsResult(val, ROUTE_LINDBLAD, p)
+
+
+@pytest.fixture(name="qcs_lindblad_pure_variant", scope="session")
+def qcs_lindblad_pure_variant_fixture():
+    return qcs_lindblad_pure_variant
+
+
+def g_factorial(rho: DensityOperator, order: int):
+    """Normalized factorial moment Tr[rho N(N-1)...(N-order+1)] / <N>^order,
+    or None when the mean photon number is numerically zero."""
+    if order < 1:
+        raise ValueError("order must be a positive integer")
+    n_diag = np.arange(rho.cutoff, dtype=float)
+    pops = np.diag(rho.matrix).real
+    mean_n = float(pops @ n_diag)
+    if mean_n <= MEAN_N_FLOOR:
+        return None
+    fact = np.ones_like(n_diag)
+    for j in range(order):
+        fact *= np.clip(n_diag - j, 0.0, None)
+    return float(pops @ fact) / mean_n ** order
+
+
+@pytest.fixture(name="g_factorial", scope="session")
+def g_factorial_fixture():
+    return g_factorial
+
+
+def indefinite_convex_operator(cutoff: int = 4) -> DensityOperator:
+    """diag(2/3, -1/3, 2/3, 0, ...): unit trace but not positive, yet it
+    passes every convexity and log-convexity scan on (0, 1). It shows the
+    scans cannot certify positivity."""
+    if cutoff < 3:
+        raise ValueError("need at least three levels")
+    diag = np.zeros(cutoff)
+    diag[:3] = [2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0]
+    return DensityOperator(np.diag(diag).astype(complex), cutoff, physical=False)
+
+
+@pytest.fixture(name="indefinite_convex_operator", scope="session")
+def indefinite_convex_operator_fixture():
+    return indefinite_convex_operator

@@ -9,12 +9,11 @@ import time
 import numpy as np
 import pytest
 
+from conftest import indefinite_convex_operator, qcs_kernel_form
 from lossylab.conjectures import (bell_like_pair, dark_port_g2_scan,
                                   ell_log_convexity_corpus, fair_pair,
-                                  indefinite_convex_operator,
-                                  log_convexity_corpus, log_convexity_scan,
-                                  separable_01_pair, unfairness_scan,
-                                  unfairness_witness)
+                                  log_convexity_corpus, separable_01_pair,
+                                  unfairness_scan)
 from lossylab.fock import make_coherent, make_fock, random_mixed, random_pure
 from lossylab.inequalities import (bernstein_check, cauchy_schwarz_ladder,
                                    husimi_pair_check, isotropic_gaussian,
@@ -31,8 +30,8 @@ from lossylab.phasespace import (GridSpec, Quadrature2D, laplace_purity,
                                  quasi_prob_grid)
 from lossylab.purity import (mutual_information_bs, pair_dark_populations,
                              purity, purity_polynomial, von_neumann)
-from lossylab.qcs import (qcs_commutator, qcs_kernel_form, qcs_lindblad,
-                          qcs_purity_rate, qcs_two_copy)
+from lossylab.qcs import (qcs_commutator, qcs_lindblad, qcs_purity_rate,
+                          qcs_two_copy)
 
 
 def _verdict(label: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -235,24 +234,24 @@ def test_criterion_11_counterexamples_bit_stable():
     start = time.perf_counter()
     ok = True
     lams = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    bell_margins = [unfairness_witness(bell_like_pair(), lam).margin
-                    for lam in lams]
+    bell_margins = [m for *_, m in
+                    unfairness_scan([("bell-like", bell_like_pair())], lams).rows]
     ok &= all(abs(m + 0.25) <= 1e-12 for m in bell_margins)
-    ok &= bell_margins == [unfairness_witness(bell_like_pair(), lam).margin
-                           for lam in lams]
-    sep_margins = [unfairness_witness(separable_01_pair(), lam).margin
-                   for lam in lams]
+    ok &= bell_margins == [m for *_, m in
+                           unfairness_scan([("bell-like", bell_like_pair())], lams).rows]
+    sep_margins = [m for *_, m in
+                   unfairness_scan([("separable-01", separable_01_pair())], lams).rows]
     ok &= all(abs(m + 1.0) <= 1e-12 for m in sep_margins)
-    ok &= sep_margins == [unfairness_witness(separable_01_pair(), lam).margin
-                          for lam in lams]
+    ok &= sep_margins == [m for *_, m in
+                          unfairness_scan([("separable-01", separable_01_pair())], lams).rows]
     one = make_fock(1, 2).density()
-    ext = log_convexity_scan(one, np.linspace(1.05, 1.5, 10))
+    ext = log_convexity_corpus([("fock:1", one)], np.linspace(1.05, 1.5, 10))
     ok &= ext.disposition == "violation"
     sigma = indefinite_convex_operator()
     ok &= sigma.physical is False
     ok &= float(np.linalg.eigvalsh(sigma.matrix).min()) < -1e-3
     ok &= abs(float(np.trace(sigma.matrix).real) - 1.0) <= 1e-12
-    res = log_convexity_scan(sigma, np.linspace(0.01, 0.99, 25))
+    res = log_convexity_corpus([("indefinite", sigma)], np.linspace(0.01, 0.99, 25))
     ok &= res.disposition == "no-violation-found"
     _verdict("criterion 11 counterexamples reproduced bit-stably", ok,
              time.perf_counter() - start, 10.0)

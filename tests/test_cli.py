@@ -312,6 +312,26 @@ def test_phi_applies_only_to_unfairness(name, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config", [
+    (("--states", "nosuch:3"), ""),
+    (("--seed", "7"), ""),
+    (("--allow-nonpositive",), ""),
+    ((), "states = random:5\n"),
+    ((), "seed = 7\n"),
+    ((), "allow-nonpositive = no\n"),
+])
+def test_phi_refuses_state_flags(flags, config, tmp_path, capsys):
+    # --phi scans a named pair, so a state flag it would not read is refused,
+    # even one set to its default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "scan.csv"
+    assert run("conjecture", "--name", "unfairness", "--phi", "bell-like",
+               "--config", str(cfg), *flags, "--out", str(out)) == 2
+    assert "--phi scans a named pair" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _scan_margins(path):
     with open(path, newline="") as fh:
         return {float(r["T_or_lambda"]): float(r["margin"]) for r in csv.DictReader(fh)}
@@ -377,6 +397,15 @@ def test_malformed_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         run("no-such-command")
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("state", ["coherent:inf", "squeezed:inf", "squeezed:-inf",
+                                   "coherent:nan", "coherent:1e300", "squeezed:1e300"])
+def test_non_finite_or_oversized_state_parameter_exits_two(state, capsys):
+    # the ladder is sized from the parameter, so it must be finite and small
+    # enough for the sizing rule not to overflow
+    assert run("verify", "--suite", "purity", "--states", state) == 2
+    assert repr(state) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])

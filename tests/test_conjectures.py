@@ -5,20 +5,16 @@ import pytest
 
 from lossylab import conjectures
 from lossylab.conjectures import (bell_like_pair, dark_port_g2_scan,
-                                  ell_log_convexity_check,
                                   ell_log_convexity_corpus, fair_pair,
-                                  fock_one_extended_range_report, g2,
-                                  g_factorial, indefinite_convex_operator,
-                                  log_convexity_corpus, log_convexity_scan,
-                                  separable_01_pair, twin_photon_pair,
-                                  unfairness_scan, unfairness_witness)
+                                  log_convexity_corpus, separable_01_pair,
+                                  twin_photon_pair, unfairness_scan)
 from lossylab.fock import (make_coherent, make_fock, make_squeezed_vacuum,
                            random_mixed, random_pure)
 
 
 def test_log_convexity_single_photon_unit_interval():
     one = make_fock(1, 2).density()
-    res = log_convexity_scan(one, np.linspace(0.0, 1.0, 21))
+    res = log_convexity_corpus([("fock:1", one)], np.linspace(0.0, 1.0, 21))
     assert res.disposition == "no-violation-found"
     # log-convexity is saturated at the endpoints for a single photon
     margins = np.array([m for _, _, m in res.rows])
@@ -36,32 +32,32 @@ def test_log_convexity_corpus_of_random_states():
 
 def test_log_convexity_fails_outside_unit_interval():
     one = make_fock(1, 2).density()
-    res = log_convexity_scan(one, np.linspace(1.05, 1.5, 10))
+    res = log_convexity_corpus([("fock:1", one)], np.linspace(1.05, 1.5, 10))
     assert res.disposition == "violation"
     assert res.min_margin == pytest.approx(-6.0, abs=1e-9)
-    rep = fock_one_extended_range_report(1.2)
-    assert not rep.passed
-    assert rep.margin == pytest.approx(-1.92, abs=1e-9)
+    res = log_convexity_corpus([("fock:1", make_fock(1, 4).density())], [1.2])
+    assert res.disposition == "violation"
+    assert res.min_margin == pytest.approx(-1.92, abs=1e-9)
 
 
-def test_indefinite_operator_satisfies_log_convexity():
+def test_indefinite_operator_satisfies_log_convexity(indefinite_convex_operator):
     sigma = indefinite_convex_operator()
     assert sigma.physical is False
     eigs = np.linalg.eigvalsh(sigma.matrix)
     assert eigs.min() < -1e-3
-    res = log_convexity_scan(sigma, np.linspace(0.01, 0.99, 25))
+    res = log_convexity_corpus([("indefinite", sigma)], np.linspace(0.01, 0.99, 25))
     assert res.disposition == "no-violation-found"
     assert res.min_margin == pytest.approx(0.7951, abs=1e-3)
 
 
 def test_ell_log_convexity_proven_case():
     one = make_fock(1, 2).density()
-    rep = ell_log_convexity_check(one, 0.25)
-    assert rep.passed
-    assert rep.lhs == pytest.approx(1.0 / 16.0, abs=1e-12)
-    assert rep.rhs == pytest.approx(5.0 / 16.0, abs=1e-12)
+    res = ell_log_convexity_corpus([("fock:1", one)], [0.25])
+    assert res.disposition == "proven-case-verified"
+    # q = (1/2, 0, 1/2) and w = 1/2: lhs 1/16, rhs 5/16
+    assert res.min_margin == pytest.approx(5.0 / 16.0 - 1.0 / 16.0, abs=1e-12)
     with pytest.raises(ValueError):
-        ell_log_convexity_check(one, 0.5)
+        ell_log_convexity_corpus([("fock:1", one)], [0.5])
 
 
 def test_ell_log_convexity_corpus():
@@ -70,32 +66,33 @@ def test_ell_log_convexity_corpus():
     res = ell_log_convexity_corpus(states, np.linspace(0.05, 0.45, 9))
     assert res.disposition == "proven-case-verified"
     assert res.min_margin >= -1e-10
-    # corpus rows and the single check share one evaluation of the bound
+    # a row does not depend on the other states or grid points
     by_id = dict(states)
     for state_id, t, margin in res.rows:
-        assert margin == ell_log_convexity_check(by_id[state_id], t).margin
+        alone = ell_log_convexity_corpus([(state_id, by_id[state_id])], [t])
+        assert alone.rows == [(state_id, t, margin)]
 
 
 def test_witness_counterexample_margins_are_stable():
     bell = bell_like_pair()
     np.testing.assert_array_equal(bell, [0.5, 0.5])
-    margins = [unfairness_witness(bell, lam).margin for lam in (-1.0, -0.3, 0.0, 0.7, 1.0)]
+    lams = (-1.0, -0.3, 0.0, 0.7, 1.0)
+    margins = [m for *_, m in unfairness_scan([("bell-like", bell)], lams).rows]
     for m in margins:
         assert m == pytest.approx(-0.25, abs=1e-12)
     # exact bit stability under re-evaluation
-    again = [unfairness_witness(bell_like_pair(), lam).margin
-             for lam in (-1.0, -0.3, 0.0, 0.7, 1.0)]
+    again = [m for *_, m in unfairness_scan([("bell-like", bell_like_pair())], lams).rows]
     assert margins == again
 
     sep = separable_01_pair()
     np.testing.assert_array_equal(sep, [0.0, 1.0])
-    for lam in (-0.8, 0.0, 0.5):
-        rep = unfairness_witness(sep, lam)
-        assert rep.margin == pytest.approx(-1.0, abs=1e-12)
-        assert not rep.passed
+    res = unfairness_scan([("separable-01", sep)], (-0.8, 0.0, 0.5))
+    assert res.failed == 3
+    for *_, m in res.rows:
+        assert m == pytest.approx(-1.0, abs=1e-12)
 
     with pytest.raises(ValueError):
-        unfairness_witness(bell, 1.2)
+        unfairness_scan([("bell-like", bell)], [1.2])
 
 
 @pytest.mark.parametrize("builder, amplitudes", [
@@ -120,13 +117,14 @@ def test_label_pairs_match_their_two_mode_states(builder, amplitudes, dense_spli
 def test_twin_photon_pair_margin_profile():
     twin = twin_photon_pair()
     np.testing.assert_allclose(twin, [0.5, 0.0, 0.5], atol=1e-12)
-    for lam in (-0.9, -0.4, 0.0, 0.6, 1.0):
-        rep = unfairness_witness(twin, lam)
-        assert rep.passed
-        assert rep.margin == pytest.approx((1.0 - lam ** 2) / 2.0, abs=1e-12)
+    res = unfairness_scan([("twin-photon", twin)], (-0.9, -0.4, 0.0, 0.6, 1.0))
+    assert res.failed == 0
+    for _, lam, margin in res.rows:
+        assert margin == pytest.approx((1.0 - lam ** 2) / 2.0, abs=1e-12)
     # at lam = 0 the witness reads the first three populations: 2 q0 q2 - q1^2
     q0, q1, q2 = twin
-    assert unfairness_witness(twin, 0.0).margin == 2.0 * q0 * q2 - q1 ** 2
+    res = unfairness_scan([("twin-photon", twin)], [0.0])
+    assert res.rows[0][2] == 2.0 * q0 * q2 - q1 ** 2
 
 
 def test_unfairness_scan_dispositions():
@@ -182,17 +180,17 @@ def test_dark_port_g2_of_squeezed_pair_at_large_photon_number():
         assert margin == pytest.approx(2.0 + 1.0 / np.sinh(r_eff) ** 2, rel=1e-12)
 
 
-def test_g_factorial_of_fock_states():
+def test_g_factorial_of_fock_states(g_factorial):
     for n in (1, 2, 5):
         rho = make_fock(n, n + 2).density()
         for order in (1, 2, 3):
             falling = np.prod(np.arange(n, n - order, -1, dtype=float))
             assert g_factorial(rho, order) == pytest.approx(falling / n ** order,
                                                             rel=1e-14)
-    assert g2(make_fock(0, 3).density()) is None
+    assert g_factorial(make_fock(0, 3).density(), 2) is None
 
 
-def test_dark_port_state_matches_dense_oracle(dense_dark_port):
+def test_dark_port_state_matches_dense_oracle(dense_dark_port, g_factorial):
     # g2 of the dense difference-port state against the scan's q route
     states = [random_mixed(23, 6, rank=3), random_pure(24, 6).density(),
               make_fock(5, 6).density()]
@@ -200,7 +198,7 @@ def test_dark_port_state_matches_dense_oracle(dense_dark_port):
     for rho in states:
         margins = _g2_margins(dark_port_g2_scan([("state", rho)], t_grid))
         for t in t_grid:
-            value = g2(dense_dark_port(rho, t))
+            value = g_factorial(dense_dark_port(rho, t), 2)
             if value is None:
                 assert t not in margins
             else:
@@ -208,7 +206,7 @@ def test_dark_port_state_matches_dense_oracle(dense_dark_port):
         assert 0.5 not in margins  # the T = 1/2 dark port is vacuum
 
 
-def test_dark_port_g2_scan_rejects_unphysical_operators():
+def test_dark_port_g2_scan_rejects_unphysical_operators(indefinite_convex_operator):
     sigma = indefinite_convex_operator()
     with pytest.raises(ValueError, match="physical=False"):
         dark_port_g2_scan([("indefinite", sigma)], [0.0, 0.25])
@@ -233,7 +231,7 @@ def test_nan_margins_are_violations(monkeypatch):
     one = make_fock(1, 2).density()
     # the second grid overflows the degree-14 polynomial to inf - inf
     for grid in ([np.nan], [1e30, 1e35, 1e40]):
-        res = log_convexity_scan(random_mixed(1, 8, rank=3), grid)
+        res = log_convexity_corpus([("mixed:1", random_mixed(1, 8, rank=3))], grid)
         assert res.disposition == "violation"
         assert np.isnan(res.min_margin)
         assert np.isnan(res.violations[0][2])
@@ -266,7 +264,8 @@ def test_nan_row_takes_precedence_over_the_least_margin():
 
 
 def test_scan_violation_is_the_worst_refined_point():
-    res = log_convexity_scan(make_fock(1, 2).density(), np.linspace(1.05, 1.5, 10))
+    res = log_convexity_corpus([("state", make_fock(1, 2).density())],
+                               np.linspace(1.05, 1.5, 10))
     # margin 8 T (1 - T): the fine grid shares the endpoint T = 1.5
     assert res.violations == [("state", 1.5, pytest.approx(-6.0, abs=1e-12))]
     assert res.argmin == {"state_id": "state", "T": 1.5}
@@ -288,5 +287,3 @@ def test_unfairness_scan_enforces_the_witness_domain():
     for grid in ([-3.0, 0.0, 3.0], [np.nan]):
         with pytest.raises(ValueError, match="lam"):
             unfairness_scan(pairs, grid)
-    with pytest.raises(ValueError):
-        unfairness_witness(pairs[0][1], np.nan)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossylab.fock import (DensityOperator, PureState, _validate_stack,
-                           beam_splitter_block, block_indices,
-                           displacement_matrix, make_coherent, make_fock,
-                           make_squeezed_vacuum, mode_operators, random_mixed,
-                           random_pure, thermal_state)
+                           block_indices, displacement_matrix, make_coherent,
+                           make_fock, make_squeezed_vacuum, mode_operators,
+                           random_mixed, random_pure, splitter_blocks,
+                           thermal_state)
 
 
 def test_pure_state_normalizes_and_records_tail():
@@ -204,34 +204,33 @@ def _dense_block(u, n, c):
 def test_beam_splitter_blocks_match_dense_exponential(t, dense_splitter):
     c = 21
     u = dense_splitter(c, t)
-    for n in range(c):
-        block = beam_splitter_block(n, t)
+    for n, block in enumerate(splitter_blocks(c, t)):
         np.testing.assert_allclose(block, _dense_block(u, n, c), atol=1e-12)
 
 
 def test_beam_splitter_blocks_and_single_photon_rule():
     t = 0.37
-    for n in range(6):
-        block = beam_splitter_block(n, t)
+    blocks = list(splitter_blocks(6, t))
+    for n, block in enumerate(blocks):
         assert block.shape == (n + 1, n + 1)
         np.testing.assert_allclose(block.imag, 0.0, atol=1e-15)
         np.testing.assert_allclose(block.T @ block, np.eye(n + 1), atol=1e-12)
     # |1,0> -> sqrt(T)|1,0> + sqrt(1-T)|0,1>; block 1 runs over |0,1>, |1,0>
-    out = beam_splitter_block(1, t) @ np.array([0.0, 1.0])
+    out = blocks[1] @ np.array([0.0, 1.0])
     np.testing.assert_allclose(out[1], np.sqrt(t), atol=1e-12)
     np.testing.assert_allclose(out[0], np.sqrt(1 - t), atol=1e-12)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        beam_splitter_block(1, 1.5)
+        list(splitter_blocks(2, 1.5))
     with pytest.raises(ValueError):
-        beam_splitter_block(1, float("nan"))
+        list(splitter_blocks(2, float("nan")))
     # a 4 x 3 box holds |2, 2> and |3, 1> of the four-photon block
     np.testing.assert_array_equal(block_indices(4, 4, 3), [2, 3])
 
 
 @pytest.mark.parametrize("n, t", [(382, 0.5), (200, 0.3)])
 def test_splitter_blocks_match_eigh_oracle_at_large_photon_number(n, t, eigh_splitter_block):
-    block = beam_splitter_block(n, t)
+    *_, block = splitter_blocks(n + 1, t)
     assert block.dtype == float and not block.flags.writeable
     np.testing.assert_allclose(block, eigh_splitter_block(n, t), rtol=0, atol=1e-13)
     np.testing.assert_allclose(block.T @ block, np.eye(n + 1), rtol=0, atol=1e-12)
@@ -239,7 +238,7 @@ def test_splitter_blocks_match_eigh_oracle_at_large_photon_number(n, t, eigh_spl
 
 def test_hong_ou_mandel_cancellation():
     # block 2 runs over |0,2>, |1,1>, |2,0>
-    out = beam_splitter_block(2, 0.5) @ np.array([0.0, 1.0, 0.0])
+    out = list(splitter_blocks(3, 0.5))[2] @ np.array([0.0, 1.0, 0.0])
     assert abs(out[1]) < 1e-12
     np.testing.assert_allclose(abs(out[0]) ** 2, 0.5, atol=1e-12)
     np.testing.assert_allclose(abs(out[2]) ** 2, 0.5, atol=1e-12)

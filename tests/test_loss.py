@@ -14,9 +14,7 @@ from scipy.stats import binom
 
 from lossylab.fock import (DensityOperator, make_coherent, make_fock,
                            mode_operators, random_mixed, random_pure)
-from lossylab.loss import (apply_loss, loss_generator, loss_path,
-                           multiplicativity_check, transmission_from_angle,
-                           transmission_from_decay, transmission_from_efficiency)
+from lossylab.loss import apply_loss, loss_path
 from lossylab.purity import purity, purity_polynomial
 from strategies import density_operators
 
@@ -109,7 +107,7 @@ def test_identity_and_full_loss():
     assert vac.matrix[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_multiplicativity():
+def test_multiplicativity(multiplicativity_check):
     rho = random_mixed(7, 7, rank=4)
     rep = multiplicativity_check(rho, 0.6, 0.7)
     assert rep.passed
@@ -139,7 +137,7 @@ def test_extended_range_matches_binomial_continuation():
             apply_loss(rho, t)
 
 
-def test_loss_generator_matches_finite_difference():
+def test_loss_generator_matches_finite_difference(loss_generator):
     rho1 = random_mixed(5, 6, rank=3)
     t, h = 0.62, 1e-6
     gen = loss_generator(apply_loss(rho1, t), t)
@@ -147,24 +145,11 @@ def test_loss_generator_matches_finite_difference():
     np.testing.assert_allclose(gen, fd, atol=1e-6)
 
 
-def test_generator_is_number_conserving_on_diagonals():
+def test_generator_is_number_conserving_on_diagonals(loss_generator):
     # the generator of the loss semigroup annihilates the vacuum
     vac = make_fock(0, 4).density()
     gen = loss_generator(apply_loss(vac, 0.5), 0.5)
     np.testing.assert_allclose(gen, 0.0, atol=1e-14)
-
-
-def test_transmission_parameterizations():
-    assert transmission_from_decay(0.0) == pytest.approx(1.0)
-    assert transmission_from_decay(np.log(2.0)) == pytest.approx(0.5)
-    assert transmission_from_angle(0.0) == pytest.approx(1.0)
-    assert transmission_from_angle(np.pi / 2) == pytest.approx(0.5)
-    assert transmission_from_angle(np.pi) == pytest.approx(0.0, abs=1e-15)
-    assert transmission_from_efficiency(0.73) == pytest.approx(0.73)
-    with pytest.raises(ValueError):
-        transmission_from_decay(-0.1)
-    with pytest.raises(ValueError):
-        transmission_from_efficiency(1.2)
 
 
 def test_kraus_route_matches_diagonal_route(kraus_loss):

@@ -15,12 +15,11 @@ from lossylab.fock import (displacement_matrix, make_coherent, make_fock,
                            random_mixed, random_pure)
 from lossylab.loss import apply_loss
 from lossylab.phasespace import (GridSpec, Quadrature2D, char_fn, laplace_purity,
-                                 loss_identity_chi, loss_identity_quasi, lossy_chi_integrand,
-                                 overlap_from_quasi, purity_from_chi,
+                                 lossy_chi_integrand, overlap_from_quasi, purity_from_chi,
                                  purity_lossy_from_chi, quasi_prob,
                                  quasi_prob_grid, wigner_from_parity,
                                  write_grid_csv)
-from lossylab.purity import fock_purity_closed_form, hs_overlap, purity
+from lossylab.purity import hs_overlap, purity
 from strategies import density_operators
 
 
@@ -144,7 +143,7 @@ def test_quasi_prob_obeys_loss_identity(rho1, radius, angle, t, s):
     assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
 
 
-def test_positive_order_gaussian_path():
+def test_positive_order_gaussian_path(loss_identity_quasi):
     # the loss identity at s = 0.5 maps a positive order onto another
     # positive order, (s + T - 1) / T = 1/6
     rho1 = random_pure(13, 6).density()
@@ -154,7 +153,7 @@ def test_positive_order_gaussian_path():
         assert report.margin > -1e-9
 
 
-def test_loss_identity_chi():
+def test_loss_identity_chi(loss_identity_chi):
     rho1 = random_mixed(19, 6, rank=2)
     for s in (-0.5, 0.0):
         for alpha in (0.3, -0.2 + 0.7j):
@@ -223,7 +222,7 @@ def test_laplace_purity_one_char_fn_call_per_transmissivity(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [10, 20, 30])
-def test_laplace_purity_of_fock_states(n):
+def test_laplace_purity_of_fock_states(n, fock_purity_closed_form):
     # |chi(alpha, 1)|^2 = L_n(|alpha|^2)^2 is a phase-free polynomial of
     # degree 2n, which the 80-node Laguerre rule integrates exactly
     rho1 = make_fock(n, n + 1).density()

@@ -9,12 +9,11 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from lossylab.conjectures import indefinite_convex_operator
+from conftest import indefinite_convex_operator
 from lossylab.fock import (DensityOperator, make_coherent, make_fock, random_mixed,
                            random_pure, thermal_state)
 from lossylab.loss import apply_loss
-from lossylab.purity import (fock_purity_closed_form, lossy_overlap,
-                             min_purity_pure, mutual_information_bs,
+from lossylab.purity import (lossy_overlap, min_purity_pure, mutual_information_bs,
                              overlap_polynomial, pair_dark_populations, purity,
                              purity_polynomial, renyi_entropy, von_neumann)
 
@@ -173,7 +172,7 @@ def test_min_purity_pure_of_fock_states_is_exact(n):
     assert min_purity_pure(make_fock(n, n + 1)) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
-def test_fock_purity_closed_form():
+def test_fock_purity_closed_form(fock_purity_closed_form):
     for n in (0, 1, 2, 5):
         rho1 = make_fock(n, n + 1).density()
         poly = purity_polynomial(rho1)
@@ -238,7 +237,7 @@ def test_derivative_consistency():
 
 
 @pytest.mark.parametrize("n", [120, 400])
-def test_fock_purity_closed_form_at_large_photon_number(n):
+def test_fock_purity_closed_form_at_large_photon_number(n, fock_purity_closed_form):
     # dyadic T keeps the Fraction reference exact
     for t in (-0.25, 0.0625, 0.3125, 0.5, 0.875, 1.25):
         tf = Fraction(t)

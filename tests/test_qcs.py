@@ -11,8 +11,7 @@ from lossylab.fock import (make_coherent, make_fock, make_squeezed_vacuum,
                            random_mixed, random_pure, thermal_state)
 from lossylab.loss import apply_loss
 from lossylab.purity import purity_polynomial
-from lossylab.qcs import (qcs_commutator, qcs_kernel_form, qcs_lindblad,
-                          qcs_lindblad_pure_variant, qcs_purity_rate,
+from lossylab.qcs import (qcs_commutator, qcs_lindblad, qcs_purity_rate,
                           qcs_two_copy)
 
 from strategies import density_operators
@@ -57,7 +56,7 @@ def test_four_routes_agree_on_mixed_state():
         assert max(values) - min(values) < 1e-10
 
 
-def test_kernel_route_matches_commutator():
+def test_kernel_route_matches_commutator(qcs_kernel_form):
     one = make_fock(1, 6).density()
     assert qcs_kernel_form(one).c_squared == pytest.approx(3.0, abs=1e-4)
     rho = apply_loss(random_mixed(3, 6, rank=2), 0.4)
@@ -65,7 +64,7 @@ def test_kernel_route_matches_commutator():
     assert qcs_kernel_form(rho).c_squared == pytest.approx(ref, abs=1e-4)
 
 
-def test_lindblad_pure_variant_matches_general_route():
+def test_lindblad_pure_variant_matches_general_route(qcs_lindblad_pure_variant):
     psi = random_pure(9, 7)
     for t in (0.15, 0.3, 0.5):
         a = qcs_lindblad_pure_variant(psi, t).c_squared
