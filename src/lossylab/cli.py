@@ -54,6 +54,9 @@ from .reports import (equality_report, inequality_report, write_check_csv,
 
 DEFAULT_CUTOFF = 8
 DEFAULT_RANK = 3
+# the largest ladder a state spec may ask for: one dense c x c complex matrix
+# is then 64 MiB
+MAX_CUTOFF = 2 ** 11
 SUITES = ("purity", "qcs", "phasespace", "inequalities", "all")
 CONJECTURES = ("log-convexity", "ell-log-convexity", "unfairness", "dark-port-g2")
 PAIR_BUILDERS = {
@@ -107,11 +110,11 @@ def load_operator_file(path: str, allow_nonpositive: bool) -> DensityOperator:
     except OSError as exc:
         raise ConfigError(f"cannot read operator file {path!r}: {exc}") from None
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim == 1:
-        psi = PureState(mat, mat.size)
-        return psi.density()
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim not in (1, 2) or mat.shape[0] != mat.shape[-1]:
         raise ConfigError("operator file must hold a vector or a square matrix")
+    _within_budget(mat.shape[0], f"file:{path}")
+    if mat.ndim == 1:
+        return PureState(mat, mat.size).density()
     try:
         return DensityOperator(mat, mat.shape[0])
     except ValueError as exc:
@@ -137,7 +140,7 @@ def parse_states(spec: str, seed: int, allow_nonpositive: bool):
         head, sep, tail = item.partition(":")
         if head == "fock":
             n = _as_int(tail, item)
-            out.append((item, make_fock(n, max(n + 2, 4))))
+            out.append((item, make_fock(n, _within_budget(max(n + 2, 4), item))))
         elif head == "coherent":
             alpha = _as_complex(tail, item)
             cutoff = _ladder_size(lambda: abs(alpha) ** 2 + 9.0 * abs(alpha) + 8.0, 8, item)
@@ -150,6 +153,7 @@ def parse_states(spec: str, seed: int, allow_nonpositive: bool):
             parts = tail.split(":") if tail else ["1"]
             count = _as_int(parts[0], item)
             cutoff = _as_int(parts[1], item) if len(parts) > 1 else DEFAULT_CUTOFF
+            _within_budget(cutoff, item)
             rank = _as_int(parts[2], item) if len(parts) > 2 else None
             for i in range(count):
                 s = seed + i
@@ -202,9 +206,18 @@ def _ladder_size(levels, floor: int, context: str) -> int:
     a configuration error."""
     try:
         with np.errstate(over="raise"):
-            return max(math.ceil(levels()), floor)
+            size = max(math.ceil(levels()), floor)
     except (OverflowError, FloatingPointError):
         raise ConfigError(f"{context!r} is too large to size a ladder for") from None
+    return _within_budget(size, context)
+
+
+def _within_budget(cutoff: int, context: str) -> int:
+    """cutoff, refused before anything is built when above MAX_CUTOFF."""
+    if cutoff > MAX_CUTOFF:
+        raise ConfigError(f"{context!r} needs {cutoff} ladder levels; "
+                          f"at most {MAX_CUTOFF} are allowed")
+    return cutoff
 
 
 def read_config_file(path: str) -> dict:

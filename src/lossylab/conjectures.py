@@ -105,12 +105,12 @@ def _log_convexity_margins(poly: PurityPolynomial, t_grid: np.ndarray) -> np.nda
             - poly.derivative(t_grid, 1) ** 2)
 
 
-def log_convexity_corpus(states, t_grid, tolerance: float = SCAN_TOL) -> ScanResult:
+def log_convexity_corpus(states, t_grid) -> ScanResult:
     """Scan P * P'' - (P')^2 >= 0 over (state_id, operator) pairs and a T
     grid. Margins are exact polynomial derivatives, so a negative one is a
     property of the operator, not of quadrature."""
     polys = ((state_id, purity_polynomial(rho1)) for state_id, rho1 in states)
-    return _scan("log_convexity", polys, t_grid, _log_convexity_margins, tolerance)
+    return _scan("log_convexity", polys, t_grid, _log_convexity_margins, SCAN_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +205,12 @@ def _witness_margins(q: np.ndarray, lam_grid: np.ndarray) -> list:
     return [rhs - lhs for lhs, rhs in (_witness_sides(q, float(l)) for l in lam_grid)]
 
 
-def unfairness_scan(pairs, lam_grid, tolerance: float = SCAN_TOL) -> ScanResult:
+def unfairness_scan(pairs, lam_grid) -> ScanResult:
     """Moment witness over (state_id, q) pairs, q a difference-port
     distribution, and a lam grid inside [-1, 1]. Fair mixtures of twin pairs
     satisfy (sum q_m m lam^(m-1))^2 <= (sum q_m lam^m)(sum q_m m(m-1) lam^(m-2));
     a negative margin witnesses an operator that is not one."""
-    return _scan("unfairness_witness", pairs, lam_grid, _witness_margins, tolerance,
+    return _scan("unfairness_witness", pairs, lam_grid, _witness_margins, SCAN_TOL,
                  axis="lambda", unit="pairs")
 
 
@@ -241,11 +241,11 @@ def _dark_port_q(rho1: DensityOperator) -> np.ndarray:
     return fair_pair(rho1)
 
 
-def dark_port_g2_scan(states, t_grid, tolerance: float = G2_TOL) -> ScanResult:
+def dark_port_g2_scan(states, t_grid) -> ScanResult:
     """Scan g2(dark port) >= 1 wherever g2 is defined, for twin copies of
     each (state_id, operator) pair on a grid inside 0 <= T <= 1/2."""
     grid = np.asarray(t_grid, dtype=float)
     if not np.all((grid >= 0.0) & (grid <= 0.5)):
         raise ValueError("the dark-port g2 scan needs 0 <= T <= 1/2")
     qs = ((state_id, _dark_port_q(rho1)) for state_id, rho1 in states)
-    return _scan("dark_port_g2", qs, grid, _g2_margins, tolerance)
+    return _scan("dark_port_g2", qs, grid, _g2_margins, G2_TOL)

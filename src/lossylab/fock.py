@@ -2,6 +2,10 @@
 the beam splitter that couples two.
 
 Everything lives on a finite photon-number ladder |0>, ..., |cutoff-1>. The
+ladder operators are never built: ``lowered`` applies a m a^dag and
+``lowering_trace`` takes Tr[a^k m] by index shifts, and N weighs level n by
+n. Both are exact on the same ladder, because a only lowers the photon
+number (the dense a, a^dag and N live in the tests as their oracle). The
 beam splitter conserves total photon number, so it is kept only as its
 blocks, one per total photon number n, over the two-mode states |k, n - k>;
 circuits on finite-support inputs are exact whenever the ladders hold the
@@ -11,7 +15,6 @@ total photon number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,16 +62,6 @@ class PureState:
 
     def density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.cutoff)
-
-    def embedded(self, cutoff: int) -> "PureState":
-        if cutoff < self.cutoff:
-            raise ValueError("embedding cutoff must not shrink the ladder")
-        amps = np.zeros(cutoff, dtype=complex)
-        amps[: self.cutoff] = self.amplitudes
-        return PureState(amps, cutoff, self.tail_weight)
-
-    def mean_photon_number(self) -> float:
-        return float(np.sum(np.arange(self.cutoff) * np.abs(self.amplitudes) ** 2))
 
 
 def _validate_stack(matrices: np.ndarray, physical: bool) -> np.ndarray | None:
@@ -159,9 +152,6 @@ class DensityOperator:
         m[: self.cutoff, : self.cutoff] = self.matrix
         return DensityOperator(m, cutoff, self.physical)
 
-    def mean_photon_number(self) -> float:
-        return float(np.sum(np.arange(self.cutoff) * np.diag(self.matrix).real))
-
     def support(self) -> int:
         """Highest level with population above 1e-14, as an index."""
         pops = np.abs(np.diag(self.matrix).real)
@@ -169,28 +159,22 @@ class DensityOperator:
         return int(nz[-1]) if nz.size else 0
 
 
-@dataclass(frozen=True)
-class ModeOperatorSet:
-    """Dense ladder operators a, a^dag, N, X, P at a fixed cutoff."""
-
-    annihilate: np.ndarray
-    create: np.ndarray
-    number: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-    cutoff: int
+def lowered(matrices: np.ndarray) -> np.ndarray:
+    """a m a^dag of each matrix m of a (..., c, c) stack, on the same ladder:
+    (a m a^dag)[i, j] = sqrt((i+1)(j+1)) m[i+1, j+1]. Exact, as a lowers the
+    photon number; the top row and column are zero."""
+    root = np.sqrt(np.arange(1.0, matrices.shape[-1]))
+    out = np.zeros(matrices.shape, dtype=np.result_type(matrices, 1.0))
+    out[..., :-1, :-1] = root[:, None] * matrices[..., 1:, 1:] * root
+    return out
 
 
-@lru_cache(maxsize=64)
-def mode_operators(cutoff: int) -> ModeOperatorSet:
-    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
-    adag = a.conj().T
-    num = adag @ a
-    x = (adag + a) / np.sqrt(2.0)
-    p = 1j * (adag - a) / np.sqrt(2.0)
-    for arr in (a, adag, num, x, p):
-        arr.flags.writeable = False
-    return ModeOperatorSet(a, adag, num, x, p, cutoff)
+def lowering_trace(matrices: np.ndarray, power: int = 1) -> np.ndarray:
+    """Tr[a^k m] = sum_j sqrt((j+1) ... (j+k)) m[j+k, j], k = power, of each
+    matrix m of a (..., c, c) stack; a^k m is exact on the same ladder."""
+    j = np.arange(matrices.shape[-1] - power, dtype=float)
+    rising = np.prod(j[:, None] + np.arange(1.0, power + 1.0), axis=1)
+    return np.diagonal(matrices, -power, axis1=-2, axis2=-1) @ np.sqrt(rising)
 
 
 # ---------------------------------------------------------------------------

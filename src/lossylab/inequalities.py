@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .fock import DensityOperator, PureState, make_coherent, mode_operators, thermal_state
+from .fock import (DensityOperator, PureState, lowered, lowering_trace, make_coherent,
+                   thermal_state)
 from .loss import apply_loss, loss_path
 from .phasespace import Quadrature2D, quasi_prob
 from .purity import lossy_overlap, overlap_polynomial, purity_polynomial
@@ -25,10 +26,17 @@ FORM_TOL = 1e-9
 QUAD_TOL = 1e-4
 PAIR_SIGN_TOL = 1e-5
 BALANCED_EXCLUSION = 0.02
+BERNSTEIN_ORDER = 4
 
 
-def _moment(op: np.ndarray, m: np.ndarray) -> complex:
-    return complex(np.einsum("ij,ji->", op, m))
+def _trace(x: np.ndarray, y: np.ndarray) -> float:
+    """Re Tr[x y]."""
+    return float(np.einsum("ij,ji->", x, y).real)
+
+
+def _number_trace(x: np.ndarray, y: np.ndarray) -> float:
+    """Re Tr[N x y], N weighing level n by n."""
+    return _trace(np.arange(x.shape[0])[:, None] * x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -38,9 +46,8 @@ def _moment(op: np.ndarray, m: np.ndarray) -> complex:
 
 def cauchy_schwarz_ladder(rho: DensityOperator, state_id: str = "") -> CheckReport:
     """|Tr(rho a)|^2 <= Tr(rho a^dag a)."""
-    ops = mode_operators(rho.cutoff)
-    lhs = abs(_moment(ops.annihilate, rho.matrix)) ** 2
-    rhs = _moment(ops.number, rho.matrix).real
+    lhs = abs(lowering_trace(rho.matrix)) ** 2
+    rhs = float(np.arange(rho.cutoff) @ np.diag(rho.matrix).real)
     return inequality_report(
         "cauchy_schwarz_ladder", state_id, {}, lhs, rhs, EXACT_TOL,
         claim="|<a>|^2 <= <N>",
@@ -53,11 +60,9 @@ def ladder_loss_inequality(rho1: DensityOperator, transmissivity: float,
     t = float(transmissivity)
     if t > 0.5:
         raise ValueError("the sandwiched-ladder bound is claimed only for T <= 1/2")
-    rho_t = apply_loss(rho1, t)
-    ops = mode_operators(rho_t.cutoff)
-    m = rho_t.matrix
-    lhs = _moment(ops.number @ m, m).real
-    rhs = _moment(ops.annihilate @ m @ ops.create, m).real
+    m = apply_loss(rho1, t).matrix
+    lhs = _number_trace(m, m)
+    rhs = _trace(lowered(m), m)
     return inequality_report(
         "ladder_loss_inequality", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[N rho_T^2] <= Tr[a rho_T a^dag rho_T], T <= 1/2",
@@ -70,11 +75,9 @@ def pure_number_ratio_inequality(psi: PureState, transmissivity: float,
     t = float(transmissivity)
     if not 0.0 < t <= 0.5:
         raise ValueError("the ratio bound needs 0 < T <= 1/2")
-    rho1 = psi.density()
-    ops = mode_operators(rho1.cutoff)
-    m_t, m_r = (rho.matrix for rho in loss_path(rho1, [t, 1.0 - t]))
-    lhs = _moment(ops.number @ m_t, m_t).real / t
-    rhs = _moment(ops.number @ m_r, m_r).real / (1.0 - t)
+    m_t, m_r = (rho.matrix for rho in loss_path(psi.density(), [t, 1.0 - t]))
+    lhs = _number_trace(m_t, m_t) / t
+    rhs = _number_trace(m_r, m_r) / (1.0 - t)
     return inequality_report(
         "pure_number_ratio", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[N rho_T^2]/T <= Tr[N rho_{1-T}^2]/(1-T) for pure input",
@@ -87,11 +90,9 @@ def transpose_trick_identity(psi: PureState, transmissivity: float,
     t = float(transmissivity)
     if not 0.0 < t < 1.0:
         raise ValueError("the identity needs T strictly inside (0, 1)")
-    rho1 = psi.density()
-    ops = mode_operators(rho1.cutoff)
-    m_t, m_r = (rho.matrix for rho in loss_path(rho1, [t, 1.0 - t]))
-    lhs = _moment(ops.annihilate @ m_t @ ops.create, m_t).real
-    rhs = _moment(ops.number @ m_r, m_r).real * t / (1.0 - t)
+    m_t, m_r = (rho.matrix for rho in loss_path(psi.density(), [t, 1.0 - t]))
+    lhs = _trace(lowered(m_t), m_t)
+    rhs = _number_trace(m_r, m_r) * t / (1.0 - t)
     return equality_report(
         "transpose_trick", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[a rho_T a^dag rho_T] = Tr[N rho_{1-T}^2] T/(1-T)",
@@ -100,15 +101,14 @@ def transpose_trick_identity(psi: PureState, transmissivity: float,
 
 def pure_second_order_inequality(psi: PureState, state_id: str = "") -> CheckReport:
     """4 Re<a^dag a^2><a^dag> - |<a^2>|^2 <= 2<N>^2 - <N> + <N^2>."""
-    rho = psi.density()
-    ops = mode_operators(rho.cutoff)
-    m = rho.matrix
-    aa = ops.annihilate @ ops.annihilate
-    mom_adag = _moment(ops.create, m)
-    mom_adaa = _moment(ops.create @ aa, m)
-    mom_aa = _moment(aa, m)
-    mom_n = _moment(ops.number, m).real
-    mom_n2 = _moment(ops.number @ ops.number, m).real
+    m = psi.density().matrix
+    n = np.arange(psi.cutoff)
+    pops = np.diag(m).real
+    mom_adag = np.conj(lowering_trace(m))  # rho is Hermitian
+    mom_adaa = lowering_trace(lowered(m))  # Tr[a^dag a^2 rho] = Tr[a (a rho a^dag)]
+    mom_aa = lowering_trace(m, 2)
+    mom_n = float(n @ pops)
+    mom_n2 = float((n * n) @ pops)
     lhs = 4.0 * (mom_adaa * mom_adag).real - abs(mom_aa) ** 2
     rhs = 2.0 * mom_n ** 2 - mom_n + mom_n2
     return inequality_report(
@@ -123,18 +123,18 @@ def pure_second_order_inequality(psi: PureState, state_id: str = "") -> CheckRep
 
 
 def _form_terms(rho_t: DensityOperator):
-    emb = rho_t.embedded(rho_t.cutoff + 2)
-    ops = mode_operators(emb.cutoff)
-    m = emb.matrix
-    low = ops.annihilate @ m @ ops.create     # a rho a^dag
-    high = ops.create @ m @ ops.annihilate    # a^dag rho a
-    nm = ops.number @ m
+    """The traces of the d^2 P/dT^2 forms, on rho_T's own ladder: the one
+    that raises, Tr[a rho a^dag a^dag rho a], is taken as the cyclic
+    Tr[a^2 rho a^dag^2 rho], so every factor only lowers and is exact."""
+    m = rho_t.matrix
+    low = lowered(m)                        # a rho a^dag
+    m_n = m * np.arange(rho_t.cutoff)       # rho N
     return {
-        "n_rho2": _moment(nm, m).real,
-        "low_sq": _moment(low, low).real,
-        "nrho_sq": _moment(nm, m @ ops.number).real,
-        "cross": _moment(m @ ops.number, low).real,
-        "low_high": _moment(low, high).real,
+        "n_rho2": _number_trace(m, m),
+        "low_sq": _trace(low, low),
+        "nrho_sq": _number_trace(m, m_n),
+        "cross": _trace(m_n, low),
+        "low_high": _trace(lowered(low), m),
     }
 
 
@@ -434,9 +434,9 @@ def order_pair_overlap_identity(rho: DensityOperator, sigma: DensityOperator,
 # ---------------------------------------------------------------------------
 
 
-def bernstein_check(rho1: DensityOperator, k_max: int = 4,
-                    state_id: str = "") -> CheckReport:
-    """(T^2 d/dT)^k (T Tr[rho_T^2]) >= 0 for k <= k_max, by exact polynomials.
+def bernstein_check(rho1: DensityOperator, state_id: str = "") -> CheckReport:
+    """(T^2 d/dT)^k (T Tr[rho_T^2]) >= 0 for k <= BERNSTEIN_ORDER, by exact
+    polynomials.
 
     (T^2 d/dT)^k (T P) = T^(k+1) S_k with S_0 = P and
     S_(k+1) = (k+1) S_k + T S_k'. The S_k are kept in lambda = 1 - 2T,
@@ -444,20 +444,18 @@ def bernstein_check(rho1: DensityOperator, k_max: int = 4,
     monomials in T cancels catastrophically at large cutoff, and factoring
     out T^(k+1) keeps the values near T = 0 from cancelling in lambda.
     """
-    if k_max > 4:
-        raise ValueError("k_max is capped at 4")
     s_k = purity_polynomial(rho1).coefficients
     grid = np.arange(0.01, 1.0001, 0.01)
     lam = 1.0 - 2.0 * grid
     worst = np.inf
     worst_k = 0
-    for k in range(k_max + 1):
+    for k in range(BERNSTEIN_ORDER + 1):
         low = float(np.min(grid ** (k + 1) * npoly.polyval(lam, s_k)))
         if low < worst:
             worst, worst_k = low, k
         s_k = npoly.polysub((k + 1) * s_k, npoly.polymul([1.0, -1.0], npoly.polyder(s_k)))
     return inequality_report(
-        "bernstein_monotonic", state_id, {"k_max": k_max, "argmin_k": worst_k},
+        "bernstein_monotonic", state_id, {"k_max": BERNSTEIN_ORDER, "argmin_k": worst_k},
         0.0, worst, FORM_TOL,
         claim="(T^2 d/dT)^k (T purity) >= 0 on (0, 1], complete monotonicity "
               "in 1/T",
@@ -472,13 +470,12 @@ def number_purity_monotonicity(rho1: DensityOperator, t_grid,
     if grid.size < 2 or np.any(grid <= 0) or np.any(grid > 1):
         raise ValueError("need at least two grid points inside (0, 1]")
     grid = np.sort(grid)
-    ops = mode_operators(rho1.cutoff)
     rising = np.empty(grid.size)
     falling = np.empty(grid.size)
     for i, (t, rho_t) in enumerate(zip(grid, loss_path(rho1, grid))):
         m = rho_t.matrix
-        rising[i] = _moment(ops.number @ m, m).real
-        falling[i] = _moment(ops.annihilate @ m @ ops.create, m).real * (1.0 - t) / t
+        rising[i] = _number_trace(m, m)
+        falling[i] = _trace(lowered(m), m) * (1.0 - t) / t
     margin = min(float(np.min(np.diff(rising))), float(np.min(-np.diff(falling))))
     return inequality_report(
         "number_purity_monotonicity", state_id,

@@ -22,6 +22,7 @@ from ._special import eval_genlaguerre, gammaln, roots_laguerre
 from .fock import DensityOperator, displacement_matrix
 
 IMAG_TOL = 1e-9
+DEFAULT_GRID_POINTS = 121
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +186,8 @@ class GridSpec:
         return step * step
 
 
-def default_grid(rho: DensityOperator, n: int = 121) -> GridSpec:
-    return GridSpec(6.0 + np.sqrt(rho.support() + 0.0), n)
+def default_grid(rho: DensityOperator) -> GridSpec:
+    return GridSpec(6.0 + np.sqrt(rho.support() + 0.0), DEFAULT_GRID_POINTS)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, mode_operators
+from .fock import DensityOperator, lowered
 from .purity import PurityPolynomial, purity
 
 ROUTE_COMMUTATOR = "commutator"
@@ -88,8 +88,7 @@ def qcs_lindblad(rho_t: DensityOperator) -> QcsResult:
     C^2 = (2 / Tr[rho_T^2]) (Tr[N rho_T rho_T] - Tr[a rho_T a^dag rho_T]) + 1.
     """
     m = rho_t.matrix
-    ops = mode_operators(rho_t.cutoff)
     p = purity(rho_t)
-    term_n = float(np.einsum("ij,ji->", ops.number @ m, m).real)
-    term_a = float(np.einsum("ij,ji->", ops.annihilate @ m @ ops.create, m).real)
+    term_n = float(np.einsum("ij,ji->", np.arange(rho_t.cutoff)[:, None] * m, m).real)
+    term_a = float(np.einsum("ij,ji->", lowered(m), m).real)
     return QcsResult(2.0 / p * (term_n - term_a) + 1.0, ROUTE_LINDBLAD, p)

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,8 +9,7 @@ from scipy.ndimage import convolve1d
 from scipy.special import eval_genlaguerre, gammaln, hyp2f1
 
 from lossylab.conjectures import MEAN_N_FLOOR
-from lossylab.fock import (DensityOperator, PureState, mode_operators, random_mixed,
-                           random_pure)
+from lossylab.fock import DensityOperator, PureState, random_mixed, random_pure
 from lossylab.inequalities import EXACT_TOL
 from lossylab.loss import _binomial_table, _t_blocks, apply_loss, loss_path
 from lossylab.phasespace import QuasiProbGrid, char_fn, quasi_prob
@@ -19,6 +21,32 @@ from lossylab.reports import CheckReport, equality_report
 # that replays it with @reproduce_failure, and a slow runner cannot trip a
 # deadline
 settings.register_profile("ci", print_blob=True, deadline=None)
+
+
+@dataclass(frozen=True)
+class ModeOperatorSet:
+    """Dense ladder operators a, a^dag, N, X, P at a fixed cutoff."""
+
+    annihilate: np.ndarray
+    create: np.ndarray
+    number: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    cutoff: int
+
+
+@lru_cache(maxsize=64)
+def mode_operators(cutoff: int) -> ModeOperatorSet:
+    """Oracle for the index-shift ladder operators of ``lossylab.fock``:
+    the truncated dense matrices, with every product formed in full."""
+    a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
+    adag = a.conj().T
+    num = adag @ a
+    x = (adag + a) / np.sqrt(2.0)
+    p = 1j * (adag - a) / np.sqrt(2.0)
+    for arr in (a, adag, num, x, p):
+        arr.flags.writeable = False
+    return ModeOperatorSet(a, adag, num, x, p, cutoff)
 
 
 @pytest.fixture

@@ -206,7 +206,7 @@ def test_criterion_09_bernstein_and_monotonicity():
             rho1 = random_pure(3500 + j, 4 + (j % 6)).density()
         else:
             rho1 = random_mixed(3500 + j, 4 + (j % 6), rank=2 + (j % 3))
-        ok &= bernstein_check(rho1, k_max=4).passed
+        ok &= bernstein_check(rho1).passed
         ok &= number_purity_monotonicity(rho1, t_grid).passed
     _verdict("criterion 09 Bernstein bounds and number monotonicity", ok,
              time.perf_counter() - start, 60.0)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lossylab
-from lossylab.cli import SWEEP_COLUMNS, main, parse_states
+from lossylab.cli import MAX_CUTOFF, SWEEP_COLUMNS, ConfigError, main, parse_states
 from lossylab.fock import PureState
 from lossylab.purity import purity, renyi_entropy, von_neumann
 from lossylab.qcs import qcs_commutator
@@ -406,6 +406,39 @@ def test_non_finite_or_oversized_state_parameter_exits_two(state, capsys):
     # enough for the sizing rule not to overflow
     assert run("verify", "--suite", "purity", "--states", state) == 2
     assert repr(state) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state", ["coherent:3e4", "squeezed:8", "random:1:100000:1",
+                                   "fock:100000000"])
+def test_ladder_beyond_max_cutoff_exits_two_before_allocating(state, capsys):
+    # each would need a dense matrix of gigabytes or more; the spec alone is
+    # refused, so nothing of that size is allocated
+    tracemalloc.start()
+    try:
+        assert run("verify", "--suite", "purity", "--states", state) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert f"at most {MAX_CUTOFF}" in capsys.readouterr().err
+
+
+def test_max_cutoff_bounds_every_family(tmp_path):
+    # fock:N sizes its ladder N + 2; the vector alone is cheap at the bound
+    [(_, psi)] = parse_states(f"fock:{MAX_CUTOFF - 2}", 7, False)
+    assert psi.cutoff == MAX_CUTOFF
+    path = tmp_path / "long.npy"
+    np.save(path, np.ones(MAX_CUTOFF + 1))
+    for spec in (f"fock:{MAX_CUTOFF - 1}", f"random:1:{MAX_CUTOFF + 1}", f"file:{path}"):
+        with pytest.raises(ConfigError, match=f"at most {MAX_CUTOFF}"):
+            parse_states(spec, 7, False)
+
+
+@pytest.mark.parametrize("suite", ["inequalities", "qcs"])
+def test_one_level_operator_file_passes(suite, tmp_path, capsys):
+    path = tmp_path / "vacuum.npy"
+    np.save(path, np.ones((1, 1), dtype=complex))
+    assert run("verify", "--suite", suite, "--states", f"file:{path}") == 0
 
 
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mode_operators
 from lossylab.fock import (DensityOperator, PureState, _validate_stack,
                            block_indices, displacement_matrix, make_coherent,
-                           make_fock, make_squeezed_vacuum, mode_operators,
-                           random_mixed, random_pure, splitter_blocks,
-                           thermal_state)
+                           lowered, lowering_trace, make_fock,
+                           make_squeezed_vacuum, random_mixed, random_pure,
+                           splitter_blocks, thermal_state)
 
 
 def test_pure_state_normalizes_and_records_tail():
@@ -124,10 +125,6 @@ def test_embedding_grows_but_never_shrinks():
     assert np.all(big.matrix[3:, :] == 0)
     with pytest.raises(ValueError):
         rho.embedded(2)
-    psi = make_fock(0, 4)
-    assert psi.embedded(4).cutoff == 4
-    with pytest.raises(ValueError):
-        psi.embedded(3)
 
 
 def test_mode_operator_algebra():
@@ -142,6 +139,32 @@ def test_mode_operator_algebra():
     np.testing.assert_allclose(ops.p, p_from_ladder, atol=1e-14)
 
 
+def _shift_inputs(c):
+    # a Hermitian state, a general complex matrix and a stack of three
+    rng = np.random.default_rng(c)
+    general = rng.standard_normal((4, c, c)) + 1j * rng.standard_normal((4, c, c))
+    return random_mixed(c, c, rank=min(3, c)).matrix, general[0], general[1:]
+
+
+@pytest.mark.parametrize("c", [1, 2, 8, 64])
+def test_lowered_matches_dense_oracle(c):
+    ops = mode_operators(c)
+    for m in _shift_inputs(c):
+        dense = ops.annihilate @ m @ ops.create
+        np.testing.assert_allclose(lowered(m), dense, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("c", [1, 2, 8, 64])
+def test_lowering_trace_matches_dense_oracle(c):
+    ops = mode_operators(c)
+    for m in _shift_inputs(c):
+        for power in (1, 2):
+            ladder = np.linalg.matrix_power(ops.annihilate, power)
+            dense = np.trace(ladder @ m, axis1=-2, axis2=-1)
+            np.testing.assert_allclose(lowering_trace(m, power), dense,
+                                       rtol=1e-13, atol=1e-13)
+
+
 def test_state_factories_match_closed_forms():
     n2 = make_fock(2, 5)
     assert n2.amplitudes[2] == 1.0 and np.count_nonzero(n2.amplitudes) == 1
@@ -153,12 +176,13 @@ def test_state_factories_match_closed_forms():
     expected = np.exp(-abs(alpha) ** 2 / 2
                       + n * np.log(complex(alpha)) - gammaln(n + 1) / 2)
     np.testing.assert_allclose(coh.amplitudes, expected, atol=1e-12)
-    np.testing.assert_allclose(coh.mean_photon_number(), abs(alpha) ** 2, atol=1e-12)
+    mean_n = np.diag(coh.density().matrix).real @ n
+    np.testing.assert_allclose(mean_n, abs(alpha) ** 2, atol=1e-12)
 
     sq = make_squeezed_vacuum(0.5, 40)
     assert np.all(np.abs(sq.amplitudes[1::2]) < 1e-15)
-    np.testing.assert_allclose(sq.mean_photon_number(), np.sinh(0.5) ** 2,
-                               atol=1e-10)
+    mean_n = np.diag(sq.density().matrix).real @ n
+    np.testing.assert_allclose(mean_n, np.sinh(0.5) ** 2, atol=1e-10)
 
     th = thermal_state(0.8, 60)
     pops = np.diag(th.matrix).real

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from lossylab.fock import (DensityOperator, make_coherent, make_fock,
-                           mode_operators, random_mixed, random_pure)
+from conftest import mode_operators
+from lossylab.fock import (DensityOperator, make_coherent, make_fock, random_mixed,
+                           random_pure)
 from lossylab.loss import apply_loss, loss_path
 from lossylab.purity import purity, purity_polynomial
 from strategies import density_operators

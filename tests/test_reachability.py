@@ -4,7 +4,9 @@ benchmark's checker, or is a paper-claim check that waits for its suite.
 
 Reachability is a walk over names: a definition reaches every top-level
 definition of its module, and every name imported into it, that its
-source mentions. A class reaches what any of its methods mention.
+source mentions. A class reaches what any of its methods mention. A public
+method counts as reached when reached code names it as an attribute
+(``x.name``); a method that shares its name with a reached one escapes.
 """
 
 import ast
@@ -26,6 +28,7 @@ ROOTS = {
 
 QUASIPROB_SUITE = "ROADMAP item 5: the quasiprobability verify suite"
 SIMILARITY_SUITE = "ROADMAP item 6: the similarity verify suite"
+TRUNCATION_REPORT = "ROADMAP item 7: truncation reporting"
 AWAITING_SUITE = {
     ("inequalities", "husimi_pair_check"): QUASIPROB_SUITE,
     ("inequalities", "husimi_pair_from_states"): QUASIPROB_SUITE,
@@ -40,6 +43,7 @@ AWAITING_SUITE = {
     ("purity", "lossy_overlap"): SIMILARITY_SUITE,
     ("purity", "mutual_information_bs"): SIMILARITY_SUITE,
     ("purity", "min_purity_pure"): SIMILARITY_SUITE,
+    ("fock", "PureState.truncation_warning"): TRUNCATION_REPORT,
 }
 
 
@@ -87,10 +91,31 @@ def _public_definitions(nodes) -> set:
             and not key[1].startswith("_") and key[0] not in ("__init__", "__main__")}
 
 
+def _public_methods(nodes) -> set:
+    """(module, "Class.method") of every public method of every class."""
+    return {(module, f"{name}.{item.name}")
+            for (module, name), node in nodes.items() if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")}
+
+
+def _reached_with_methods(roots, nodes, edges) -> set:
+    """The definitions reached from roots, and the public methods that
+    reached code names as attributes."""
+    reached = _reached(roots, edges)
+    named = {n.attr for key in reached for n in ast.walk(nodes[key])
+             if isinstance(n, ast.Attribute)}
+    return reached | {(m, q) for m, q in _public_methods(nodes)
+                      if q.split(".")[1] in named}
+
+
 def test_every_public_definition_is_reached():
     nodes, edges = _package_graph()
-    reached = _reached(ROOTS | set(AWAITING_SUITE), edges)
-    dead = sorted(f"{m}.{n}" for m, n in _public_definitions(nodes) - reached)
+    roots = ROOTS | set(AWAITING_SUITE)
+    reached = _reached_with_methods(roots, nodes, edges) | roots
+    public = _public_definitions(nodes) | _public_methods(nodes)
+    dead = sorted(f"{m}.{n}" for m, n in public - reached)
     assert dead == [], ("reached by neither the command, the benchmark's checker "
                         "nor a check awaiting its suite: delete them, or move "
                         "test oracles to tests/conftest.py")
@@ -99,8 +124,8 @@ def test_every_public_definition_is_reached():
 def test_awaiting_suite_list_is_current():
     # an entry the command already reaches, or one that is gone, is stale
     nodes, edges = _package_graph()
-    public = _public_definitions(nodes)
-    reached = _reached(ROOTS, edges)
+    public = _public_definitions(nodes) | _public_methods(nodes)
+    reached = _reached_with_methods(ROOTS, nodes, edges)
     stale = sorted(f"{m}.{n}" for m, n in AWAITING_SUITE
                    if (m, n) not in public or (m, n) in reached)
     assert stale == []
