@@ -55,8 +55,11 @@ from .reports import (equality_report, inequality_report, write_check_csv,
 DEFAULT_CUTOFF = 8
 DEFAULT_RANK = 3
 # the largest ladder a state spec may ask for: one dense c x c complex matrix
-# is then 64 MiB
+# is then 64 MiB, and a whole spec's states together hold at most that many
+# matrix entries
 MAX_CUTOFF = 2 ** 11
+# the most points a grid may ask for; the largest grid in use has 401
+MAX_GRID_STEPS = 2 ** 16
 SUITES = ("purity", "qcs", "phasespace", "inequalities", "all")
 CONJECTURES = ("log-convexity", "ell-log-convexity", "unfairness", "dark-port-g2")
 PAIR_BUILDERS = {
@@ -89,8 +92,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"bad grid {spec!r}: {exc}") from None
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise ConfigError(f"grid {spec!r} needs a finite start and stop")
-    if steps < 1:
-        raise ConfigError("grid needs at least one step")
+    if not 1 <= steps <= MAX_GRID_STEPS:
+        raise ConfigError(f"grid needs 1 to {MAX_GRID_STEPS} steps, got {steps}")
     return np.linspace(start, stop, steps)
 
 
@@ -104,7 +107,8 @@ def parse_quadrature(spec: str) -> Quadrature2D:
         raise ConfigError(f"bad quadrature {spec!r}: {exc}") from None
 
 
-def load_operator_file(path: str, allow_nonpositive: bool) -> DensityOperator:
+def _read_operator_file(path: str) -> np.ndarray:
+    """The vector or square matrix saved at path, as complex entries."""
     try:
         mat = np.load(path)
     except OSError as exc:
@@ -113,6 +117,11 @@ def load_operator_file(path: str, allow_nonpositive: bool) -> DensityOperator:
     if mat.ndim not in (1, 2) or mat.shape[0] != mat.shape[-1]:
         raise ConfigError("operator file must hold a vector or a square matrix")
     _within_budget(mat.shape[0], f"file:{path}")
+    return mat
+
+
+def _file_operator(mat: np.ndarray, allow_nonpositive: bool) -> DensityOperator:
+    """The state of a file's vector or matrix."""
     if mat.ndim == 1:
         return PureState(mat, mat.size).density()
     try:
@@ -131,45 +140,70 @@ def load_operator_file(path: str, allow_nonpositive: bool) -> DensityOperator:
 def parse_states(spec: str, seed: int, allow_nonpositive: bool):
     """Expand a comma-separated state family spec into (state_id, state)
     pairs. Pure families keep their PureState form so pure-only checks can
-    fire; random mixtures come back as DensityOperator."""
-    out = []
+    fire; random mixtures come back as DensityOperator. The spec is sized
+    before any state is built, and refused when its states together need
+    more than MAX_CUTOFF^2 matrix entries."""
+    builds, entries = [], 0
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
-        head, sep, tail = item.partition(":")
-        if head == "fock":
-            n = _as_int(tail, item)
-            out.append((item, make_fock(n, _within_budget(max(n + 2, 4), item))))
-        elif head == "coherent":
-            alpha = _as_complex(tail, item)
-            cutoff = _ladder_size(lambda: abs(alpha) ** 2 + 9.0 * abs(alpha) + 8.0, 8, item)
-            out.append((item, make_coherent(alpha, cutoff)))
-        elif head == "squeezed":
-            r = _as_float(tail, item)
-            cutoff = _ladder_size(lambda: 16.0 * np.sinh(abs(r)) ** 2 + 12.0, 12, item)
-            out.append((item, make_squeezed_vacuum(r, cutoff)))
-        elif head == "random":
-            parts = tail.split(":") if tail else ["1"]
-            count = _as_int(parts[0], item)
-            cutoff = _as_int(parts[1], item) if len(parts) > 1 else DEFAULT_CUTOFF
-            _within_budget(cutoff, item)
-            rank = _as_int(parts[2], item) if len(parts) > 2 else None
-            for i in range(count):
-                s = seed + i
-                if rank == 0 or (rank is None and i % 2 == 0):
-                    out.append((f"random-pure:{s}", random_pure(s, cutoff)))
-                else:
-                    out.append((f"random-mixed:{s}",
-                                random_mixed(s, cutoff, rank or DEFAULT_RANK)))
-        elif head == "file":
-            if not sep:
-                raise ConfigError("file spec needs a path, file:PATH")
-            out.append((item, load_operator_file(tail, allow_nonpositive)))
-        else:
-            raise ConfigError(f"unknown state family {item!r}")
-    if not out:
+        need, build = _family(item, seed, allow_nonpositive)
+        entries += need
+        if entries > MAX_CUTOFF ** 2:
+            raise ConfigError(f"the states of {spec!r} need at least {entries} matrix "
+                              f"entries together; at most {MAX_CUTOFF ** 2} are allowed")
+        builds.append(build)
+    if not builds:
         raise ConfigError("no states specified")
+    return [pair for build in builds for pair in build()]
+
+
+def _family(item: str, seed: int, allow_nonpositive: bool):
+    """(matrix entries, build) of one family spec: the entries its states
+    need as density matrices, and a call that builds its (state_id, state)
+    pairs."""
+    head, sep, tail = item.partition(":")
+    if head == "fock":
+        n = _as_int(tail, item)
+        cutoff = _within_budget(max(n + 2, 4), item)
+        return cutoff ** 2, lambda: [(item, make_fock(n, cutoff))]
+    if head == "coherent":
+        alpha = _as_complex(tail, item)
+        cutoff = _ladder_size(lambda: abs(alpha) ** 2 + 9.0 * abs(alpha) + 8.0, 8, item)
+        return cutoff ** 2, lambda: [(item, make_coherent(alpha, cutoff))]
+    if head == "squeezed":
+        r = _as_float(tail, item)
+        cutoff = _ladder_size(lambda: 16.0 * np.sinh(abs(r)) ** 2 + 12.0, 12, item)
+        return cutoff ** 2, lambda: [(item, make_squeezed_vacuum(r, cutoff))]
+    if head == "random":
+        parts = tail.split(":") if tail else ["1"]
+        count = _as_int(parts[0], item)
+        if count < 1:
+            raise ConfigError(f"{item!r} needs a COUNT of at least 1")
+        cutoff = _as_int(parts[1], item) if len(parts) > 1 else DEFAULT_CUTOFF
+        _within_budget(cutoff, item)
+        rank = _as_int(parts[2], item) if len(parts) > 2 else None
+        return count * cutoff ** 2, lambda: _random_family(seed, count, cutoff, rank)
+    if head == "file":
+        if not sep:
+            raise ConfigError("file spec needs a path, file:PATH")
+        mat = _read_operator_file(tail)
+        return mat.shape[0] ** 2, lambda: [(item, _file_operator(mat, allow_nonpositive))]
+    raise ConfigError(f"unknown state family {item!r}")
+
+
+def _random_family(seed: int, count: int, cutoff: int, rank) -> list:
+    """count random states seeded seed, seed + 1, ...: pure for rank 0, and
+    at every even index when no rank is given; mixed of the rank (or
+    DEFAULT_RANK) otherwise."""
+    out = []
+    for i in range(count):
+        s = seed + i
+        if rank == 0 or (rank is None and i % 2 == 0):
+            out.append((f"random-pure:{s}", random_pure(s, cutoff)))
+        else:
+            out.append((f"random-mixed:{s}", random_mixed(s, cutoff, rank or DEFAULT_RANK)))
     return out
 
 
@@ -477,7 +511,8 @@ def cmd_conjecture(args) -> int:
             pairs = [(args.phi, PAIR_BUILDERS[args.phi]())]
         else:
             states = parse_states(args.states, args.seed, args.allow_nonpositive)
-            pairs = [(sid, fair_pair(_density(st))) for sid, st in states]
+            # lazy, so the scan refuses a grid outside its domain before any q is built
+            pairs = ((sid, fair_pair(_density(st))) for sid, st in states)
         result = unfairness_scan(pairs, grid)
     else:
         states = [(sid, _density(st)) for sid, st in

@@ -10,13 +10,22 @@ point fails unless its margin is >= -tolerance, so a NaN margin fails; a
 state with a failing point is re-scanned on a 10x finer grid at a 10x
 tighter tolerance, and its worst failing fine point is the violation.
 
-The witness, the tilt bound and the dark-port g2 scan read one object:
-the difference-port number distribution q of a balanced two-copy
-interference, a plain 1-D array with q[m] the probability of m photons
-in the difference port. ``fair_pair`` computes it for twin copies of a
-state with the dark-port block engine; no difference-port operator is
-built. Loss reweights the dark port by (1 - 2T)^m, so g2 at T comes
-from the witness's tilted moments at lam = 1 - 2T. The counterexample
+Every margin is an expression in (P, P_lam, P_lamlam): a dark-port
+polynomial P(lam) = sum_m q_m lam^m (a ``PurityPolynomial``) and its first
+two derivatives in lam = 1 - 2T, built once per state. q is the
+difference-port number distribution of a balanced two-copy interference,
+a plain 1-D array with q[m] the probability of m photons in the
+difference port; Tr[rho_T^2] = P(1 - 2T), since loss reweights the dark
+port by (1 - 2T)^m.
+
+- log-convexity: P P'' - P'^2 in T, which is 4 (P P_lamlam - P_lam^2);
+- the unfairness witness: P P_lamlam - P_lam^2 at lam;
+- the tilt bound: lam P P_lam + lam^2 (P P_lamlam - P_lam^2);
+- dark-port g2 - 1: P P_lamlam / P_lam^2 - 1, defined where the mean
+  lam P_lam / P is above MEAN_N_FLOOR.
+
+``fair_pair`` computes q for twin copies of a state with the dark-port
+block engine; no difference-port operator is built. The counterexample
 pairs, which are not fair mixtures of twin pairs, are given by their
 exact distributions and reproduce their witness margins bit-stably.
 """
@@ -94,15 +103,30 @@ def _worst(points: list):
 
 
 # ---------------------------------------------------------------------------
+# margins: each an expression in (P, P_lam, P_lamlam) of a dark-port polynomial
+# ---------------------------------------------------------------------------
+
+
+def _derivatives(poly: PurityPolynomial, lam: np.ndarray) -> tuple:
+    """(P, P_lam, P_lamlam): the polynomial and its first two lambda-derivatives."""
+    return tuple(poly.at_lambda(lam, order) for order in range(3))
+
+
+def _witness(poly: PurityPolynomial, lam: np.ndarray) -> np.ndarray:
+    p, d1, d2 = _derivatives(poly, lam)
+    return p * d2 - d1 ** 2
+
+
+# ---------------------------------------------------------------------------
 # log-convexity of purity in T
 # ---------------------------------------------------------------------------
 
 
-def _log_convexity_margins(poly: PurityPolynomial, t_grid: np.ndarray) -> np.ndarray:
-    # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
-    # monomials in T cancels catastrophically at large cutoff
-    return (poly.value(t_grid) * poly.derivative(t_grid, 2)
-            - poly.derivative(t_grid, 1) ** 2)
+def _log_convexity(poly: PurityPolynomial, t_grid: np.ndarray) -> np.ndarray:
+    # P P'' - P'^2 in T is 4 x the witness at lambda = 1 - 2T (dlambda/dT = -2),
+    # evaluated in lambda: expanding (1 - 2T)^m into monomials in T cancels
+    # catastrophically at large cutoff
+    return 4.0 * _witness(poly, 1.0 - 2.0 * t_grid)
 
 
 def log_convexity_corpus(states, t_grid) -> ScanResult:
@@ -110,7 +134,7 @@ def log_convexity_corpus(states, t_grid) -> ScanResult:
     grid. Margins are exact polynomial derivatives, so a negative one is a
     property of the operator, not of quadrature."""
     polys = ((state_id, purity_polynomial(rho1)) for state_id, rho1 in states)
-    return _scan("log_convexity", polys, t_grid, _log_convexity_margins, SCAN_TOL)
+    return _scan("log_convexity", polys, t_grid, _log_convexity, SCAN_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -118,27 +142,21 @@ def log_convexity_corpus(states, t_grid) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _ell_sides(q: np.ndarray, transmissivity: float) -> tuple:
-    t = float(transmissivity)
-    if not t < 0.5:
-        raise ValueError("the tilt base needs T < 1/2")
-    m = np.arange(q.size, dtype=float)
-    w = (1.0 - 2.0 * t) ** m
-    # NumPy scalars, so an overflow gives inf (and a NaN margin), not OverflowError
-    first = q @ (m * w)
-    return float(first ** 2), float((q @ w) * (q @ (m * m * w)))
-
-
-def _ell_margins(q: np.ndarray, t_grid: np.ndarray) -> list:
-    return [rhs - lhs for lhs, rhs in (_ell_sides(q, t) for t in t_grid)]
+def _ell(poly: PurityPolynomial, t_grid: np.ndarray) -> np.ndarray:
+    # sum q m w^m = w P_w and sum q m^2 w^m = w P_w + w^2 P_ww
+    w = 1.0 - 2.0 * t_grid
+    p, d1, d2 = _derivatives(poly, w)
+    return w * p * d1 + w ** 2 * (p * d2 - d1 ** 2)
 
 
 def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
     """The proven Cauchy-Schwarz bound (sum q m w^m)^2 <= (sum q w^m)(sum q m^2 w^m),
     w = 1 - 2T, on the difference-port distribution q of the twin pair of each
     (state_id, operator) pair, over a grid of T < 1/2: it must pass for every state."""
-    qs = ((state_id, fair_pair(rho1)) for state_id, rho1 in states)
-    return _scan("ell_log_convexity", qs, t_grid, _ell_margins, PROVEN_TOL,
+    if not np.all(np.asarray(t_grid, dtype=float) < 0.5):
+        raise ValueError("the tilt base needs T < 1/2")
+    polys = ((state_id, PurityPolynomial(fair_pair(rho1))) for state_id, rho1 in states)
+    return _scan("ell_log_convexity", polys, t_grid, _ell, PROVEN_TOL,
                  clean="proven-case-verified")
 
 
@@ -147,46 +165,15 @@ def ell_log_convexity_corpus(states, t_grid) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _witness_sides(q: np.ndarray, lam: float) -> tuple:
-    zeroth, first, second = _tilted_moments(q, lam)
-    return first ** 2, zeroth * second
-
-
-def _tilted_moments(q: np.ndarray, lam: float) -> tuple:
-    """(sum q_m lam^m, sum q_m m lam^(m-1), sum q_m m(m-1) lam^(m-2)), with the
-    powers factored through the m and m(m-1) weights, so lam = 0 is safe."""
-    if not abs(lam) <= 1.0:
-        raise ValueError("the tilt parameter must satisfy |lam| <= 1")
-    m = np.arange(q.size, dtype=float)
-    zeroth = float(q @ np.power(lam, m))
-    first = float(q[1]) if q.size > 1 else 0.0
-    second = 0.0
-    if q.size > 2:
-        powers = np.power(lam, m[:-2])
-        first += float(q[2:] @ (m[2:] * powers * lam))
-        second = float(q[2:] @ (m[2:] * (m[2:] - 1.0) * powers))
-    return zeroth, first, second
-
-
-def _difference_marginal(amplitudes: dict) -> np.ndarray:
-    """Difference-port distribution of the pure two-mode state with the
-    given amplitudes {(n_plus, n_minus): amplitude} in the sum/difference
-    number basis."""
-    q = np.zeros(1 + max(n_minus for _, n_minus in amplitudes))
-    for (_, n_minus), amp in amplitudes.items():
-        q[n_minus] += abs(amp) ** 2
-    return q / q.sum()
-
-
 def bell_like_pair() -> np.ndarray:
     """Superposition of no photons and a photon in each of the sum and
     difference modes; its difference-port populations are (1/2, 1/2)."""
-    return _difference_marginal({(0, 0): 1.0, (1, 1): -1.0})
+    return np.array([0.5, 0.5])
 
 
 def separable_01_pair() -> np.ndarray:
     """One photon sitting in the difference mode: populations (0, 1)."""
-    return _difference_marginal({(0, 1): 1.0})
+    return np.array([0.0, 1.0])
 
 
 def twin_photon_pair() -> np.ndarray:
@@ -201,16 +188,15 @@ def fair_pair(rho: DensityOperator) -> np.ndarray:
     return pair_dark_populations(rho, rho)
 
 
-def _witness_margins(q: np.ndarray, lam_grid: np.ndarray) -> list:
-    return [rhs - lhs for lhs, rhs in (_witness_sides(q, float(l)) for l in lam_grid)]
-
-
 def unfairness_scan(pairs, lam_grid) -> ScanResult:
     """Moment witness over (state_id, q) pairs, q a difference-port
     distribution, and a lam grid inside [-1, 1]. Fair mixtures of twin pairs
-    satisfy (sum q_m m lam^(m-1))^2 <= (sum q_m lam^m)(sum q_m m(m-1) lam^(m-2));
-    a negative margin witnesses an operator that is not one."""
-    return _scan("unfairness_witness", pairs, lam_grid, _witness_margins, SCAN_TOL,
+    satisfy P_lam^2 <= P P_lamlam for P(lam) = sum_m q_m lam^m; a negative
+    margin witnesses an operator that is not one."""
+    if not np.all(np.abs(np.asarray(lam_grid, dtype=float)) <= 1.0):
+        raise ValueError("the tilt parameter must satisfy |lam| <= 1")
+    polys = ((state_id, PurityPolynomial(q)) for state_id, q in pairs)
+    return _scan("unfairness_witness", polys, lam_grid, _witness, SCAN_TOL,
                  axis="lambda", unit="pairs")
 
 
@@ -219,26 +205,20 @@ def unfairness_scan(pairs, lam_grid) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _g2_margin(q: np.ndarray, transmissivity: float):
+def _g2_excess(poly: PurityPolynomial, t_grid: np.ndarray) -> np.ndarray:
     """g2 - 1 of the dark port: loss weights its m-photon population by
-    lam^m, lam = 1 - 2T, so g2 = zeroth second / first^2 in the tilted
-    moments of q. None where the mean lam first / zeroth is numerically
-    zero; a NaN mean gives a NaN margin."""
-    lam = 1.0 - 2.0 * float(transmissivity)
-    zeroth, first, second = _tilted_moments(q, lam)
-    if lam * first / zeroth <= MEAN_N_FLOOR:
-        return None
-    return zeroth * second / first ** 2 - 1.0
+    lam^m, lam = 1 - 2T, so g2 = P P_lamlam / P_lam^2. None where the mean
+    lam P_lam / P is numerically zero; a NaN mean gives a NaN margin."""
+    lam = 1.0 - 2.0 * t_grid
+    p, d1, d2 = _derivatives(poly, lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lam * d1 / p <= MEAN_N_FLOOR, None, p * d2 / d1 ** 2 - 1.0)
 
 
-def _g2_margins(q: np.ndarray, t_grid: np.ndarray) -> list:
-    return [_g2_margin(q, t) for t in t_grid]
-
-
-def _dark_port_q(rho1: DensityOperator) -> np.ndarray:
+def _dark_port_polynomial(rho1: DensityOperator) -> PurityPolynomial:
     if not rho1.physical:
         raise ValueError("dark-port g2 needs a positive operator, got physical=False")
-    return fair_pair(rho1)
+    return PurityPolynomial(fair_pair(rho1))
 
 
 def dark_port_g2_scan(states, t_grid) -> ScanResult:
@@ -247,5 +227,5 @@ def dark_port_g2_scan(states, t_grid) -> ScanResult:
     grid = np.asarray(t_grid, dtype=float)
     if not np.all((grid >= 0.0) & (grid <= 0.5)):
         raise ValueError("the dark-port g2 scan needs 0 <= T <= 1/2")
-    qs = ((state_id, _dark_port_q(rho1)) for state_id, rho1 in states)
-    return _scan("dark_port_g2", qs, grid, _g2_margins, G2_TOL)
+    polys = ((state_id, _dark_port_polynomial(rho1)) for state_id, rho1 in states)
+    return _scan("dark_port_g2", polys, grid, _g2_excess, G2_TOL)

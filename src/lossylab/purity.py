@@ -67,17 +67,18 @@ class PurityPolynomial:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
 
-    def value_at_lambda(self, lam):
-        return npoly.polyval(np.asarray(lam, dtype=float), self.coefficients)
+    def at_lambda(self, lam, order: int = 0):
+        """d^order / dlambda^order of the polynomial at lam."""
+        return npoly.polyval(np.asarray(lam, dtype=float),
+                             npoly.polyder(self.coefficients, m=order))
 
     def value(self, transmissivity):
-        return self.value_at_lambda(1.0 - 2.0 * np.asarray(transmissivity, dtype=float))
+        return self.at_lambda(1.0 - 2.0 * np.asarray(transmissivity, dtype=float))
 
     def derivative(self, transmissivity, order: int = 1):
         """d^order / dT^order via the chain rule (dlambda/dT = -2)."""
-        dcoeffs = npoly.polyder(self.coefficients, m=order)
         lam = 1.0 - 2.0 * np.asarray(transmissivity, dtype=float)
-        return (-2.0) ** order * npoly.polyval(lam, dcoeffs)
+        return (-2.0) ** order * self.at_lambda(lam, order)
 
 
 # ---------------------------------------------------------------------------

@@ -657,3 +657,75 @@ def indefinite_convex_operator(cutoff: int = 4) -> DensityOperator:
 @pytest.fixture(name="indefinite_convex_operator", scope="session")
 def indefinite_convex_operator_fixture():
     return indefinite_convex_operator
+
+
+# The tilted-moment route of the dark-port scans: each moment of q summed
+# with its own powers of lam, one point at a time. It is the oracle of the
+# scans' (P, P_lam, P_lamlam) route through the dark-port polynomial.
+
+
+def _ell_sides(q: np.ndarray, transmissivity: float) -> tuple:
+    t = float(transmissivity)
+    if not t < 0.5:
+        raise ValueError("the tilt base needs T < 1/2")
+    m = np.arange(q.size, dtype=float)
+    w = (1.0 - 2.0 * t) ** m
+    # NumPy scalars, so an overflow gives inf (and a NaN margin), not OverflowError
+    first = q @ (m * w)
+    return float(first ** 2), float((q @ w) * (q @ (m * m * w)))
+
+
+def _witness_sides(q: np.ndarray, lam: float) -> tuple:
+    zeroth, first, second = _tilted_moments(q, lam)
+    return first ** 2, zeroth * second
+
+
+def _tilted_moments(q: np.ndarray, lam: float) -> tuple:
+    """(sum q_m lam^m, sum q_m m lam^(m-1), sum q_m m(m-1) lam^(m-2)), with the
+    powers factored through the m and m(m-1) weights, so lam = 0 is safe."""
+    if not abs(lam) <= 1.0:
+        raise ValueError("the tilt parameter must satisfy |lam| <= 1")
+    m = np.arange(q.size, dtype=float)
+    zeroth = float(q @ np.power(lam, m))
+    first = float(q[1]) if q.size > 1 else 0.0
+    second = 0.0
+    if q.size > 2:
+        powers = np.power(lam, m[:-2])
+        first += float(q[2:] @ (m[2:] * powers * lam))
+        second = float(q[2:] @ (m[2:] * (m[2:] - 1.0) * powers))
+    return zeroth, first, second
+
+
+def _g2_margin(q: np.ndarray, transmissivity: float):
+    """g2 - 1 of the dark port: loss weights its m-photon population by
+    lam^m, lam = 1 - 2T, so g2 = zeroth second / first^2 in the tilted
+    moments of q. None where the mean lam first / zeroth is numerically
+    zero; a NaN mean gives a NaN margin."""
+    lam = 1.0 - 2.0 * float(transmissivity)
+    zeroth, first, second = _tilted_moments(q, lam)
+    if lam * first / zeroth <= MEAN_N_FLOOR:
+        return None
+    return zeroth * second / first ** 2 - 1.0
+
+
+def moment_margin(conjecture: str, q: np.ndarray, x: float):
+    """The margin of the row of scan ``conjecture`` (its ScanResult name) at
+    grid value x for difference-port distribution q, by tilted moments;
+    None where the scan writes no row."""
+    if conjecture == "log_convexity":
+        lhs, rhs = _witness_sides(q, 1.0 - 2.0 * x)
+        return 4.0 * (rhs - lhs)
+    if conjecture == "unfairness_witness":
+        lhs, rhs = _witness_sides(q, x)
+        return rhs - lhs
+    if conjecture == "ell_log_convexity":
+        lhs, rhs = _ell_sides(q, x)
+        return rhs - lhs
+    if conjecture == "dark_port_g2":
+        return _g2_margin(q, x)
+    raise ValueError(f"no moment route for {conjecture!r}")
+
+
+@pytest.fixture(name="moment_margin", scope="session")
+def moment_margin_fixture():
+    return moment_margin

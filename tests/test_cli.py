@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import importlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import lossylab
-from lossylab.cli import MAX_CUTOFF, SWEEP_COLUMNS, ConfigError, main, parse_states
+from lossylab.cli import (MAX_CUTOFF, MAX_GRID_STEPS, SWEEP_COLUMNS, ConfigError, main,
+                          parse_grid, parse_states)
 from lossylab.fock import PureState
 from lossylab.purity import purity, renyi_entropy, von_neumann
 from lossylab.qcs import qcs_commutator
@@ -423,6 +425,66 @@ def test_ladder_beyond_max_cutoff_exits_two_before_allocating(state, capsys):
     assert f"at most {MAX_CUTOFF}" in capsys.readouterr().err
 
 
+def test_corpus_beyond_the_entry_budget_exits_two_before_allocating(capsys):
+    # 100 states of 2048 levels would be 100 dense matrices of 64 MiB
+    tracemalloc.start()
+    try:
+        assert run("verify", "--suite", "purity", "--states", "random:100:2048") == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert f"at most {MAX_CUTOFF ** 2} are allowed" in capsys.readouterr().err
+    # the budget counts every family of the spec together
+    with pytest.raises(ConfigError, match="matrix entries together"):
+        parse_states(f"fock:{MAX_CUTOFF - 2},fock:1", 7, False)
+    for spec in ("random:0", "random:-3:8"):
+        with pytest.raises(ConfigError, match="COUNT of at least 1"):
+            parse_states(spec, 7, False)
+
+
+def _benchmark_state_specs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+        return sorted({op.states for name in workloads.WORKLOADS
+                       for op in workloads.build_ops(name, 1)})
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("spec", _benchmark_state_specs())
+def test_benchmark_state_specs_fit_the_budget(spec):
+    assert parse_states(spec, 1, False)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "purity"),
+    ("sweep",),
+    *[("conjecture", "--name", name) for name in
+      ("log-convexity", "ell-log-convexity", "unfairness", "dark-port-g2")],
+])
+def test_grid_beyond_max_steps_exits_two_before_allocating(argv, capsys):
+    # 10^10 points would be an 80 GB grid array
+    tracemalloc.start()
+    try:
+        assert run(*argv, "--states", "fock:1", "--grid", "0:1:10000000000") == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert f"1 to {MAX_GRID_STEPS} steps" in capsys.readouterr().err
+
+
+def test_grid_steps_bound():
+    assert parse_grid(f"0:1:{MAX_GRID_STEPS}").size == MAX_GRID_STEPS
+    with pytest.raises(ConfigError, match=f"1 to {MAX_GRID_STEPS} steps"):
+        parse_grid(f"0:1:{MAX_GRID_STEPS + 1}")
+
+
 def test_max_cutoff_bounds_every_family(tmp_path):
     # fock:N sizes its ladder N + 2; the vector alone is cheap at the bound
     [(_, psi)] = parse_states(f"fock:{MAX_CUTOFF - 2}", 7, False)
@@ -470,6 +532,14 @@ def test_unfairness_grid_outside_witness_domain_exits_two(capsys):
     assert run("conjecture", "--name", "unfairness", "--states", "random:1",
                "--grid=-3:3:3") == 2
     assert "|lam| <= 1" in capsys.readouterr().err
+
+
+def test_unfairness_domain_is_refused_before_any_dark_port_distribution(monkeypatch,
+                                                                        capsys):
+    calls = counting(monkeypatch, importlib.import_module("lossylab.cli"), "fair_pair")
+    assert run("conjecture", "--name", "unfairness", "--states", "random:2",
+               "--grid=-3:3:3") == 2
+    assert calls == []
 
 
 def test_dark_port_grid_below_zero_exits_two(capsys):
@@ -591,10 +661,19 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "operator file rejected" in capsys.readouterr().err
 
 
-def test_deterministic_output(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    for path in (a, b):
-        assert run("verify", "--states", "random:2", "--seed", "11",
-                   "--suite", "purity", "--out", str(path)) == 0
-    assert filecmp.cmp(a, b, shallow=False)
+DETERMINISTIC_RUNS = [
+    ("verify", "--states", "random:2", "--seed", "11", "--suite", "purity"),
+    ("sweep", "--states", "random:1:8:3", "--seed", "11", "--grid", "0:1:41"),
+    *[("conjecture", "--name", name, "--states", "random:3", "--seed", "11")
+      for name in ("log-convexity", "ell-log-convexity", "unfairness",
+                   "dark-port-g2")],
+]
+
+
+def test_deterministic_output(tmp_path, capsys):
+    for i, argv in enumerate(DETERMINISTIC_RUNS):
+        a = tmp_path / f"{i}a.csv"
+        b = tmp_path / f"{i}b.csv"
+        for path in (a, b):
+            assert run(*argv, "--out", str(path)) == 0
+        assert filecmp.cmp(a, b, shallow=False), argv

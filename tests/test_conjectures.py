@@ -282,8 +282,58 @@ def test_scans_reject_an_empty_grid(scan, corpus):
         scan(corpus, [])
 
 
+@pytest.mark.parametrize("scan, grid, message", [
+    (ell_log_convexity_corpus, [0.2, 0.5], "T < 1/2"),
+    (dark_port_g2_scan, [0.2, 0.6], "0 <= T <= 1/2"),
+])
+def test_scan_domain_is_refused_before_any_dark_port_distribution(scan, grid, message,
+                                                                  monkeypatch):
+    calls = []
+    monkeypatch.setattr(conjectures, "fair_pair", lambda rho: calls.append(rho))
+    with pytest.raises(ValueError, match=message):
+        scan([("fock:1", make_fock(1, 2).density())], grid)
+    assert calls == []
+
+
 def test_unfairness_scan_enforces_the_witness_domain():
     pairs = [("fair", fair_pair(random_mixed(1, 4, rank=2)))]
     for grid in ([-3.0, 0.0, 3.0], [np.nan]):
         with pytest.raises(ValueError, match="lam"):
             unfairness_scan(pairs, grid)
+
+
+ORACLE_STATES = [
+    ("mixed:3", random_mixed(3, 48, 48)),
+    ("pure:5", random_pure(5, 40).density()),
+    ("squeezed:0.8", make_squeezed_vacuum(0.8, 96).density()),
+]
+
+
+@pytest.mark.parametrize("scan, grid", [
+    # each grid holds lam = 1, 0 and -1 where the scan's domain reaches them
+    (log_convexity_corpus, np.linspace(0.0, 1.0, 21)),
+    (ell_log_convexity_corpus, np.linspace(0.0, 0.45, 10)),
+    (dark_port_g2_scan, np.linspace(0.0, 0.5, 11)),
+    (unfairness_scan, np.linspace(-1.0, 1.0, 21)),
+])
+def test_scans_match_the_tilted_moment_oracle(scan, grid, moment_margin):
+    qs = {sid: fair_pair(rho) for sid, rho in ORACLE_STATES}
+    corpus = (list(qs.items()) if scan is unfairness_scan else ORACLE_STATES)
+    res = scan(corpus, grid)
+    expected = {(sid, float(x)): moment_margin(res.conjecture, q, float(x))
+                for sid, q in qs.items() for x in grid}
+    # a row for each point the oracle defines, and no other
+    assert sorted((sid, x) for sid, x, _ in res.rows) == sorted(
+        key for key, ref in expected.items() if ref is not None)
+    for sid, x, margin in res.rows:
+        ref = expected[sid, x]
+        assert abs(margin - ref) <= 1e-13 * max(1.0, abs(ref)), (sid, x, margin, ref)
+
+
+def test_log_convexity_is_four_times_the_witness():
+    t_grid = np.linspace(0.0, 1.0, 21)
+    log_rows = log_convexity_corpus(ORACLE_STATES, t_grid).rows
+    pairs = [(sid, fair_pair(rho)) for sid, rho in ORACLE_STATES]
+    witness_rows = unfairness_scan(pairs, 1.0 - 2.0 * t_grid).rows
+    assert [(sid, m) for sid, _, m in log_rows] == [
+        (sid, 4.0 * m) for sid, _, m in witness_rows]
