@@ -108,16 +108,18 @@ def parse_quadrature(spec: str) -> Quadrature2D:
 
 
 def _read_operator_file(path: str) -> np.ndarray:
-    """The vector or square matrix saved at path, as complex entries."""
+    """The vector or square matrix saved at path, as complex entries. The
+    file is mapped, not read, until its shape is checked against the
+    budget, so an oversized file is refused before its data is in memory."""
     try:
-        mat = np.load(path)
+        mapped = np.load(path, mmap_mode="r")
     except OSError as exc:
         raise ConfigError(f"cannot read operator file {path!r}: {exc}") from None
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim not in (1, 2) or mat.shape[0] != mat.shape[-1]:
+    shape = getattr(mapped, "shape", ())
+    if len(shape) not in (1, 2) or shape[0] != shape[-1]:
         raise ConfigError("operator file must hold a vector or a square matrix")
-    _within_budget(mat.shape[0], f"file:{path}")
-    return mat
+    _within_budget(shape[0], f"file:{path}")
+    return np.array(mapped, dtype=complex)
 
 
 def _file_operator(mat: np.ndarray, allow_nonpositive: bool) -> DensityOperator:

@@ -5,9 +5,11 @@ Conventions. chi_rho(alpha, s) = Tr[rho D(alpha)] exp(s|alpha|^2 / 2). The
 s-ordered quasiprobability is P(alpha, s) = (2 / (pi (1-s))) Tr[rho X] with
 X = D(alpha) u^N D(alpha)^dag and u = (s+1)/(s-1). Both traces run over the
 finite support of rho, and every matrix element of D(alpha) and of X is an
-exact associated-Laguerre closed form, so neither has a truncation knob.
-s = -1 gives the Husimi function <alpha|rho|alpha>/pi, s = 0 the Wigner
-function, and s >= 1 pointwise is rejected (singular order).
+associated-Laguerre closed form, exact up to rounding, so neither has a
+truncation knob; the Laguerre factors come from one recurrence in n
+(fock.laguerre_ladder), numpy alone. s = -1 gives the Husimi function
+<alpha|rho|alpha>/pi, s = 0 the Wigner function, and s >= 1 pointwise is
+rejected (singular order).
 """
 
 from __future__ import annotations
@@ -18,16 +20,74 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._special import eval_genlaguerre, gammaln, roots_laguerre
-from .fock import DensityOperator, displacement_matrix
+from .fock import (DensityOperator, displacement_matrix, laguerre_ladder, scaled_exp,
+                   scaled_powers)
 
 IMAG_TOL = 1e-9
 DEFAULT_GRID_POINTS = 121
 
 
 # ---------------------------------------------------------------------------
-# exact matrix elements, one Laguerre evaluation per unordered pair
+# exact matrix elements, one Laguerre ladder per block of distinct radii
 # ---------------------------------------------------------------------------
+
+# (diagonal, distinct radius) entries per ladder block: bounds the kernel's
+# per-block arrays (512 KiB for the complex upper and lower sums), whatever
+# the number of points
+LADDER_ENTRIES = 2 ** 14
+
+
+def _diagonal_rows(mat: np.ndarray, flip: float):
+    """The diagonals k that hold an element pair (rho_{n, n+k}, rho_{n+k, n})
+    with either member of magnitude 1e-18 or more, ordered by their last such
+    level n, highest first, then by k. Returns (k, stop, levels, masked,
+    offsets, signs): diagonal k is wanted for n < stop; levels[n] says
+    whether any diagonal holds such a pair at level n; ``masked`` is ``mat``
+    with the other pairs set to zero; rho_{n, n+k} and rho_{n+k, n} sit at
+    n (c + 1) + offsets[i] of it, raveled, for the i-th diagonal; and
+    signs[i] is (1, flip^k), with 0 for the lower triangle of k = 0, which is
+    the upper one."""
+    cutoff = mat.shape[0]
+    small = np.abs(mat) < 1e-18
+    keep = ~(small & small.T)
+    n, m = np.nonzero(np.triu(keep))
+    last = np.full(cutoff, -1)
+    np.maximum.at(last, m - n, n)
+    levels = np.zeros(cutoff, dtype=bool)
+    levels[n] = True
+    k = np.flatnonzero(last >= 0)
+    k = k[np.argsort(-last[k], kind="stable")]
+    offsets = np.stack([k, cutoff * k], axis=1)
+    signs = np.stack([np.ones(k.size), np.where(k > 0, flip ** k, 0.0)], axis=1)
+    return k, last[k] + 1, levels.tolist(), np.where(keep, mat, 0.0), offsets, signs
+
+
+def _radial_sums(x: np.ndarray, rows, decay: float, gain: float, w: float, c: float):
+    """For each diagonal k of ``rows`` (from _diagonal_rows) and each x, the
+    sums over n of rho_{n, n+k} and of flip^k rho_{n+k, n} times the real
+    factor
+        e^{decay x} sqrt(n!/(n+k)!) (gain sqrt(x))^k w^n L_n^(k)(-c x / w),
+    as an array shaped (diagonals, 2, x).
+
+    The factor is e^{decay x} (gain sqrt(x))^k / sqrt(k!) times the ladder's
+    sqrt(n! k! / (n+k)!) w^n L_n^(k), each carried as a mantissa and a power
+    of two until their product is formed, so neither overflows or underflows
+    on its own and only e^{decay x} goes through an exponential."""
+    k, stop, levels, masked, offsets, signs = rows
+    flat, stride = masked.ravel(), masked.shape[0] + 1
+    power, power_exp = scaled_powers(gain * np.sqrt(x), int(k.max()) + 1)
+    damp, damp_exp = scaled_exp(decay * x)
+    outer, outer_exp = power[k] * damp, power_exp[k] + damp_exp
+    sums = np.zeros((k.size, 2, x.size), dtype=complex)
+    for n, (mant, exponent) in enumerate(laguerre_ladder(k, -c * x, stop, w)):
+        if not levels[n]:
+            continue
+        live = mant.shape[0]
+        coefficients = flat[n * stride + offsets[:live]] * signs[:live]
+        term = np.ldexp(mant * outer[:live], exponent + outer_exp[:live])
+        sums[:live, 0] += coefficients[:, :1] * term
+        sums[:live, 1] += coefficients[:, 1:] * term
+    return sums
 
 
 def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float,
@@ -38,56 +98,54 @@ def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float
         <m|K|n> = e^{decay x} sqrt(n!/m!) (gain alpha)^k w^n L_n^(k)(-c x / w)
     with x = |alpha|^2 and gain > 0; the upper triangle is
     <n|K|m> = flip^k conj(<m|K|n>). Write alpha^k = |alpha|^k phase^k: all
-    but phase^k is a real factor of (x, n, k) alone, so each diagonal k forms
-    it (and its Laguerre values) once per distinct x, sums it against the
-    diagonal of rho over n there, and only then spreads the sums back to the
-    points and multiplies by phase^k. The real factor is formed in the log
-    domain so large powers and Laguerre values never overflow on their own.
-    At w = 0 (which needs c > 0) the factor w^n L_n^(k)(-c x / w) takes its
-    limit (c x)^n / n!, and at alpha = 0 the kernel is diagonal with entries
-    w^n. Every step is elementwise per x or per point, so a point's value
-    does not depend on the other points of the call. Returns an array shaped
-    like ``alpha``.
+    but phase^k is a real factor of (x, n, k) alone. The distinct x are cut
+    into blocks of at most LADDER_ENTRIES (diagonal, x) pairs; in each, one
+    Laguerre ladder runs up n over every diagonal of rho at once and sums
+    the real factor against the diagonals (_radial_sums), and only then are
+    the sums spread back to the points, as polynomials in phase and in its
+    conjugate evaluated by Horner's rule. At w = 0 (which needs c > 0) the
+    ladder gives the limit (c x)^n / n! of w^n L_n^(k)(-c x / w), and at
+    alpha = 0 the kernel is diagonal with entries w^n. Every step is
+    elementwise per x or per point, so a point's value does not depend on
+    the other points of the call. Returns an array shaped like ``alpha``.
     """
     al = np.asarray(alpha, dtype=complex)
     if not np.all(np.isfinite(al)):
         raise ValueError("alpha must be finite")
     shape = al.shape
     al = al.ravel()
+    # the points in order of x; each one's phase (1 at the origin), and the
+    # index of its x among the distinct ones
     x_point = np.abs(al) ** 2
-    phase = np.ones_like(al)
-    nz = x_point > 0.0
-    phase[nz] = al[nz] / np.sqrt(x_point[nz])
-    x, inv = np.unique(x_point, return_inverse=True)
-    origin = x == 0.0
-    cutoff = rho.cutoff
-    lg = gammaln(np.arange(cutoff + 1) + 1.0)
-    mat = rho.matrix
+    by_radius = np.argsort(x_point)
+    x_sorted = x_point[by_radius]
+    phase = np.divide(al[by_radius], np.sqrt(x_sorted), out=np.ones(al.shape, dtype=complex),
+                      where=x_sorted > 0.0)
+    new_x = np.diff(x_sorted, prepend=-1.0) != 0.0
+    x, which = x_sorted[new_x], np.cumsum(new_x) - 1
+    rows = _diagonal_rows(rho.matrix, flip)
+    k = rows[0].tolist()
     acc = np.zeros(al.shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        log_gain_r = np.log(gain) + 0.5 * np.log(x)
-        for k in range(cutoff):
-            upper = np.diagonal(mat, k)    # rho_{n, n+k}
-            lower = np.diagonal(mat, -k)   # rho_{n+k, n}
-            n = np.nonzero((np.abs(upper) >= 1e-18) | (np.abs(lower) >= 1e-18))[0]
-            if n.size == 0:
-                continue
-            col = n[:, None]
-            logmag = decay * x + 0.5 * (lg[col] - lg[col + k]) + k * log_gain_r
-            if w == 0.0:
-                logmag = logmag + col * np.log(c * x) - lg[col]
-                sign = 1.0
-            else:
-                lag = eval_genlaguerre(col, k, (-c / w) * x)
-                logmag = logmag + col * np.log(abs(w)) + np.log(np.abs(lag))
-                sign = np.sign(lag) * np.sign(w) ** col
-            real = sign * np.exp(logmag)
-            real[:, origin] = (w ** n)[:, None] if k == 0 else 0.0
-            phase_k = phase ** k
-            acc += np.einsum("n,nU->U", upper[n], real)[inv] * phase_k
-            if k > 0:
-                acc += (np.einsum("n,nU->U", flip ** k * lower[n], real)[inv]
-                        * np.conj(phase_k))
+    if not k:
+        return acc.reshape(shape)
+    row_of = dict(zip(k, range(len(k))))
+    step = max(1, LADDER_ENTRIES // len(k))
+    starts = range(0, x.size, step)
+    bounds = np.searchsorted(which, [*starts, x.size])
+    for block, start in enumerate(starts):
+        sums = _radial_sums(x[start:start + step], rows, decay, gain, w, c)
+        span = slice(bounds[block], bounds[block + 1])
+        local = which[span] - start
+        # Horner's rule in phase (upper triangle), then in its conjugate (lower)
+        for side, ph in enumerate((phase[span], np.conj(phase[span]))):
+            total = np.take(sums[row_of[max(k)], side], local)
+            for kk in range(max(k) - 1, -1, -1):
+                # out of place: numpy's in-place complex product rounds a
+                # one-element array differently from a longer one
+                total = total * ph
+                if kk in row_of:
+                    total += np.take(sums[row_of[kk], side], local)
+            acc[by_radius[span]] += total
     return acc.reshape(shape)
 
 
@@ -221,9 +279,28 @@ def quasi_prob_grid(rho: DensityOperator, s: float, grid: GridSpec) -> QuasiProb
 # ---------------------------------------------------------------------------
 
 
+def _laguerre_pair(n: int, t: np.ndarray):
+    """(L_{n-1}(t), L_n(t)) / 2^e and the exponent e, entry by entry."""
+    *_, (before, e_before), (last, e_last) = laguerre_ladder([0], t, [n + 1])
+    return np.ldexp(before, e_before - e_last)[0], last[0], e_last[0]
+
+
 @lru_cache(maxsize=16)
 def _laguerre_rule(n: int):
-    t, w = roots_laguerre(n)
+    """Gauss-Laguerre nodes and weights for the weight e^{-t} on [0, inf), by
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Laguerre recurrence (diagonal 2i + 1, off-diagonal i), polished by one
+    Newton step on L_n; the weights are 1 / (t L_n'(t)^2) at the polished
+    nodes, with L_n' = n (L_n - L_{n-1}) / t, scaled to sum to 0! = 1."""
+    if n < 1:
+        raise ValueError("the radial rule needs at least one node")
+    i = np.arange(1.0, n)
+    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(i, 1) + np.diag(i, -1))
+    before, last, _ = _laguerre_pair(n, t)
+    t = t - t * last / (n * (last - before))
+    before, last, exponent = _laguerre_pair(n, t)
+    w = np.ldexp(t / (n * (last - before)) ** 2, -2 * exponent)
+    w = w / w.sum()
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w

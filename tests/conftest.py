@@ -1,4 +1,6 @@
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -346,7 +348,7 @@ def dense_commutator():
 # Oracle for ``phasespace._pair_trace``: the same closed form, with every
 # element formed at every point instead of once per distinct |alpha|^2.
 def per_point_pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float,
-                c: float, flip: float) -> np.ndarray:
+                c: float, flip: float, absolute: bool = False) -> np.ndarray:
     """Tr[rho K] at every alpha, for a kernel K given by its lower triangle.
 
     For m = n + k >= n the element is
@@ -356,7 +358,9 @@ def per_point_pair_trace(rho: DensityOperator, alpha, decay: float, gain: float,
     so large powers and Laguerre values never overflow on their own. At w = 0
     (which needs c > 0) the factor w^n L_n^(k)(-c x / w) takes its limit
     (c x)^n / n!, and at alpha = 0 the kernel is diagonal with entries w^n.
-    Returns an array shaped like ``alpha``.
+    With ``absolute`` it returns sum |rho_nm| |<m|K|n>| instead, the scale
+    that the rounding of any route to the trace acts on. Returns an array
+    shaped like ``alpha``.
     """
     al = np.asarray(alpha, dtype=complex)
     if not np.all(np.isfinite(al)):
@@ -388,12 +392,41 @@ def per_point_pair_trace(rho: DensityOperator, alpha, decay: float, gain: float,
                 lag = eval_genlaguerre(col, k, (-c / w) * x)
                 logmag = logmag + col * np.log(abs(w)) + np.log(np.abs(lag))
                 sign = np.sign(lag) * np.sign(w) ** col
-            elem = sign * np.exp(logmag) * phase ** k
+            elem = np.exp(logmag) if absolute else sign * np.exp(logmag) * phase ** k
             elem[:, ~nz] = (w ** n)[:, None] if k == 0 else 0.0
+            if absolute:
+                elem, upper, lower, flip = np.abs(elem), np.abs(upper), np.abs(lower), 1.0
             acc += np.einsum("n,nP->P", upper[n], elem)
             if k > 0:
                 acc += np.einsum("n,nP->P", flip ** k * lower[n], np.conj(elem))
     return acc.reshape(shape)
+
+
+def fock_quasi_exact(n: int, alpha, s: float) -> np.ndarray:
+    """P(alpha, s) of |n><n| from exact rationals: at x = |alpha|^2 and s as
+    the floats they are, (2 / (pi (1-s))) e^{-(1-u) x} u^n L_n(-x (1-u)^2 / u)
+    with u = (s+1)/(s-1), the part u^n L_n(.) taken exactly from the
+    explicit sum L_n(y) = sum_j C(n, j) (-y)^j / j!, and only the prefactor
+    in floating point. Needs s != -1."""
+    s_q = Fraction(s)
+    u = (s_q + 1) / (s_q - 1)
+    coefficients = [Fraction(math.comb(n, j) * (-1) ** j, math.factorial(j))
+                    for j in range(n + 1)]
+    out = []
+    for x in (np.abs(np.asarray(alpha, dtype=complex)) ** 2).tolist():
+        x_q = Fraction(x)
+        y = -x_q * (1 - u) ** 2 / u
+        lag = Fraction(0)
+        for coefficient in reversed(coefficients):
+            lag = lag * y + coefficient
+        prefactor = 2.0 / (math.pi * float(1 - s_q)) * math.exp(-float((1 - u) * x_q))
+        out.append(prefactor * float(u ** n * lag))
+    return np.array(out)
+
+
+@pytest.fixture(name="fock_quasi_exact", scope="session")
+def fock_quasi_exact_fixture():
+    return fock_quasi_exact
 
 
 @pytest.fixture(scope="session")

@@ -255,31 +255,33 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     assert done.stdout.strip() == "False"
 
 
-SPECIAL_PROBE = """
+NO_SCIPY_PROBE = """
 import sys
+sys.modules["scipy"] = None  # from here on, importing scipy raises ImportError
 import lossylab.cli as cli
-seen = ["scipy.special" in sys.modules]
-for argv in (["conjecture", "--name", "log-convexity", "--states", "random:3"],
+out = sys.argv[1]
+codes = []
+for argv in (["verify", "--suite", "all", "--states", "random:2", "--quadrature", "40:64"],
              ["sweep", "--states", "squeezed:0.8"],
-             ["verify", "--suite", "purity"],
-             ["verify", "--suite", "qcs"],
-             ["verify", "--suite", "inequalities"],
-             ["phasespace", "--states", "fock:1", "--points", "11"]):
-    assert cli.main(argv) == 0, argv
-    seen.append("scipy.special" in sys.modules)
-print(*seen)
+             ["phasespace", "--states", "random:1:6", "--s", "-1", "--points", "21"],
+             ["phasespace", "--states", "random:1:6", "--s", "0", "--points", "21"],
+             ["phasespace", "--states", "random:1:6", "--s", "0.3", "--points", "21"],
+             ["conjecture", "--name", "log-convexity", "--states", "random:3"],
+             ["conjecture", "--name", "unfairness", "--phi", "bell-like"]):
+    codes.append(cli.main(argv + ["--out", out]))
+print(*codes, sys.modules["scipy"])
 """
 
 
-def test_cli_loads_scipy_special_only_for_phase_space_work():
-    # importing scipy.special costs about 0.2 s per process; scans, sweeps
-    # and the purity, qcs and inequality suites never call a special function
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only: every command runs, and exits as it
+    # should, in a process where it cannot be imported
     src = str(Path(lossylab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", SPECIAL_PROBE], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
-    assert done.stdout.splitlines()[-1] == " ".join(["False"] * 6 + ["True"])
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert done.stdout.splitlines()[-1] == "0 0 0 0 0 0 1 None"
 
 
 def test_verify_inequalities_csv_cells_are_numbers(tmp_path):
@@ -483,6 +485,21 @@ def test_grid_steps_bound():
     assert parse_grid(f"0:1:{MAX_GRID_STEPS}").size == MAX_GRID_STEPS
     with pytest.raises(ConfigError, match=f"1 to {MAX_GRID_STEPS} steps"):
         parse_grid(f"0:1:{MAX_GRID_STEPS + 1}")
+
+
+def test_oversized_operator_file_exits_two_before_reading(tmp_path, capsys):
+    # a 2049 x 2049 matrix is 32 MiB on disk; only its header is read
+    path = tmp_path / "big.npy"
+    np.lib.format.open_memmap(path, mode="w+", dtype=float,
+                              shape=(MAX_CUTOFF + 1, MAX_CUTOFF + 1)).flush()
+    tracemalloc.start()
+    try:
+        assert run("verify", "--suite", "purity", "--states", f"file:{path}") == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert f"at most {MAX_CUTOFF}" in capsys.readouterr().err
 
 
 def test_max_cutoff_bounds_every_family(tmp_path):

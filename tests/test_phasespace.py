@@ -1,7 +1,9 @@
 """Characteristic functions, quasiprobabilities, and phase-space purity routes."""
 
 import csv
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from scipy.special import eval_genlaguerre, gammaln, roots_laguerre
 
 import lossylab.phasespace as phasespace
 
-from lossylab.fock import (displacement_matrix, make_coherent, make_fock,
-                           random_mixed, random_pure)
+from lossylab.fock import (displacement_matrix, laguerre_ladder, make_coherent,
+                           make_fock, random_mixed, random_pure)
 from lossylab.loss import apply_loss
 from lossylab.phasespace import (GridSpec, Quadrature2D, char_fn, laplace_purity,
                                  lossy_chi_integrand, overlap_from_quasi, purity_from_chi,
@@ -188,8 +190,9 @@ def test_laplace_purity_single_photon():
 
 def per_radius_laplace_purity(rho1, t, quad):
     """Oracle: the Laplace transform with one char_fn call per radial node,
-    each averaging |chi|^2 over the angular trapezoid."""
-    nodes, w = roots_laguerre(quad.n_radial)
+    each averaging |chi|^2 over the angular trapezoid, on the same radial
+    rule (gated against scipy's roots_laguerre on its own)."""
+    nodes, w = phasespace._laguerre_rule(quad.n_radial)
     thetas = 2.0 * np.pi * np.arange(quad.n_angular) / quad.n_angular
     vals = [float(np.mean(np.abs(char_fn(rho1, np.sqrt(t * ti) * np.exp(1j * thetas),
                                          1.0)) ** 2))
@@ -274,6 +277,12 @@ def _agreement_points(cutoff):
 @pytest.mark.parametrize("cutoff", [8, 24, 64])
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_pair_kernel_matches_per_point_oracle(kind, cutoff, per_point_kernel, monkeypatch):
+    # Both routes round each of the trace's terms, so they can differ by a
+    # few ulps of sum |rho_nm K_mn|, not of the trace. At s <= 0 that sum is
+    # at most 4.3 times max(1, |trace|) on these points, so 2e-14 of it is
+    # tighter than 1e-13 of the trace; the s = 0.3 quasiprobability and the
+    # s = 1 characteristic function cancel up to 5e3 times, where the
+    # oracle's own error against a 40-digit evaluation reaches 3e-12.
     rho = (random_pure(61, cutoff).density() if kind == "pure"
            else random_mixed(62, cutoff, 3))
     routes = [(quasi_prob, s) for s in QUASI_ORDERS] + [(char_fn, s) for s in CHI_ORDERS]
@@ -287,8 +296,12 @@ def test_pair_kernel_matches_per_point_oracle(kind, cutoff, per_point_kernel, mo
             with monkeypatch.context() as patch:
                 patch.setattr(phasespace, "_pair_trace", per_point_kernel)
                 ref = fn(rho, pts, s)
-            dev = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
-            assert dev <= 1e-13, (label, fn.__name__, s, dev)
+                patch.setattr(phasespace, "_pair_trace",
+                              functools.partial(per_point_kernel, absolute=True))
+                size = np.abs(fn(rho, pts, s))
+            assert np.all(size >= 0.999 * np.abs(ref))
+            dev = np.max(np.abs(got - ref) / np.maximum(1.0, size))
+            assert dev <= 2e-14, (label, fn.__name__, s, dev)
 
 
 @pytest.mark.parametrize("beta", [5.0, 3.0 - 2.0j])
@@ -330,23 +343,72 @@ def test_pair_kernel_values_do_not_depend_on_the_batch():
             assert np.array_equal(batch, single), (fn.__name__, s)
 
 
-def test_pair_kernel_evaluates_laguerre_once_per_distinct_radius(monkeypatch):
-    columns = []
+def _counting_ladder(calls):
+    """laguerre_ladder, recording the number of columns of every pass."""
+    def spy(k, z, stop, w=1.0):
+        calls.append(np.size(z))
+        return laguerre_ladder(k, z, stop, w)
+    return spy
 
-    def spy(n, k, x):
-        columns.append(np.broadcast(n, k, x).shape[-1])
-        return eval_genlaguerre(n, k, x)
 
-    monkeypatch.setattr(phasespace, "eval_genlaguerre", spy)
+def test_pair_kernel_runs_one_ladder_pass_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(phasespace, "laguerre_ladder", _counting_ladder(calls))
     rho = random_mixed(64, 8, 3)
     pts, _ = Quadrature2D(40, 64).nodes_weights()
     distinct = np.unique(np.abs(pts) ** 2).size
     assert distinct < pts.size
-    for s in (-0.5, 0.3):
-        quasi_prob(rho, pts, s)
-    char_fn(rho, pts, 0.0)
-    assert 0 < len(columns) <= 3 * rho.cutoff
-    assert max(columns) <= distinct
+    for fn, s in ((quasi_prob, -0.5), (quasi_prob, 0.3), (char_fn, 0.0)):
+        calls.clear()
+        fn(rho, pts, s)
+        assert calls == [distinct], (fn.__name__, s)
+
+
+def test_pair_kernel_cost_at_cutoff_96(monkeypatch):
+    # coherent beta = 5 on a 121 x 121 grid: the blocks of distinct radii
+    # bound the working set (11.5 MiB peak for the per-diagonal kernel this
+    # replaced), and the radii take more than one block
+    calls = []
+    monkeypatch.setattr(phasespace, "laguerre_ladder", _counting_ladder(calls))
+    rho = make_coherent(5.0, 96).density()
+    pts = GridSpec(8.0, 121).alphas()
+    tracemalloc.start()
+    try:
+        quasi_prob(rho, pts, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 11.5 * 2 ** 20
+    assert len(calls) >= 2
+    assert sum(calls) == np.unique(np.abs(pts) ** 2).size
+
+
+@pytest.mark.parametrize("n, s", [(20, -0.5), (20, 0.0), (20, 0.3), (60, -0.5), (60, 0.0),
+                                  (120, -0.5), (120, 0.0)])
+def test_large_fock_matches_exact_rational_oracle(n, s, fock_quasi_exact):
+    rho = make_fock(n, n + 1).density()
+    radii = np.linspace(0.0, np.sqrt(n) + 3.0, 40)
+    pts = radii * np.exp(1j * np.linspace(0.0, 5.0, radii.size))
+    ref = fock_quasi_exact(n, pts, s)
+    peak = np.max(np.abs(ref))
+    assert np.max(np.abs(quasi_prob(rho, pts, s) - ref)) <= 1e-13 * max(1.0, peak)
+
+
+@pytest.mark.parametrize("n", [40, 48, 64, 80, 128])
+def test_laguerre_rule_matches_scipy_and_integrates_polynomials(n):
+    nodes, weights = phasespace._laguerre_rule(n)
+    ref_nodes, ref_weights = roots_laguerre(n)
+    assert np.max(np.abs(nodes - ref_nodes) / ref_nodes) <= 2e-13
+    assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 2e-12
+    # exact for every power below 2n, up to where x^j overflows
+    for j in range(2 * n):
+        with np.errstate(over="ignore"):
+            power = nodes ** j
+        if not np.all(np.isfinite(power)):
+            break
+        exact = math.factorial(j)
+        assert abs(math.fsum(weights * power) - exact) <= 1e-13 * exact, j
+    assert j >= min(2 * n - 1, 100)
 
 
 def test_write_grid_csv_format(tmp_path):
