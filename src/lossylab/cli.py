@@ -60,6 +60,9 @@ DEFAULT_RANK = 3
 MAX_CUTOFF = 2 ** 11
 # the most points a grid may ask for; the largest grid in use has 401
 MAX_GRID_STEPS = 2 ** 16
+# the most radial nodes a quadrature may ask for: the rule's Jacobi matrix is
+# then 8 MiB; the largest rule in use has 80
+MAX_RADIAL_NODES = 2 ** 10
 SUITES = ("purity", "qcs", "phasespace", "inequalities", "all")
 CONJECTURES = ("log-convexity", "ell-log-convexity", "unfairness", "dark-port-g2")
 PAIR_BUILDERS = {
@@ -102,9 +105,14 @@ def parse_quadrature(spec: str) -> Quadrature2D:
     if len(parts) != 2:
         raise ConfigError(f"quadrature must be radial:angular, got {spec!r}")
     try:
-        return Quadrature2D(int(parts[0]), int(parts[1]))
+        radial, angular = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad quadrature {spec!r}: {exc}") from None
+    if not 1 <= radial <= MAX_RADIAL_NODES:
+        raise ConfigError(f"quadrature needs 1 to {MAX_RADIAL_NODES} radial nodes, got {radial}")
+    if angular < 1:
+        raise ConfigError(f"quadrature needs at least 1 angular node, got {angular}")
+    return Quadrature2D(radial, angular)
 
 
 def _read_operator_file(path: str) -> np.ndarray:

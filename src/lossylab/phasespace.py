@@ -291,11 +291,14 @@ def _laguerre_rule(n: int):
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     Laguerre recurrence (diagonal 2i + 1, off-diagonal i), polished by one
     Newton step on L_n; the weights are 1 / (t L_n'(t)^2) at the polished
-    nodes, with L_n' = n (L_n - L_{n-1}) / t, scaled to sum to 0! = 1."""
+    nodes, with L_n' = n (L_n - L_{n-1}) / t, scaled to sum to 0! = 1. The
+    Jacobi matrix is dense, so the rule costs O(n^2) memory and O(n^3) time."""
     if n < 1:
         raise ValueError("the radial rule needs at least one node")
-    i = np.arange(1.0, n)
-    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(i, 1) + np.diag(i, -1))
+    jacobi = np.zeros((n, n))
+    jacobi.flat[::n + 1] = 2.0 * np.arange(n) + 1.0
+    jacobi.flat[1::n + 1] = jacobi.flat[n::n + 1] = np.arange(1.0, n)
+    t = np.linalg.eigvalsh(jacobi)
     before, last, _ = _laguerre_pair(n, t)
     t = t - t * last / (n * (last - before))
     before, last, exponent = _laguerre_pair(n, t)

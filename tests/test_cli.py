@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import lossylab
-from lossylab.cli import (MAX_CUTOFF, MAX_GRID_STEPS, SWEEP_COLUMNS, ConfigError, main,
-                          parse_grid, parse_states)
+from lossylab.cli import (MAX_CUTOFF, MAX_GRID_STEPS, MAX_RADIAL_NODES, SWEEP_COLUMNS,
+                          ConfigError, main, parse_grid, parse_quadrature, parse_states)
 from lossylab.fock import PureState
 from lossylab.purity import purity, renyi_entropy, von_neumann
 from lossylab.qcs import qcs_commutator
@@ -479,6 +479,30 @@ def test_grid_beyond_max_steps_exits_two_before_allocating(argv, capsys):
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
     assert f"1 to {MAX_GRID_STEPS} steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1000000:128", f"1 to {MAX_RADIAL_NODES} radial nodes"),
+    ("0:128", f"1 to {MAX_RADIAL_NODES} radial nodes"),
+    ("80:0", "at least 1 angular node"),
+])
+def test_quadrature_beyond_bounds_exits_two_before_allocating(spec, message, capsys):
+    # 10^6 radial nodes would be an 8 TB Jacobi matrix
+    tracemalloc.start()
+    try:
+        assert run("verify", "--suite", "phasespace", "--states", "fock:1",
+                   "--quadrature", spec) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert message in capsys.readouterr().err
+
+
+def test_quadrature_radial_bound():
+    assert parse_quadrature(f"{MAX_RADIAL_NODES}:1").n_radial == MAX_RADIAL_NODES
+    with pytest.raises(ConfigError, match=f"1 to {MAX_RADIAL_NODES} radial nodes"):
+        parse_quadrature(f"{MAX_RADIAL_NODES + 1}:1")
 
 
 def test_grid_steps_bound():

@@ -1,7 +1,6 @@
 """Characteristic functions, quasiprobabilities, and phase-space purity routes."""
 
 import csv
-import functools
 import math
 import tracemalloc
 
@@ -274,34 +273,53 @@ def _agreement_points(cutoff):
     return points
 
 
+# The s = 0.3 quasiprobability and the s = 1 characteristic function: on the
+# points of _agreement_points their terms cancel up to 5e3-fold
+CANCELLING_ROUTES = ((quasi_prob, 0.3), (char_fn, 1.0))
+
+
 @pytest.mark.parametrize("cutoff", [8, 24, 64])
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_pair_kernel_matches_per_point_oracle(kind, cutoff, per_point_kernel, monkeypatch):
-    # Both routes round each of the trace's terms, so they can differ by a
-    # few ulps of sum |rho_nm K_mn|, not of the trace. At s <= 0 that sum is
-    # at most 4.3 times max(1, |trace|) on these points, so 2e-14 of it is
-    # tighter than 1e-13 of the trace; the s = 0.3 quasiprobability and the
-    # s = 1 characteristic function cancel up to 5e3 times, where the
-    # oracle's own error against a 40-digit evaluation reaches 3e-12.
     rho = (random_pure(61, cutoff).density() if kind == "pure"
            else random_mixed(62, cutoff, 3))
     routes = [(quasi_prob, s) for s in QUASI_ORDERS] + [(char_fn, s) for s in CHI_ORDERS]
-    if cutoff == 64:
-        # at cutoff 64 the s = 0.3 series cancels past the imaginary-residue
-        # check in either kernel
-        routes.remove((quasi_prob, 0.3))
+    # those are measured against exact values instead
+    # (test_cancelling_routes_match_exact_values)
+    routes = [route for route in routes if route not in CANCELLING_ROUTES]
     for label, pts in _agreement_points(cutoff).items():
         for fn, s in routes:
             got = fn(rho, pts, s)
             with monkeypatch.context() as patch:
                 patch.setattr(phasespace, "_pair_trace", per_point_kernel)
                 ref = fn(rho, pts, s)
-                patch.setattr(phasespace, "_pair_trace",
-                              functools.partial(per_point_kernel, absolute=True))
-                size = np.abs(fn(rho, pts, s))
-            assert np.all(size >= 0.999 * np.abs(ref))
-            dev = np.max(np.abs(got - ref) / np.maximum(1.0, size))
-            assert dev <= 2e-14, (label, fn.__name__, s, dev)
+            dev = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+            assert dev <= 1e-13, (label, fn.__name__, s, dev)
+
+
+@pytest.mark.parametrize("cutoff", [8, 24, 64])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_cancelling_routes_match_exact_values(kind, cutoff, exact_kernel, monkeypatch):
+    # Where the terms cancel, the exact diagonal sums rounded once to double
+    # and combined exactly with the phase in double are already 1.8e-12 of
+    # the value off at the worst grid point, so a route in double cannot meet
+    # 1e-13 against the exact value; per_point_kernel is off by up to 3.1e-12
+    # (s = 0.3) and 2.3e-13 (chi, s = 1) here, and fails both bounds below
+    rho = (random_pure(61, cutoff).density() if kind == "pure"
+           else random_mixed(62, cutoff, 3))
+    bounds = dict(zip(CANCELLING_ROUTES, (2e-12, 2e-13)))
+    if cutoff == 64:
+        # at cutoff 64 the s = 0.3 series cancels past the imaginary-residue
+        # check in either kernel
+        del bounds[quasi_prob, 0.3]
+    for label, pts in _agreement_points(cutoff).items():
+        for (fn, s), bound in bounds.items():
+            got = fn(rho, pts, s)
+            with monkeypatch.context() as patch:
+                patch.setattr(phasespace, "_pair_trace", exact_kernel)
+                ref = fn(rho, pts, s)
+            dev = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+            assert dev <= bound, (label, fn.__name__, s, dev)
 
 
 @pytest.mark.parametrize("beta", [5.0, 3.0 - 2.0j])
