@@ -484,13 +484,9 @@ def cmd_phasespace(args) -> int:
     state_id, state = states[0]
     rho1 = _density(state)
     rho = apply_loss(rho1, t) if t is not None else rho1
-    if args.points is not None or args.half_width is not None:
-        spec = default_grid(rho)
-        grid = GridSpec(
-            half_width=spec.half_width if args.half_width is None else args.half_width,
-            n=spec.n if args.points is None else args.points)
-    else:
-        grid = default_grid(rho)
+    spec = default_grid(rho)
+    grid = GridSpec(spec.half_width if args.half_width is None else args.half_width,
+                    spec.n if args.points is None else args.points)
     qgrid = quasi_prob_grid(rho, args.s, grid)
     if not np.all(np.isfinite(qgrid.values)):
         print("grid evaluation produced non-finite values", file=sys.stderr)

@@ -10,7 +10,8 @@ beam splitter conserves total photon number, so it is kept only as its
 blocks, one per total photon number n, over the two-mode states |k, n - k>;
 circuits on finite-support inputs are exact whenever the ladders hold the
 total photon number. Displacement matrices come from one associated-Laguerre
-ladder (``laguerre_ladder``), which the phase-space kernel shares.
+ladder (``laguerre_ladder``) started at the elements' outer factor
+(``ladder_start``), which the phase-space kernel shares.
 """
 
 from __future__ import annotations
@@ -251,38 +252,37 @@ def random_mixed(seed: int, cutoff: int, rank: int) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-def scaled_exp(v: np.ndarray):
-    """e^v as (mantissa, exponent) with the exponent an integer array, so
-    that e^v = mantissa * 2**exponent stays representable for |v| up to
-    2^29; beyond that the mantissa is 0 or inf."""
-    exponent = np.clip(np.floor(v / _LN2), -2.0 ** 30, 2.0 ** 30)
-    return np.exp(v - _LN2 * exponent), exponent.astype(np.int32)
-
-
-def scaled_powers(base: np.ndarray, count: int):
-    """base^j / sqrt(j!) for j = 0, ..., count - 1 as (mantissa, exponent),
-    rows j and columns the entries of the 1-D ``base``, by repeated
-    multiplication with a power-of-two rescale at every step."""
-    mant = np.empty((count, base.size))
+def ladder_start(x: np.ndarray, count: int, decay: float, gain: float):
+    """e^{decay x} (gain sqrt(x))^k / sqrt(k!) for k = 0, ..., count - 1 as
+    (mantissa, exponent), rows k and columns the entries of the 1-D ``x``:
+    the exponential splits off its power of two first (representable for
+    |decay x| up to 2^29; beyond that the mantissa is 0 or inf), and each
+    further row is the last times gain sqrt(x) / sqrt(k), rescaled by a power
+    of two at every step."""
+    mant = np.empty((count, x.size))
     exponent = np.empty(mant.shape, dtype=np.int32)
-    mant[0], exponent[0] = 1.0, 0
+    exponent[0] = np.clip(np.floor(decay * x / _LN2), -2.0 ** 30, 2.0 ** 30)
+    mant[0] = np.exp(decay * x - _LN2 * exponent[0])
+    root = gain * np.sqrt(x)
     for j in range(1, count):
-        mant[j], shift = np.frexp(mant[j - 1] * base / math.sqrt(j))
+        mant[j], shift = np.frexp(mant[j - 1] * root / math.sqrt(j))
         exponent[j] = exponent[j - 1] + shift
     return mant, exponent
 
 
-def laguerre_ladder(k, z, stop, w: float = 1.0):
-    """sqrt(n! k! / (n+k)!) w^n L_n^(k)(z / w) for n = 0, 1, ..., one level
-    per step, by the three-term recurrence
+def laguerre_ladder(k, z, stop, start, w: float = 1.0):
+    """``start`` times sqrt(n! k! / (n+k)!) w^n L_n^(k)(z / w) for n = 0, 1,
+    ..., one level per step, by the three-term recurrence
         L_{n+1} = ((2n+1+k - y) L_n - (n+k) L_{n-1}) / (n+1)
     at y = z / w, carried in its forward-difference form, as the level L_n
     and its step D_n = L_n - L_{n-1}, which keeps it accurate where y is
     small:
         D_{n+1} = ((n+k) D_n - y L_n) / (n+1),  L_{n+1} = L_n + D_{n+1};
     both are carried times w^n, so that w = 0 gives the limit (-z)^n / n!,
-    and times sqrt(n! k! / (n+k)!), the ratio of the matrix elements that
-    the kernels built on it need (1 at k = 0). Rows are the orders ``k``
+    times sqrt(n! k! / (n+k)!), the ratio of the matrix elements that the
+    kernels built on it need (1 at k = 0), and times the kernel's outer
+    factor ``start``, a (mantissa, exponent) pair shaped (rows, columns) such
+    as ``ladder_start`` gives, which is level 0. Rows are the orders ``k``
     (1-D), columns the arguments ``z`` (1-D); row i is wanted for
     n < stop[i], and stop must not increase along the rows, so step n
     yields the first #{stop > n} rows only.
@@ -297,9 +297,8 @@ def laguerre_ladder(k, z, stop, w: float = 1.0):
     z = np.asarray(z, dtype=float)[None, :]
     stop = np.asarray(stop)
     counts = np.searchsorted(-stop, -np.arange(stop[0] if stop.size else 0))
-    level = np.ones((k.shape[0], z.shape[1]))
-    diff = np.ones_like(level)
-    exponent = np.zeros(level.shape, dtype=np.int32)
+    level, exponent = start
+    diff = level
     kw = k * w
     for n, rows in enumerate(counts.tolist()):
         if rows < k.shape[0]:
@@ -308,12 +307,9 @@ def laguerre_ladder(k, z, stop, w: float = 1.0):
         yield level, exponent
         # sqrt(n! k! / (n+k)!) at n + 1 over its value at n
         ratio = np.sqrt((n + 1.0) / (k + (n + 1.0)))
-        if w == 0.0:  # each level is its own step: -z / (n+1) times the last, times the ratio
-            level, shift = np.frexp((ratio / -(n + 1)) * (z * level))
-        else:
-            diff = (ratio / (n + 1)) * ((kw + n * w) * diff - z * level)
-            level, shift = np.frexp((ratio * w) * level + diff)
-            diff = np.ldexp(diff, -shift)
+        diff = (ratio / (n + 1)) * ((kw + n * w) * diff - z * level)
+        level, shift = np.frexp((ratio * w) * level + diff)
+        diff = np.ldexp(diff, -shift)
         exponent = exponent + shift
 
 
@@ -327,24 +323,20 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
         <m|D(alpha)|n> = e^{-x/2} sqrt(n!/m!) alpha^k L_n^(k)(x),  x = |alpha|^2,
     and diagonal k above it is conj of the same with -alpha, as
     D(alpha)^dag = D(-alpha). One Laguerre ladder over all diagonals serves
-    both triangles: each element is e^{-x/2} times |alpha|^k / sqrt(k!)
-    times the ladder's sqrt(n! k! / m!) L_n^(k)(x) times phase^k, the real
-    factors each carried as a mantissa and a power of two.
+    both triangles: started at e^{-x/2} |alpha|^k / sqrt(k!), it yields each
+    element but its phase^k as a mantissa and a power of two.
     """
     x = abs(alpha) ** 2
     if x == 0.0:
         return np.eye(cutoff, dtype=complex)
     k = np.arange(cutoff)
-    power, power_exp = scaled_powers(np.array([math.sqrt(x)]), cutoff)
-    damp, damp_exp = scaled_exp(np.array([-x / 2.0]))
-    outer, outer_exp = power[:, 0] * damp, power_exp[:, 0] + damp_exp
+    start = ladder_start(np.array([x]), cutoff, -0.5, 1.0)
     phase_k = (alpha / abs(alpha)) ** k
     flip_k = (-1.0) ** k
     d = np.empty((cutoff, cutoff), dtype=complex)
-    for n, (mant, exponent) in enumerate(laguerre_ladder(k, [x], cutoff - k)):
+    for n, (mant, exponent) in enumerate(laguerre_ladder(k, [x], cutoff - k, start)):
         live = cutoff - n  # diagonals k = 0, ..., live - 1 reach level n
-        elem = phase_k[:live] * np.ldexp(mant[:, 0] * outer[:live],
-                                         exponent[:, 0] + outer_exp[:live])
+        elem = phase_k[:live] * np.ldexp(mant[:, 0], exponent[:, 0])
         d[n:, n] = elem
         d[n, n + 1:] = np.conj(flip_k[1:live] * elem[1:])
     return d

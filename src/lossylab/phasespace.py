@@ -4,10 +4,12 @@ quasiprobabilities, grids and their CSV export, and quadrature-based purity.
 Conventions. chi_rho(alpha, s) = Tr[rho D(alpha)] exp(s|alpha|^2 / 2). The
 s-ordered quasiprobability is P(alpha, s) = (2 / (pi (1-s))) Tr[rho X] with
 X = D(alpha) u^N D(alpha)^dag and u = (s+1)/(s-1). Both traces run over the
-finite support of rho, and every matrix element of D(alpha) and of X is an
-associated-Laguerre closed form, exact up to rounding, so neither has a
-truncation knob; the Laguerre factors come from one recurrence in n
-(fock.laguerre_ladder), numpy alone. s = -1 gives the Husimi function
+finite support of rho, every nonzero element of rho counting however small,
+and every matrix element of D(alpha) and of X is an associated-Laguerre
+closed form, exact up to rounding, so neither has a truncation knob or a
+threshold; each real factor is one level of a recurrence in n started at
+its part outside the Laguerre polynomial (fock.laguerre_ladder and
+fock.ladder_start), numpy alone. s = -1 gives the Husimi function
 <alpha|rho|alpha>/pi, s = 0 the Wigner function, and s >= 1 pointwise is
 rejected (singular order).
 """
@@ -20,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (DensityOperator, displacement_matrix, laguerre_ladder, scaled_exp,
-                   scaled_powers)
+from .fock import DensityOperator, displacement_matrix, ladder_start, laguerre_ladder
 
 IMAG_TOL = 1e-9
 DEFAULT_GRID_POINTS = 121
@@ -31,63 +32,52 @@ DEFAULT_GRID_POINTS = 121
 # exact matrix elements, one Laguerre ladder per block of distinct radii
 # ---------------------------------------------------------------------------
 
-# (diagonal, distinct radius) entries per ladder block: bounds the kernel's
-# per-block arrays (512 KiB for the complex upper and lower sums), whatever
-# the number of points
+# (diagonal, distinct radius) entries per ladder block, counting diagonals
+# 0, ..., max k: bounds the kernel's per-block arrays (512 KiB for the
+# complex upper and lower sums, as much for their rows by k), whatever the
+# number of points
 LADDER_ENTRIES = 2 ** 14
 
 
-def _diagonal_rows(mat: np.ndarray, flip: float):
-    """The diagonals k that hold an element pair (rho_{n, n+k}, rho_{n+k, n})
-    with either member of magnitude 1e-18 or more, ordered by their last such
-    level n, highest first, then by k. Returns (k, stop, levels, masked,
-    offsets, signs): diagonal k is wanted for n < stop; levels[n] says
-    whether any diagonal holds such a pair at level n; ``masked`` is ``mat``
-    with the other pairs set to zero; rho_{n, n+k} and rho_{n+k, n} sit at
-    n (c + 1) + offsets[i] of it, raveled, for the i-th diagonal; and
-    signs[i] is (1, flip^k), with 0 for the lower triangle of k = 0, which is
-    the upper one."""
-    cutoff = mat.shape[0]
-    small = np.abs(mat) < 1e-18
-    keep = ~(small & small.T)
-    n, m = np.nonzero(np.triu(keep))
-    last = np.full(cutoff, -1)
+def _diagonal_rows(mat: np.ndarray):
+    """The diagonals k that hold a nonzero element pair (rho_{n, n+k},
+    rho_{n+k, n}), ordered by their last such level n, highest first, then
+    by k. Returns (k, stop, levels): diagonal k is wanted for n < stop, and
+    levels[n] says whether any diagonal holds such a pair at level n."""
+    n, m = np.nonzero(np.triu((mat != 0.0) | (mat.T != 0.0)))
+    last = np.full(mat.shape[0], -1)
     np.maximum.at(last, m - n, n)
-    levels = np.zeros(cutoff, dtype=bool)
-    levels[n] = True
     k = np.flatnonzero(last >= 0)
     k = k[np.argsort(-last[k], kind="stable")]
-    offsets = np.stack([k, cutoff * k], axis=1)
-    signs = np.stack([np.ones(k.size), np.where(k > 0, flip ** k, 0.0)], axis=1)
-    return k, last[k] + 1, levels.tolist(), np.where(keep, mat, 0.0), offsets, signs
+    return k, last[k] + 1, (np.bincount(n, minlength=mat.shape[0]) > 0).tolist()
 
 
-def _radial_sums(x: np.ndarray, rows, decay: float, gain: float, w: float, c: float):
-    """For each diagonal k of ``rows`` (from _diagonal_rows) and each x, the
-    sums over n of rho_{n, n+k} and of flip^k rho_{n+k, n} times the real
-    factor
+def _radial_sums(mat: np.ndarray, x: np.ndarray, rows, decay: float, gain: float,
+                 w: float, c: float):
+    """For each diagonal k = 0, ..., max k of ``rows`` (from _diagonal_rows)
+    and each x, the sums over n of rho_{n, n+k} and of rho_{n+k, n} times
+    the real factor
         e^{decay x} sqrt(n!/(n+k)!) (gain sqrt(x))^k w^n L_n^(k)(-c x / w),
-    as an array shaped (diagonals, 2, x).
-
-    The factor is e^{decay x} (gain sqrt(x))^k / sqrt(k!) times the ladder's
-    sqrt(n! k! / (n+k)!) w^n L_n^(k), each carried as a mantissa and a power
-    of two until their product is formed, so neither overflows or underflows
-    on its own and only e^{decay x} goes through an exponential."""
-    k, stop, levels, masked, offsets, signs = rows
-    flat, stride = masked.ravel(), masked.shape[0] + 1
-    power, power_exp = scaled_powers(gain * np.sqrt(x), int(k.max()) + 1)
-    damp, damp_exp = scaled_exp(decay * x)
-    outer, outer_exp = power[k] * damp, power_exp[k] + damp_exp
+    as an array shaped (max k + 1, 2, x): zero on the diagonals that rows
+    leaves out, and for the lower sum of k = 0, which is the upper one. The
+    factor is the Laguerre ladder started at e^{decay x} (gain sqrt(x))^k /
+    sqrt(k!), so each level is the whole factor as a mantissa and a power of
+    two, and neither overflows nor underflows."""
+    k, stop, levels = rows
+    start = ladder_start(x, int(k.max()) + 1, decay, gain)
     sums = np.zeros((k.size, 2, x.size), dtype=complex)
-    for n, (mant, exponent) in enumerate(laguerre_ladder(k, -c * x, stop, w)):
+    ladder = laguerre_ladder(k, -c * x, stop, (start[0][k], start[1][k]), w)
+    for n, (mant, exponent) in enumerate(ladder):
         if not levels[n]:
             continue
         live = mant.shape[0]
-        coefficients = flat[n * stride + offsets[:live]] * signs[:live]
-        term = np.ldexp(mant * outer[:live], exponent + outer_exp[:live])
-        sums[:live, 0] += coefficients[:, :1] * term
-        sums[:live, 1] += coefficients[:, 1:] * term
-    return sums
+        term = np.ldexp(mant, exponent)
+        sums[:live, 0] += mat[n, n + k[:live], None] * term
+        sums[:live, 1] += mat[n + k[:live], n, None] * term
+    out = np.zeros((start[0].shape[0], 2, x.size), dtype=complex)
+    out[k] = sums
+    out[0, 1] = 0.0
+    return out
 
 
 def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float,
@@ -97,54 +87,53 @@ def _pair_trace(rho: DensityOperator, alpha, decay: float, gain: float, w: float
     For m = n + k >= n the element is
         <m|K|n> = e^{decay x} sqrt(n!/m!) (gain alpha)^k w^n L_n^(k)(-c x / w)
     with x = |alpha|^2 and gain > 0; the upper triangle is
-    <n|K|m> = flip^k conj(<m|K|n>). Write alpha^k = |alpha|^k phase^k: all
-    but phase^k is a real factor of (x, n, k) alone. The distinct x are cut
-    into blocks of at most LADDER_ENTRIES (diagonal, x) pairs; in each, one
-    Laguerre ladder runs up n over every diagonal of rho at once and sums
-    the real factor against the diagonals (_radial_sums), and only then are
-    the sums spread back to the points, as polynomials in phase and in its
-    conjugate evaluated by Horner's rule. At w = 0 (which needs c > 0) the
-    ladder gives the limit (c x)^n / n! of w^n L_n^(k)(-c x / w), and at
-    alpha = 0 the kernel is diagonal with entries w^n. Every step is
-    elementwise per x or per point, so a point's value does not depend on
-    the other points of the call. Returns an array shaped like ``alpha``.
+    <n|K|m> = flip^k conj(<m|K|n>), flip = +-1. Write alpha^k =
+    |alpha|^k phase^k: all but phase^k is a real factor of (x, n, k) alone.
+    The distinct x are cut into blocks of at most LADDER_ENTRIES (diagonal,
+    x) pairs, counting diagonals 0, ..., max k; in each, one Laguerre ladder,
+    started at the factor's part outside it, runs up n over every diagonal
+    of rho at once and sums the real factor against rho's elements
+    (_radial_sums), and only then are the sums spread back to the points, as
+    polynomials in phase and in flip conj(phase) evaluated by Horner's rule.
+    At w = 0 (which needs c > 0) the ladder gives the limit (c x)^n / n! of
+    w^n L_n^(k)(-c x / w), and at alpha = 0 the kernel is diagonal with
+    entries w^n. Every step is elementwise per x or per point, so a point's
+    value does not depend on the other points of the call. Raises ValueError
+    where |alpha|^2 is not finite; returns an array shaped like ``alpha``.
     """
     al = np.asarray(alpha, dtype=complex)
-    if not np.all(np.isfinite(al)):
-        raise ValueError("alpha must be finite")
     shape = al.shape
     al = al.ravel()
+    with np.errstate(over="ignore"):
+        x_point = np.abs(al) ** 2
+    if not np.all(np.isfinite(x_point)):
+        raise ValueError("alpha and |alpha|^2 must be finite")
     # the points in order of x; each one's phase (1 at the origin), and the
     # index of its x among the distinct ones
-    x_point = np.abs(al) ** 2
     by_radius = np.argsort(x_point)
     x_sorted = x_point[by_radius]
     phase = np.divide(al[by_radius], np.sqrt(x_sorted), out=np.ones(al.shape, dtype=complex),
                       where=x_sorted > 0.0)
     new_x = np.diff(x_sorted, prepend=-1.0) != 0.0
     x, which = x_sorted[new_x], np.cumsum(new_x) - 1
-    rows = _diagonal_rows(rho.matrix, flip)
-    k = rows[0].tolist()
+    rows = _diagonal_rows(rho.matrix)
     acc = np.zeros(al.shape, dtype=complex)
-    if not k:
-        return acc.reshape(shape)
-    row_of = dict(zip(k, range(len(k))))
-    step = max(1, LADDER_ENTRIES // len(k))
+    top = int(rows[0].max())
+    step = max(1, LADDER_ENTRIES // (top + 1))
     starts = range(0, x.size, step)
     bounds = np.searchsorted(which, [*starts, x.size])
     for block, start in enumerate(starts):
-        sums = _radial_sums(x[start:start + step], rows, decay, gain, w, c)
+        sums = _radial_sums(rho.matrix, x[start:start + step], rows, decay, gain, w, c)
         span = slice(bounds[block], bounds[block + 1])
         local = which[span] - start
-        # Horner's rule in phase (upper triangle), then in its conjugate (lower)
-        for side, ph in enumerate((phase[span], np.conj(phase[span]))):
-            total = np.take(sums[row_of[max(k)], side], local)
-            for kk in range(max(k) - 1, -1, -1):
+        # Horner's rule in phase (upper triangle), then in flip conj(phase) (lower)
+        for side, ph in enumerate((phase[span], flip * np.conj(phase[span]))):
+            total = np.take(sums[top, side], local)
+            for kk in range(top - 1, -1, -1):
                 # out of place: numpy's in-place complex product rounds a
                 # one-element array differently from a longer one
                 total = total * ph
-                if kk in row_of:
-                    total += np.take(sums[row_of[kk], side], local)
+                total += np.take(sums[kk, side], local)
             acc[by_radius[span]] += total
     return acc.reshape(shape)
 
@@ -281,7 +270,8 @@ def quasi_prob_grid(rho: DensityOperator, s: float, grid: GridSpec) -> QuasiProb
 
 def _laguerre_pair(n: int, t: np.ndarray):
     """(L_{n-1}(t), L_n(t)) / 2^e and the exponent e, entry by entry."""
-    *_, (before, e_before), (last, e_last) = laguerre_ladder([0], t, [n + 1])
+    start = ladder_start(t, 1, 0.0, 1.0)
+    *_, (before, e_before), (last, e_last) = laguerre_ladder([0], t, [n + 1], start)
     return np.ldexp(before, e_before - e_last)[0], last[0], e_last[0]
 
 

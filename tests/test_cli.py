@@ -228,6 +228,17 @@ def test_phasespace_rejects_degenerate_grids(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_phasespace_refuses_a_grid_whose_radius_overflows(tmp_path, capsys):
+    # |alpha|^2 = 2e400 at the corners: refused before any arithmetic warns
+    # (a RuntimeWarning is an error under pytest), not blamed on the state
+    out = tmp_path / "grid.csv"
+    assert run("phasespace", "--states", "fock:1", "--half-width", "1e200", "--points", "3",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "|alpha|^2" in err and "residue" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t", ["1.5", "-0.2", "nan"])
 def test_phasespace_rejects_transmissivity_outside_unit_interval(t, tmp_path, capsys):
     out = tmp_path / "grid.csv"

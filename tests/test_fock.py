@@ -1,16 +1,19 @@
 """Ladder-space plumbing: states, operators, and the beam splitter."""
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre
 
 from conftest import mode_operators
 from lossylab.fock import (DensityOperator, PureState, _validate_stack,
-                           block_indices, displacement_matrix, make_coherent,
-                           lowered, lowering_trace, make_fock,
+                           block_indices, displacement_matrix, ladder_start,
+                           laguerre_ladder, lowered, lowering_trace, make_coherent, make_fock,
                            make_squeezed_vacuum, random_mixed, random_pure,
                            splitter_blocks, thermal_state)
 
@@ -220,6 +223,52 @@ def test_displacement_matrix_matches_per_element_oracle(alpha, cutoff,
     got = displacement_matrix(alpha, cutoff)
     ref = displacement_oracle(alpha, cutoff)
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+
+
+def _ratio(n: int, k: int) -> float:
+    """sqrt(n! k! / (n+k)!), the ladder's ratio of matrix elements."""
+    return math.sqrt(Fraction(math.factorial(n) * math.factorial(k), math.factorial(n + k)))
+
+
+def test_laguerre_ladder_matches_scipy_at_unit_w():
+    # rows drop out as their stop passes, and each row's start exponent rides
+    # along unchanged
+    k, stop = np.array([0, 1, 4, 12]), np.array([31, 25, 18, 9])
+    z = np.array([0.05, 0.7, 3.0, 9.5, 22.0])
+    start_exp = np.repeat(np.array([[0], [3], [-5], [40]], dtype=np.int32), z.size, axis=1)
+    levels = list(laguerre_ladder(k, z, stop, (np.ones(start_exp.shape), start_exp)))
+    assert len(levels) == stop[0]
+    for n, (mant, exponent) in enumerate(levels):
+        rows = int(np.sum(stop > n))
+        assert mant.shape == exponent.shape == (rows, z.size)
+        got = np.ldexp(mant, exponent - start_exp[:rows])
+        ref = np.array([[_ratio(n, kk) * eval_genlaguerre(n, kk, zz) for zz in z]
+                        for kk in k[:rows].tolist()])
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12, n
+
+
+def test_laguerre_ladder_limit_at_zero_w_is_exact_power_series():
+    # w^n L_n^(k)(z / w) -> (-z)^n / n! as w -> 0
+    k, stop = np.array([0, 2, 7]), np.array([41, 30, 12])
+    z = np.array([0.5, -3.0, 17.25])
+    start = (np.ones((k.size, z.size)), np.zeros((k.size, z.size), dtype=np.int32))
+    for n, (mant, exponent) in enumerate(laguerre_ladder(k, z, stop, start, 0.0)):
+        got = np.ldexp(mant, exponent)
+        ref = np.array([[float((-Fraction(zz)) ** n / math.factorial(n)) * _ratio(n, kk)
+                         for zz in z.tolist()] for kk in k[:got.shape[0]].tolist()])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14, n
+
+
+@pytest.mark.parametrize("decay", [-4.0, 4.0])
+@pytest.mark.parametrize("x", [500.0, 1e8])
+def test_ladder_start_holds_factors_beyond_the_float_range(decay, x):
+    # e^{decay x} alone under- or overflows, and (4 sqrt(x))^k alone
+    # overflows, long before k = 300
+    mant, exponent = ladder_start(np.array([x]), 301, decay, 4.0)
+    got = np.log2(mant[:, 0]) + exponent[:, 0]
+    ref = np.array([(decay * x + k * math.log(4.0 * math.sqrt(x)) - math.lgamma(k + 1.0) / 2.0)
+                    / math.log(2.0) for k in range(301)])
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-15
 
 
 def _dense_block(u, n, c):

@@ -322,6 +322,22 @@ def test_cancelling_routes_match_exact_values(kind, cutoff, exact_kernel, monkey
             assert dev <= bound, (label, fn.__name__, s, dev)
 
 
+def test_positive_order_counts_every_element(exact_kernel, monkeypatch):
+    # at s = 0.5 level n weighs 3^n, so the elements of a coherent state far
+    # below 1e-18 still move the value by 4e-2 at cutoff 50
+    rho = make_coherent(3.0, 50).density()
+    pts = np.array([3.0, 2.5 + 0.5j, 3.5 - 1.0j])
+    got = quasi_prob(rho, pts, 0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(phasespace, "_pair_trace", exact_kernel)
+        ref = quasi_prob(rho, pts, 0.5)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+    # at cutoff 60 the truncated sum at the center is within 2e-7 of the
+    # untruncated 2 / (pi (1 - s))
+    assert quasi_prob(make_coherent(3.0, 60).density(), 3.0, 0.5) == pytest.approx(
+        4.0 / np.pi, abs=1e-6)
+
+
 @pytest.mark.parametrize("beta", [5.0, 3.0 - 2.0j])
 def test_coherent_quasi_prob_at_large_photon_number(beta):
     # P(alpha, s) = 2/(pi(1-s)) exp(-2|alpha-beta|^2/(1-s)) for s < 1
@@ -363,9 +379,9 @@ def test_pair_kernel_values_do_not_depend_on_the_batch():
 
 def _counting_ladder(calls):
     """laguerre_ladder, recording the number of columns of every pass."""
-    def spy(k, z, stop, w=1.0):
+    def spy(k, z, stop, start, w=1.0):
         calls.append(np.size(z))
-        return laguerre_ladder(k, z, stop, w)
+        return laguerre_ladder(k, z, stop, start, w)
     return spy
 
 
