@@ -9,14 +9,17 @@ number (the dense a, a^dag and N live in the tests as their oracle). The
 beam splitter conserves total photon number, so it is kept only as its
 blocks, one per total photon number n, over the two-mode states |k, n - k>;
 circuits on finite-support inputs are exact whenever the ladders hold the
-total photon number. Displacement matrices come from one associated-Laguerre
-ladder (``laguerre_ladder``) started at the elements' outer factor
+total photon number; the balanced blocks B(1/2), which the dark-port engine
+reads on every call, are kept for the process up to a fixed budget.
+Displacement matrices come from one associated-Laguerre ladder
+(``laguerre_ladder``) started at the elements' outer factor
 (``ladder_start``), which the phase-space kernel shares.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,19 +355,35 @@ def block_indices(n: int, c1: int, c2: int) -> range:
     return range(max(0, n - c2 + 1), min(n, c1 - 1) + 1)
 
 
+# B(1/2) blocks n = 0, 1, ... kept for the process once built, in order, up
+# to BALANCED_ENTRIES matrix entries in all (2 MiB: blocks 0 to 90, which
+# the dark-port engine reads up to cutoff 46); every later block streams
+BALANCED_ENTRIES = 2 ** 18
+_balanced_prefix: list[np.ndarray] = []
+_prefix_lock = threading.Lock()
+
+
 def splitter_blocks(count: int, transmissivity: float):
     """Blocks n = 0, ..., count - 1 of B(T) = exp(arccos(sqrt(T)) (a1 a2^dag - a1^dag a2))
     over |k, n - k>, k = 0, ..., n: real, read-only, exact on any ladder that holds
     n photons in each mode. With X1 = B a1^dag B^dag = sqrt(T) a1^dag + sqrt(1-T) a2^dag
     and X2 = B a2^dag B^dag = sqrt(T) a2^dag - sqrt(1-T) a1^dag, column K of block n is
     [sqrt(K) X1 (column K-1) + sqrt(n-K) X2 (column K)] / n of block n - 1; either
-    term alone is unstable (error 5e-3 at n = 100)."""
+    term alone is unstable (error 5e-3 at n = 100).
+
+    At T = 1/2 the blocks kept so far come first, and the recurrence goes on
+    from the last of them, keeping each new block while the kept ones hold
+    at most BALANCED_ENTRIES entries."""
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
+    keep = transmissivity == 0.5
+    kept = _balanced_prefix if keep else []
+    head = kept[:count]
+    yield from head
     root = np.sqrt(np.arange(count + 1.0))
     t_root, r_root = np.sqrt(transmissivity) * root, np.sqrt(1.0 - transmissivity) * root
-    block = np.ones((1, 1))
-    for n in range(count):
+    block = head[-1] if head else np.ones((1, 1))
+    for n in range(len(head), count):
         if n:
             pad = np.zeros((n + 2, n + 2))  # block n - 1 inside a border of zeros
             pad[1:-1, 1:-1] = block
@@ -374,4 +393,10 @@ def splitter_blocks(count: int, transmissivity: float):
             block = (t_root[: n + 1, None] * left[:-1] + r_root[n::-1, None] * left[1:]
                      + t_root[n::-1, None] * right[1:] - r_root[: n + 1, None] * right[:-1])
             block /= n
-        yield _readonly(block)
+        block = _readonly(block)
+        # blocks 0, ..., n hold (n + 1)(n + 2)(2n + 3) / 6 entries
+        if keep and n == len(kept) and (n + 1) * (n + 2) * (2 * n + 3) // 6 <= BALANCED_ENTRIES:
+            with _prefix_lock:  # another walk may have kept block n since
+                if n == len(kept):
+                    kept.append(block)
+        yield block

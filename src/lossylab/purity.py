@@ -9,7 +9,7 @@ checks evaluate; coefficients are populations, hence nonnegative for states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -58,19 +58,42 @@ def renyi_entropy(rho: DensityOperator, order: float) -> float:
 
 @dataclass(frozen=True)
 class PurityPolynomial:
-    """Polynomial sum_m coefficients[m] * lambda^m with lambda = 1 - 2T."""
+    """Polynomial sum_m coefficients[m] * lambda^m with lambda = 1 - 2T.
+
+    The coefficients of each lambda-derivative are derived on first use and
+    kept with the polynomial."""
 
     coefficients: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
 
+    def _coefficients_of(self, order: int):
+        """The order-th derivative's coefficients, read-only, and the same as
+        floats from the highest power down."""
+        derived = self._derived.get(order)
+        if derived is None:
+            coeffs = npoly.polyder(self.coefficients, m=order)
+            coeffs.flags.writeable = False
+            derived = self._derived[order] = (coeffs, coeffs[::-1].tolist())
+        return derived
+
     def at_lambda(self, lam, order: int = 0):
-        """d^order / dlambda^order of the polynomial at lam."""
-        return npoly.polyval(np.asarray(lam, dtype=float),
-                             npoly.polyder(self.coefficients, m=order))
+        """d^order / dlambda^order of the polynomial at lam. A scalar lam takes
+        Horner's rule in Python floats, step for step that of npoly.polyval,
+        which an array takes, so both give the same bits (the scalar path
+        raises no numpy floating-point warning on overflow or inf * 0)."""
+        coeffs, top_down = self._coefficients_of(order)
+        if np.ndim(lam):
+            return npoly.polyval(np.asarray(lam, dtype=float), coeffs)
+        x = float(lam)
+        acc = top_down[0] + x * 0
+        for c in top_down[1:]:
+            acc = c + acc * x
+        return np.float64(acc)
 
     def value(self, transmissivity):
         return self.at_lambda(1.0 - 2.0 * np.asarray(transmissivity, dtype=float))

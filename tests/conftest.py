@@ -379,7 +379,7 @@ def per_point_pair_trace(rho: DensityOperator, alpha, decay: float, gain: float,
         for k in range(cutoff):
             upper = np.diagonal(mat, k)    # rho_{n, n+k}
             lower = np.diagonal(mat, -k)   # rho_{n+k, n}
-            n = np.nonzero((np.abs(upper) >= 1e-18) | (np.abs(lower) >= 1e-18))[0]
+            n = np.nonzero((upper != 0.0) | (lower != 0.0))[0]
             if n.size == 0:
                 continue
             col = n[:, None]

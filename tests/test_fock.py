@@ -2,6 +2,8 @@
 
 import math
 import re
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from conftest import mode_operators
+from lossylab import fock
 from lossylab.fock import (DensityOperator, PureState, _validate_stack,
                            block_indices, displacement_matrix, ladder_start,
                            laguerre_ladder, lowered, lowering_trace, make_coherent, make_fock,
@@ -310,6 +313,70 @@ def test_splitter_blocks_match_eigh_oracle_at_large_photon_number(n, t, eigh_spl
     assert block.dtype == float and not block.flags.writeable
     np.testing.assert_allclose(block, eigh_splitter_block(n, t), rtol=0, atol=1e-13)
     np.testing.assert_allclose(block.T @ block, np.eye(n + 1), rtol=0, atol=1e-12)
+
+
+def test_balanced_blocks_come_from_a_bounded_prefix(monkeypatch):
+    monkeypatch.setattr(fock, "_balanced_prefix", [])
+
+    def cold(count):
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "_balanced_prefix", [])
+            return list(splitter_blocks(count, 0.5))
+
+    kept = fock._balanced_prefix
+    fits = 91  # blocks 0 to 90 hold 255346 entries, with block 91 263810
+    for count in (3, 47, 15, fits + 9, 20):
+        before = list(kept)
+        warm = list(splitter_blocks(count, 0.5))
+        assert len(warm) == count
+        assert all(a is b for a, b in zip(warm, before))
+        for got, ref in zip(warm, cold(count)):
+            assert np.array_equal(got, ref) and not got.flags.writeable
+        assert len(kept) == min(max(count, len(before)), fits)
+        assert sum(block.size for block in kept) <= fock.BALANCED_ENTRIES
+    # two walks interleaved keep one copy of each block, in order
+    monkeypatch.setattr(fock, "_balanced_prefix", [])
+    longer = splitter_blocks(40, 0.5)
+    for a, b, ref in zip(splitter_blocks(30, 0.5), longer, cold(30)):
+        assert np.array_equal(a, ref) and np.array_equal(b, ref)
+    rest = list(longer)
+    assert len(rest) == 10 and all(map(np.array_equal, rest, cold(40)[30:]))
+    assert [block.shape[0] for block in fock._balanced_prefix] == list(range(1, 41))
+    # any other T keeps nothing
+    list(splitter_blocks(60, 0.3))
+    assert len(fock._balanced_prefix) == 40
+
+
+class _YieldingList(list):
+    """A list whose length hands the interpreter to another thread, so that
+    walks racing to keep the same block meet between check and append."""
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(0)
+        return size
+
+
+def test_balanced_prefix_keeps_one_copy_under_threads(monkeypatch):
+    monkeypatch.setattr(fock, "_balanced_prefix", [])
+    ref = list(splitter_blocks(40, 0.5))
+    monkeypatch.setattr(fock, "_balanced_prefix", _YieldingList())
+    start = threading.Barrier(4)
+    errors = []
+
+    def walk():
+        start.wait(timeout=60)
+        if not all(map(np.array_equal, splitter_blocks(40, 0.5), ref)):
+            errors.append("a walk yielded a wrong block")
+
+    threads = [threading.Thread(target=walk) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    # a lost check-then-append would keep a block twice and shift the rest
+    assert [block.shape[0] for block in fock._balanced_prefix] == list(range(1, 41))
 
 
 def test_hong_ou_mandel_cancellation():

@@ -6,15 +6,18 @@ from math import comb
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.special import gammaln
 from scipy.stats import poisson
 
 from conftest import indefinite_convex_operator
+from lossylab import fock
 from lossylab.fock import (DensityOperator, make_coherent, make_fock, random_mixed,
                            random_pure, thermal_state)
 from lossylab.loss import apply_loss
-from lossylab.purity import (lossy_overlap, min_purity_pure, mutual_information_bs,
-                             overlap_polynomial, pair_dark_populations, purity,
+from lossylab.purity import (PurityPolynomial, lossy_overlap, min_purity_pure,
+                             mutual_information_bs, overlap_polynomial,
+                             pair_dark_populations, purity,
                              purity_polynomial, renyi_entropy, von_neumann)
 
 
@@ -134,9 +137,12 @@ def test_block_engine_matches_spectral_oracle(case, spectral_dark_populations):
     assert np.max(np.abs(p - q)) <= 1e-12 * np.max(np.abs(q))
 
 
-def test_purity_polynomial_memory_stays_per_block():
-    # the splitter blocks are built one at a time and never kept, so a
-    # full-rank state at cutoff 128 needs a few blocks of 255^2 entries
+def test_purity_polynomial_memory_stays_per_block(monkeypatch):
+    # the B(1/2) blocks are built one at a time; the process keeps blocks 0
+    # to 90 (at most 2 MiB), filled here from empty, and streams the rest,
+    # so a full-rank state at cutoff 128 needs those and a few blocks of
+    # 255^2 entries
+    monkeypatch.setattr(fock, "_balanced_prefix", [])
     rho = random_mixed(1, 128, 128)
     tracemalloc.start()
     try:
@@ -224,6 +230,30 @@ def test_mutual_information_symmetry_and_peak():
         b = mutual_information_bs(psi.density(), 1.0 - t)
         assert a == pytest.approx(b, abs=1e-9)
         assert a <= mi_half + 1e-9
+
+
+def test_scalar_evaluation_matches_polyval_bit_for_bit():
+    # a scalar lambda takes Horner's rule in Python floats; it must give the
+    # bits (and type) of npoly.polyval on the derivative's coefficients,
+    # NaN for NaN, including where polyval overflows or forms inf * 0
+    rng = np.random.default_rng(5)
+    lams = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.3, -1.3, 1e30, np.inf, -np.inf, np.nan]
+    for degree in range(61):
+        q = rng.standard_normal(degree + 1)
+        q[rng.random(degree + 1) < 0.3] = 0.0
+        poly = PurityPolynomial(q)
+        for order in range(4):
+            derived = npoly.polyder(q, m=order)
+            with np.errstate(all="ignore"):
+                refs = [npoly.polyval(np.asarray(lam), derived) for lam in lams]
+                along = poly.at_lambda(np.array(lams), order)
+            for lam, ref, vector in zip(lams, refs, along):
+                got = poly.at_lambda(lam, order)
+                assert type(got) is type(ref), (degree, order, lam)
+                same = np.isnan(ref) if np.isnan(got) else got.tobytes() == ref.tobytes()
+                assert same and np.array_equal(vector, ref, equal_nan=True), (
+                    degree, order, lam, got, ref)
+        assert np.array_equal(poly.coefficients, q) and not poly.coefficients.flags.writeable
 
 
 def test_derivative_consistency():
