@@ -63,6 +63,9 @@ MAX_GRID_STEPS = 2 ** 16
 # the most radial nodes a quadrature may ask for: the rule's Jacobi matrix is
 # then 8 MiB; the largest rule in use has 80
 MAX_RADIAL_NODES = 2 ** 10
+# the most nodes a quadrature may ask for in all, radial times angular: each
+# complex array over them is then 4 MiB; the largest rule in use has 10 240
+MAX_QUADRATURE_NODES = 2 ** 18
 SUITES = ("purity", "qcs", "phasespace", "inequalities", "all")
 CONJECTURES = ("log-convexity", "ell-log-convexity", "unfairness", "dark-port-g2")
 PAIR_BUILDERS = {
@@ -112,6 +115,9 @@ def parse_quadrature(spec: str) -> Quadrature2D:
         raise ConfigError(f"quadrature needs 1 to {MAX_RADIAL_NODES} radial nodes, got {radial}")
     if angular < 1:
         raise ConfigError(f"quadrature needs at least 1 angular node, got {angular}")
+    if radial * angular > MAX_QUADRATURE_NODES:
+        raise ConfigError(f"quadrature needs at most {MAX_QUADRATURE_NODES} nodes in all, "
+                          f"got {radial} x {angular}")
     return Quadrature2D(radial, angular)
 
 

@@ -5,7 +5,8 @@ Everything lives on a finite photon-number ladder |0>, ..., |cutoff-1>. The
 ladder operators are never built: ``lowered`` applies a m a^dag and
 ``lowering_trace`` takes Tr[a^k m] by index shifts, and N weighs level n by
 n. Both are exact on the same ladder, because a only lowers the photon
-number (the dense a, a^dag and N live in the tests as their oracle). The
+number (the dense a, a^dag and N live in the tests as their oracle); every
+Re Tr[x y] of the package is ``product_traces``. The
 beam splitter conserves total photon number, so it is kept only as its
 blocks, one per total photon number n, over the two-mode states |k, n - k>;
 circuits on finite-support inputs are exact whenever the ladders hold the
@@ -172,6 +173,11 @@ def lowered(matrices: np.ndarray) -> np.ndarray:
     out = np.zeros(matrices.shape, dtype=np.result_type(matrices, 1.0))
     out[..., :-1, :-1] = root[:, None] * matrices[..., 1:, 1:] * root
     return out
+
+
+def product_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re Tr[x y] of each pair of matrices of two (..., c, c) stacks."""
+    return np.einsum("...ij,...ji->...", x, y).real
 
 
 def lowering_trace(matrices: np.ndarray, power: int = 1) -> np.ndarray:

@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .fock import (DensityOperator, PureState, lowered, lowering_trace, make_coherent,
-                   thermal_state)
-from .loss import apply_loss, loss_path
+                   product_traces, thermal_state)
+from .loss import apply_loss, loss_blocks, loss_path
 from .phasespace import Quadrature2D, quasi_prob
-from .purity import lossy_overlap, overlap_polynomial, purity_polynomial
+from .purity import PurityPolynomial, lossy_overlap, overlap_polynomial, purity_polynomial
 from .reports import CheckReport, equality_report, inequality_report
 
 EXACT_TOL = 1e-10
@@ -27,16 +26,6 @@ QUAD_TOL = 1e-4
 PAIR_SIGN_TOL = 1e-5
 BALANCED_EXCLUSION = 0.02
 BERNSTEIN_ORDER = 4
-
-
-def _trace(x: np.ndarray, y: np.ndarray) -> float:
-    """Re Tr[x y]."""
-    return float(np.einsum("ij,ji->", x, y).real)
-
-
-def _number_trace(x: np.ndarray, y: np.ndarray) -> float:
-    """Re Tr[N x y], N weighing level n by n."""
-    return _trace(np.arange(x.shape[0])[:, None] * x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +50,8 @@ def ladder_loss_inequality(rho1: DensityOperator, transmissivity: float,
     if t > 0.5:
         raise ValueError("the sandwiched-ladder bound is claimed only for T <= 1/2")
     m = apply_loss(rho1, t).matrix
-    lhs = _number_trace(m, m)
-    rhs = _trace(lowered(m), m)
+    lhs = product_traces(np.arange(rho1.cutoff)[:, None] * m, m)
+    rhs = product_traces(lowered(m), m)
     return inequality_report(
         "ladder_loss_inequality", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[N rho_T^2] <= Tr[a rho_T a^dag rho_T], T <= 1/2",
@@ -75,9 +64,10 @@ def pure_number_ratio_inequality(psi: PureState, transmissivity: float,
     t = float(transmissivity)
     if not 0.0 < t <= 0.5:
         raise ValueError("the ratio bound needs 0 < T <= 1/2")
+    n = np.arange(psi.cutoff)[:, None]
     m_t, m_r = (rho.matrix for rho in loss_path(psi.density(), [t, 1.0 - t]))
-    lhs = _number_trace(m_t, m_t) / t
-    rhs = _number_trace(m_r, m_r) / (1.0 - t)
+    lhs = product_traces(n * m_t, m_t) / t
+    rhs = product_traces(n * m_r, m_r) / (1.0 - t)
     return inequality_report(
         "pure_number_ratio", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[N rho_T^2]/T <= Tr[N rho_{1-T}^2]/(1-T) for pure input",
@@ -91,8 +81,8 @@ def transpose_trick_identity(psi: PureState, transmissivity: float,
     if not 0.0 < t < 1.0:
         raise ValueError("the identity needs T strictly inside (0, 1)")
     m_t, m_r = (rho.matrix for rho in loss_path(psi.density(), [t, 1.0 - t]))
-    lhs = _trace(lowered(m_t), m_t)
-    rhs = _number_trace(m_r, m_r) * t / (1.0 - t)
+    lhs = product_traces(lowered(m_t), m_t)
+    rhs = product_traces(np.arange(psi.cutoff)[:, None] * m_r, m_r) * t / (1.0 - t)
     return equality_report(
         "transpose_trick", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[a rho_T a^dag rho_T] = Tr[N rho_{1-T}^2] T/(1-T)",
@@ -127,14 +117,15 @@ def _form_terms(rho_t: DensityOperator):
     that raises, Tr[a rho a^dag a^dag rho a], is taken as the cyclic
     Tr[a^2 rho a^dag^2 rho], so every factor only lowers and is exact."""
     m = rho_t.matrix
+    n = np.arange(rho_t.cutoff)
     low = lowered(m)                        # a rho a^dag
-    m_n = m * np.arange(rho_t.cutoff)       # rho N
+    m_n, n_m = m * n, n[:, None] * m        # rho N, N rho
     return {
-        "n_rho2": _number_trace(m, m),
-        "low_sq": _trace(low, low),
-        "nrho_sq": _number_trace(m, m_n),
-        "cross": _trace(m_n, low),
-        "low_high": _trace(lowered(low), m),
+        "n_rho2": product_traces(n_m, m),
+        "low_sq": product_traces(low, low),
+        "nrho_sq": product_traces(n_m, m_n),
+        "cross": product_traces(m_n, low),
+        "low_high": product_traces(lowered(low), m),
     }
 
 
@@ -311,8 +302,8 @@ def husimi_of_state(rho: DensityOperator):
     return husimi
 
 
-def _pair_quadrature(f_rho, f_sigma, transmissivity: float, weight_fn,
-                     quad: Quadrature2D, radial_scale: float) -> float:
+def _pair_quadrature(f_rho, f_sigma, weight_fn, quad: Quadrature2D,
+                     radial_scale: float) -> float:
     nodes, weights = quad.nodes_weights(radial_scale=radial_scale)
     va = np.asarray(f_rho(nodes)) * weights
     vb = np.asarray(f_sigma(nodes)) * weights
@@ -338,7 +329,7 @@ def husimi_pair_check(husimi_rho, husimi_sigma, transmissivity: float,
     def weight(d):
         return (2.0 / lam - d / lam ** 2) * np.exp(-t * d / lam)
 
-    value = _pair_quadrature(husimi_rho, husimi_sigma, t, weight, quad, radial_scale) / lam
+    value = _pair_quadrature(husimi_rho, husimi_sigma, weight, quad, radial_scale) / lam
     return inequality_report(
         "husimi_pair", state_id, {"T": t}, value, 0.0, tolerance,
         claim="(1/(1-2T)) iint Q_rho Q_sigma (2/(1-2T) - |a-b|^2/(1-2T)^2) "
@@ -390,8 +381,7 @@ def order_pair_overlap_check(rho: DensityOperator, sigma: DensityOperator,
                 * np.exp(-2.0 * t * d / (2.0 + r_t * t)))
 
     value = _pair_quadrature(lambda a: quasi_prob(rho, a, r),
-                             lambda a: quasi_prob(sigma, a, r_prime),
-                             t, weight, quad, scale)
+                             lambda a: quasi_prob(sigma, a, r_prime), weight, quad, scale)
     return inequality_report(
         "order_pair_overlap", state_id, {"T": t, "r": r, "r_prime": r_prime},
         0.0, value, PAIR_SIGN_TOL,
@@ -419,8 +409,7 @@ def order_pair_overlap_identity(rho: DensityOperator, sigma: DensityOperator,
 
     value = (2.0 / (2.0 + r_t * t)
              * _pair_quadrature(lambda a: quasi_prob(rho, a, r),
-                                lambda a: quasi_prob(sigma, a, r_prime),
-                                t, weight, quad, scale))
+                                lambda a: quasi_prob(sigma, a, r_prime), weight, quad, scale))
     exact = lossy_overlap(rho, sigma, t)
     return equality_report(
         "order_pair_identity", state_id, {"T": t, "r": r, "r_prime": r_prime},
@@ -444,16 +433,20 @@ def bernstein_check(rho1: DensityOperator, state_id: str = "") -> CheckReport:
     monomials in T cancels catastrophically at large cutoff, and factoring
     out T^(k+1) keeps the values near T = 0 from cancelling in lambda.
     """
-    s_k = purity_polynomial(rho1).coefficients
+    # one zero on top, so that S_k' has one coefficient fewer than S_k
+    s_k = PurityPolynomial(np.append(purity_polynomial(rho1).coefficients, 0.0))
     grid = np.arange(0.01, 1.0001, 0.01)
     lam = 1.0 - 2.0 * grid
     worst = np.inf
     worst_k = 0
     for k in range(BERNSTEIN_ORDER + 1):
-        low = float(np.min(grid ** (k + 1) * npoly.polyval(lam, s_k)))
+        low = float(np.min(grid ** (k + 1) * s_k.at_lambda(lam)))
         if low < worst:
             worst, worst_k = low, k
-        s_k = npoly.polysub((k + 1) * s_k, npoly.polymul([1.0, -1.0], npoly.polyder(s_k)))
+        # S_(k+1) = (k+1) S_k - (1 - lambda) S_k'; (1 - lambda) S_k' is d_j - d_(j-1)
+        slope = s_k.derivative_coefficients(1)
+        s_k = PurityPolynomial((k + 1) * s_k.coefficients
+                               - (np.append(slope, 0.0) - np.append(0.0, slope)))
     return inequality_report(
         "bernstein_monotonic", state_id, {"k_max": BERNSTEIN_ORDER, "argmin_k": worst_k},
         0.0, worst, FORM_TOL,
@@ -470,12 +463,10 @@ def number_purity_monotonicity(rho1: DensityOperator, t_grid,
     if grid.size < 2 or np.any(grid <= 0) or np.any(grid > 1):
         raise ValueError("need at least two grid points inside (0, 1]")
     grid = np.sort(grid)
-    rising = np.empty(grid.size)
-    falling = np.empty(grid.size)
-    for i, (t, rho_t) in enumerate(zip(grid, loss_path(rho1, grid))):
-        m = rho_t.matrix
-        rising[i] = _number_trace(m, m)
-        falling[i] = _trace(lowered(m), m) * (1.0 - t) / t
+    n = np.arange(rho1.cutoff)[:, None]
+    rising, sandwiched = np.concatenate([(product_traces(n * m, m), product_traces(lowered(m), m))
+                                         for m, _ in loss_blocks(rho1, grid)], axis=1)
+    falling = sandwiched * (1.0 - grid) / grid
     margin = min(float(np.min(np.diff(rising))), float(np.min(-np.diff(falling))))
     return inequality_report(
         "number_purity_monotonicity", state_id,

@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, displacement_matrix, ladder_start, laguerre_ladder
+from .fock import (DensityOperator, displacement_matrix, ladder_start, laguerre_ladder,
+                   product_traces)
 
 IMAG_TOL = 1e-9
 DEFAULT_GRID_POINTS = 121
@@ -148,8 +149,10 @@ def char_fn(rho: DensityOperator, alpha, s: float):
 
     <m|D(alpha)|n> = e^{-x/2} sqrt(n!/m!) alpha^(m-n) L_n^(m-n)(x) for m >= n,
     and <n|D(alpha)|m> = (-1)^(m-n) conj(<m|D(alpha)|n>); the ordering factor
-    e^{s x / 2} rides in the exponent.
+    e^{s x / 2} rides in the exponent. Raises ValueError for a non-finite s.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"characteristic-function order s must be finite, got {s!r}")
     out = _pair_trace(rho, alpha, decay=(s - 1.0) / 2.0, gain=1.0, w=1.0, c=-1.0,
                       flip=-1.0)
     return complex(out) if out.ndim == 0 else out
@@ -168,12 +171,12 @@ def quasi_prob(rho: DensityOperator, alpha, s: float):
         <m|D(alpha) u^N D(alpha)^dag|n>
             = e^{-(1-u) x} sqrt(n!/m!) (alpha (1-u))^(m-n) u^n
               L_n^(m-n)(-x (1-u)^2 / u),
-    the other triangle being its conjugate. Raises ValueError for s >= 1,
-    non-finite alpha, or an imaginary residue above IMAG_TOL (a non-finite
-    value or a rho that is not Hermitian).
+    the other triangle being its conjugate. Raises ValueError for a
+    non-finite s, s >= 1, non-finite alpha, or an imaginary residue above
+    IMAG_TOL (a non-finite value or a rho that is not Hermitian).
     """
-    if s >= 1.0:
-        raise ValueError("quasiprobability order must satisfy s < 1")
+    if not -math.inf < s < 1.0:
+        raise ValueError(f"quasiprobability order s must be finite and below 1, got {s!r}")
     u = (s + 1.0) / (s - 1.0)
     vals = 2.0 / (np.pi * (1.0 - s)) * _pair_trace(
         rho, alpha, decay=-(1.0 - u), gain=1.0 - u, w=u, c=(1.0 - u) ** 2, flip=1.0)
@@ -194,8 +197,7 @@ def wigner_from_parity(rho: DensityOperator, alpha: complex, working_cutoff: int
     emb = rho.embedded(working_cutoff)
     d = displacement_matrix(alpha, working_cutoff)
     parity = (-1.0) ** np.arange(working_cutoff)
-    val = np.einsum("ij,ji->", emb.matrix, (d * parity) @ d.conj().T)
-    return float(2.0 / np.pi * val.real)
+    return float(2.0 / np.pi * product_traces(emb.matrix, (d * parity) @ d.conj().T))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +207,10 @@ def wigner_from_parity(rho: DensityOperator, alpha: complex, working_cutoff: int
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square grid centered at ``center``: n x n points spanning +-half_width."""
+    """Square grid centered at the origin: n x n points spanning +-half_width."""
 
     half_width: float
     n: int
-    center: complex = 0.0
 
     def __post_init__(self):
         if not self.n >= 2:
@@ -218,14 +219,11 @@ class GridSpec:
             raise ValueError(f"grid half-width must be finite and positive, "
                              f"got {self.half_width}")
 
-    def re_axis(self) -> np.ndarray:
-        return self.center.real + np.linspace(-self.half_width, self.half_width, self.n)
-
-    def im_axis(self) -> np.ndarray:
-        return self.center.imag + np.linspace(-self.half_width, self.half_width, self.n)
+    def axis(self) -> np.ndarray:
+        return np.linspace(-self.half_width, self.half_width, self.n)
 
     def alphas(self) -> np.ndarray:
-        return np.add.outer(self.re_axis(), 1j * self.im_axis()).ravel()
+        return np.add.outer(self.axis(), 1j * self.axis()).ravel()
 
     @property
     def cell_area(self) -> float:
@@ -241,8 +239,7 @@ def default_grid(rho: DensityOperator) -> GridSpec:
 class QuasiProbGrid:
     grid: GridSpec
     order: float
-    values: np.ndarray  # (n, n), values[i, j] at re_axis[i] + 1j im_axis[j]
-    kind: str = "quasiprob"
+    values: np.ndarray  # (n, n), values[i, j] at axis[i] + 1j axis[j]
 
     def __post_init__(self):
         vals = np.array(self.values)
@@ -399,12 +396,11 @@ def write_grid_csv(path, qgrid: QuasiProbGrid, state_label: str,
     Rows end in \\r\\n as csv.writer's default dialect writes them; no cell
     needs quoting, since repr of a float holds no comma, quote or newline.
     """
-    re_cells = [repr(x) for x in qgrid.grid.re_axis().tolist()]
-    im_cells = [repr(y) for y in qgrid.grid.im_axis().tolist()]
+    cells = [repr(x) for x in qgrid.grid.axis().tolist()]
     t_part = repr(float(transmissivity)) if transmissivity is not None else "none"
     rows = ["re_alpha,im_alpha,value\r\n"]
-    for re_cell, row in zip(re_cells, qgrid.values.real.tolist()):
-        rows.extend(f"{re_cell},{im_cell},{v!r}\r\n" for im_cell, v in zip(im_cells, row))
+    for re_cell, row in zip(cells, qgrid.values.real.tolist()):
+        rows.extend(f"{re_cell},{im_cell},{v!r}\r\n" for im_cell, v in zip(cells, row))
     with open(path, "w", newline="") as fh:
         fh.write(f"# s={qgrid.order!r},T={t_part},state={state_label}\n")
         fh.write("".join(rows))

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .fock import DensityOperator, PureState, block_indices, splitter_blocks
+from .fock import DensityOperator, PureState, block_indices, product_traces, splitter_blocks
 from .loss import _binomial_table, apply_loss, loss_path
 
 EIG_FLOOR = 1e-14
@@ -23,7 +22,7 @@ NEGATIVE_EIG_LIMIT = -1e-8
 
 def purities(matrices: np.ndarray) -> np.ndarray:
     """Tr[m^2] of each matrix m of a (..., c, c) stack."""
-    return np.einsum("...ij,...ji->...", matrices, matrices).real
+    return product_traces(matrices, matrices)
 
 
 def purity(rho: DensityOperator) -> float:
@@ -60,8 +59,8 @@ def renyi_entropy(rho: DensityOperator, order: float) -> float:
 class PurityPolynomial:
     """Polynomial sum_m coefficients[m] * lambda^m with lambda = 1 - 2T.
 
-    The coefficients of each lambda-derivative are derived on first use and
-    kept with the polynomial."""
+    Each lambda-derivative's coefficients, as floats from the highest power
+    down, are derived on first evaluation and kept with the polynomial."""
 
     coefficients: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -71,29 +70,32 @@ class PurityPolynomial:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
 
-    def _coefficients_of(self, order: int):
-        """The order-th derivative's coefficients, read-only, and the same as
-        floats from the highest power down."""
-        derived = self._derived.get(order)
-        if derived is None:
-            coeffs = npoly.polyder(self.coefficients, m=order)
-            coeffs.flags.writeable = False
-            derived = self._derived[order] = (coeffs, coeffs[::-1].tolist())
-        return derived
+    def derivative_coefficients(self, order: int) -> np.ndarray:
+        """The order-th lambda-derivative's coefficients, derived as
+        numpy.polynomial's polyder derives them: c[1:] * (1, ..., n - 1) per
+        order, and c[:1] * 0 for an order past the degree."""
+        if order < 0:
+            raise ValueError("the order of derivation must be nonnegative")
+        coeffs = self.coefficients
+        if order >= coeffs.size:
+            return coeffs[:1] * 0
+        for _ in range(order):
+            coeffs = coeffs[1:] * np.arange(1.0, coeffs.size)
+        return coeffs
 
     def at_lambda(self, lam, order: int = 0):
-        """d^order / dlambda^order of the polynomial at lam. A scalar lam takes
-        Horner's rule in Python floats, step for step that of npoly.polyval,
-        which an array takes, so both give the same bits (the scalar path
-        raises no numpy floating-point warning on overflow or inf * 0)."""
-        coeffs, top_down = self._coefficients_of(order)
-        if np.ndim(lam):
-            return npoly.polyval(np.asarray(lam, dtype=float), coeffs)
-        x = float(lam)
+        """d^order / dlambda^order of the polynomial at lam, by Horner's rule
+        from c[-1] + lam * 0 down, step for step numpy.polynomial's polyval. A
+        scalar lam runs in Python floats (no numpy floating-point warning on
+        overflow or inf * 0) and comes back as np.float64."""
+        top_down = self._derived.get(order)
+        if top_down is None:
+            top_down = self._derived[order] = self.derivative_coefficients(order)[::-1].tolist()
+        x = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
         acc = top_down[0] + x * 0
         for c in top_down[1:]:
             acc = c + acc * x
-        return np.float64(acc)
+        return acc if np.ndim(lam) else np.float64(acc)
 
     def value(self, transmissivity):
         return self.at_lambda(1.0 - 2.0 * np.asarray(transmissivity, dtype=float))
@@ -162,7 +164,7 @@ def hs_overlap(rho: DensityOperator, sigma: DensityOperator) -> float:
     if rho.cutoff != sigma.cutoff:
         d = max(rho.cutoff, sigma.cutoff)
         rho, sigma = rho.embedded(d), sigma.embedded(d)
-    return float(np.einsum("ij,ji->", rho.matrix, sigma.matrix).real)
+    return float(product_traces(rho.matrix, sigma.matrix))
 
 
 def lossy_overlap(rho: DensityOperator, sigma: DensityOperator, transmissivity: float) -> float:

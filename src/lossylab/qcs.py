@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, lowered
+from .fock import DensityOperator, lowered, product_traces
 from .purity import PurityPolynomial, purity
 
 ROUTE_COMMUTATOR = "commutator"
@@ -25,7 +25,6 @@ ROUTE_LINDBLAD = "lindblad"
 class QcsResult:
     c_squared: float
     route: str
-    purity_used: float
     degenerate: bool = False
 
     def __post_init__(self):
@@ -48,8 +47,7 @@ def commutator_norms(matrices: np.ndarray) -> np.ndarray:
 def qcs_commutator(rho: DensityOperator) -> QcsResult:
     """C^2 = ||[a, rho]||_F^2 / Tr[rho^2] = (Tr[rho,X][X,rho] + Tr[rho,P][P,rho]) / (2 Tr[rho^2]),
     as [a^dag, rho] = -[a, rho]^dag."""
-    p = purity(rho)
-    return QcsResult(float(commutator_norms(rho.matrix)) / p, ROUTE_COMMUTATOR, p)
+    return QcsResult(float(commutator_norms(rho.matrix)) / purity(rho), ROUTE_COMMUTATOR)
 
 
 def qcs_purity_rate(poly: PurityPolynomial, transmissivity: float) -> QcsResult:
@@ -58,10 +56,10 @@ def qcs_purity_rate(poly: PurityPolynomial, transmissivity: float) -> QcsResult:
     t = float(transmissivity)
     if t == 0.0:
         # all states have been contracted to vacuum; the scale degenerates to 1
-        return QcsResult(1.0, ROUTE_PURITY_RATE, 1.0, degenerate=True)
+        return QcsResult(1.0, ROUTE_PURITY_RATE, degenerate=True)
     p = float(poly.value(t))
     rate = float(poly.derivative(t, 1))
-    return QcsResult(t * rate / p + 1.0, ROUTE_PURITY_RATE, p)
+    return QcsResult(t * rate / p + 1.0, ROUTE_PURITY_RATE)
 
 
 def qcs_two_copy(rho: DensityOperator) -> QcsResult:
@@ -80,7 +78,7 @@ def qcs_two_copy(rho: DensityOperator) -> QcsResult:
     den = float(np.sum(diag).real)
     # D_n weighs diagonal entry k by k + (n - k) = n, and off-diagonals by -sqrt((i+1)(n-i))
     lowered = np.sum(n * diag) - np.sum(np.sqrt((i + 1.0) * (n1 - i)) * cross)
-    return QcsResult(float(lowered.real) / den + 1.0, ROUTE_TWO_COPY, den)
+    return QcsResult(float(lowered.real) / den + 1.0, ROUTE_TWO_COPY)
 
 
 def qcs_lindblad(rho_t: DensityOperator) -> QcsResult:
@@ -88,7 +86,6 @@ def qcs_lindblad(rho_t: DensityOperator) -> QcsResult:
     C^2 = (2 / Tr[rho_T^2]) (Tr[N rho_T rho_T] - Tr[a rho_T a^dag rho_T]) + 1.
     """
     m = rho_t.matrix
-    p = purity(rho_t)
-    term_n = float(np.einsum("ij,ji->", np.arange(rho_t.cutoff)[:, None] * m, m).real)
-    term_a = float(np.einsum("ij,ji->", lowered(m), m).real)
-    return QcsResult(2.0 / p * (term_n - term_a) + 1.0, ROUTE_LINDBLAD, p)
+    term_n = float(product_traces(np.arange(rho_t.cutoff)[:, None] * m, m))
+    term_a = float(product_traces(lowered(m), m))
+    return QcsResult(2.0 / purity(rho_t) * (term_n - term_a) + 1.0, ROUTE_LINDBLAD)

@@ -554,6 +554,37 @@ def fock_purity_closed_form_fixture():
     return fock_purity_closed_form
 
 
+def squeezed_dark_populations(r: float, size: int) -> np.ndarray:
+    """Dark-port populations q_0, ..., q_(size-1) of the untruncated squeezed
+    vacuum at r != 0: q_2j = sech r C(2j, j) (tanh^2 r / 4)^j and 0 at odd m,
+    each built in log space with math.lgamma, so no factor overflows."""
+    q = np.zeros(size)
+    for j in range((size + 1) // 2):
+        q[2 * j] = math.exp(math.lgamma(2 * j + 1) - 2.0 * math.lgamma(j + 1)
+                            + j * math.log(math.tanh(r) ** 2 / 4.0) - math.log(math.cosh(r)))
+    return q
+
+
+def squeezed_purity_lambda(r: float, lam, order: int = 0):
+    """d^order / dlambda^order of the squeezed vacuum's P(lambda) =
+    sech r (1 - a lambda^2)^(-1/2), a = tanh^2 r, for order 0, 1 or 2."""
+    lam = np.asarray(lam, dtype=float)
+    a, sech = math.tanh(r) ** 2, 1.0 / math.cosh(r)
+    base = 1.0 - a * lam ** 2
+    return sech * (base ** -0.5, a * lam * base ** -1.5,
+                   a * (1.0 + 2.0 * a * lam ** 2) * base ** -2.5)[order]
+
+
+@pytest.fixture(name="squeezed_dark_populations", scope="session")
+def squeezed_dark_populations_fixture():
+    return squeezed_dark_populations
+
+
+@pytest.fixture(name="squeezed_purity_lambda", scope="session")
+def squeezed_purity_lambda_fixture():
+    return squeezed_purity_lambda
+
+
 # A second closed form for the lossy Fock purity, checked against the first.
 def fock_hypergeometric_identity(n: int, t_grid=None, state_id: str = "") -> CheckReport:
     """Lossy Fock purity equals (1-T)^(2n) 2F1(-n, -n; 1; T^2/(T-1)^2), a
@@ -679,7 +710,7 @@ def qcs_kernel_form(rho: DensityOperator, x_max: float | None = None,
         kernel = phi @ m @ phi.T
         total += float(np.sum((w[:, None] * w[None, :]) * diff_sq * np.abs(kernel) ** 2))
     p = purity(rho)
-    return QcsResult(total / (2.0 * p), "kernel", p)
+    return QcsResult(total / (2.0 * p), "kernel")
 
 
 @pytest.fixture(name="qcs_kernel_form", scope="session")
@@ -703,7 +734,7 @@ def qcs_lindblad_pure_variant(psi: PureState, transmissivity: float) -> QcsResul
     mom_t = float(np.einsum("ij,ji->", ops.number @ m_t, m_t).real)
     mom_r = float(np.einsum("ij,ji->", ops.number @ m_r, m_r).real)
     val = 2.0 * t / p * (mom_t / t - mom_r / (1.0 - t)) + 1.0
-    return QcsResult(val, ROUTE_LINDBLAD, p)
+    return QcsResult(val, ROUTE_LINDBLAD)
 
 
 @pytest.fixture(name="qcs_lindblad_pure_variant", scope="session")

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import lossylab
-from lossylab.cli import (MAX_CUTOFF, MAX_GRID_STEPS, MAX_RADIAL_NODES, SWEEP_COLUMNS,
-                          ConfigError, main, parse_grid, parse_quadrature, parse_states)
+from lossylab.cli import (MAX_CUTOFF, MAX_GRID_STEPS, MAX_QUADRATURE_NODES, MAX_RADIAL_NODES,
+                          SWEEP_COLUMNS, ConfigError, main, parse_grid, parse_quadrature,
+                          parse_states)
 from lossylab.fock import PureState
 from lossylab.purity import purity, renyi_entropy, von_neumann
 from lossylab.qcs import qcs_commutator
@@ -248,10 +249,35 @@ def test_phasespace_rejects_transmissivity_outside_unit_interval(t, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", ["nan", "inf", "-inf"])
+def test_phasespace_refuses_a_non_finite_order(order, tmp_path, capsys):
+    # refused as the flag it is, before any kernel arithmetic can warn (a
+    # RuntimeWarning is an error under pytest), not blamed on the state
+    out = tmp_path / "grid.csv"
+    assert run("phasespace", "--states", "fock:1", f"--s={order}", "--points", "11",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "order s must be finite" in err and "residue" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t", ["0", "1"])
 def test_phasespace_accepts_transmissivity_endpoints(t, capsys):
     assert run("phasespace", "--states", "fock:1", "--T", t, "--points", "11") == 0
     assert "1 passed" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_numpy_polynomial_and_scipy_unloaded():
+    # each costs milliseconds per process, and the library needs neither:
+    # polynomials are evaluated by one Horner loop, and scipy is a test oracle
+    code = ("import sys, lossylab.cli; "
+            "print([m for m in sys.modules if m.startswith(('numpy.polynomial', 'scipy'))])")
+    src = str(Path(lossylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():
@@ -514,6 +540,18 @@ def test_quadrature_radial_bound():
     assert parse_quadrature(f"{MAX_RADIAL_NODES}:1").n_radial == MAX_RADIAL_NODES
     with pytest.raises(ConfigError, match=f"1 to {MAX_RADIAL_NODES} radial nodes"):
         parse_quadrature(f"{MAX_RADIAL_NODES + 1}:1")
+
+
+def test_quadrature_total_bound():
+    # parsed only: a refused rule would allocate its radial x angular points
+    # in every complex array over it
+    radial = MAX_RADIAL_NODES
+    quad = parse_quadrature(f"{radial}:{MAX_QUADRATURE_NODES // radial}")
+    assert quad.n_radial * quad.n_angular == MAX_QUADRATURE_NODES
+    for spec in (f"{radial}:{MAX_QUADRATURE_NODES // radial + 1}", "1:100000000",
+                 f"1:{MAX_QUADRATURE_NODES + 1}"):
+        with pytest.raises(ConfigError, match=f"at most {MAX_QUADRATURE_NODES} nodes"):
+            parse_quadrature(spec)
 
 
 def test_grid_steps_bound():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fock_hypergeometric_identity, mode_operators
-from lossylab.fock import (make_coherent, make_fock, random_mixed, random_pure)
+from lossylab.fock import lowered, make_coherent, make_fock, random_mixed, random_pure
 from lossylab.loss import apply_loss
 from lossylab.phasespace import Quadrature2D
 from lossylab.purity import purity_polynomial
@@ -264,12 +264,53 @@ def test_bernstein_check_at_large_cutoff(cutoff):
         assert rep.rhs > 0.0
 
 
+def _bernstein_by_numpy_polynomial(rho1, k_max=4):
+    """Oracle: the S_k recurrence of bernstein_check in numpy.polynomial,
+    (worst value, its k)."""
+    npoly = np.polynomial.polynomial
+    s_k = purity_polynomial(rho1).coefficients
+    grid = np.arange(0.01, 1.0001, 0.01)
+    lows = []
+    for k in range(k_max + 1):
+        lows.append(float(np.min(grid ** (k + 1) * npoly.polyval(1.0 - 2.0 * grid, s_k))))
+        s_k = npoly.polysub((k + 1) * s_k, npoly.polymul([1.0, -1.0], npoly.polyder(s_k)))
+    return min(lows), int(np.argmin(lows))
+
+
+def test_bernstein_recurrence_matches_numpy_polynomial_bit_for_bit():
+    states = [make_fock(0, 1).density(), make_fock(0, 2).density(), make_fock(3, 7).density(),
+              make_coherent(0.9, 20).density()]
+    states += [f(cutoff, cutoff) for cutoff in (2, 5, 12, 24)
+               for f in (lambda s, c: random_pure(s, c).density(),
+                         lambda s, c: random_mixed(s + 1, c, rank=2))]
+    for rho1 in states:
+        rep = bernstein_check(rho1)
+        worst, worst_k = _bernstein_by_numpy_polynomial(rho1)
+        assert rep.rhs == worst and rep.params["argmin_k"] == worst_k
+
+
 def test_number_purity_monotonicity():
     grid = np.linspace(0.05, 1.0, 20)
     for state in (make_fock(1, 2).density(), random_mixed(8, 7, rank=3),
                   make_coherent(0.8, 20).density()):
         rep = number_purity_monotonicity(state, grid)
         assert rep.passed
+
+
+def test_number_purity_monotonicity_matches_per_state_traces():
+    # 301 points at cutoff 10 span four loss blocks; each state's traces,
+    # taken one matrix at a time, give the stacked margin bit for bit
+    grid = np.linspace(0.01, 1.0, 301)
+    rho1 = random_mixed(9, 10, rank=3)
+    n = np.arange(10)[:, None]
+    rising, falling = [], []
+    for t in grid:
+        m = apply_loss(rho1, t).matrix
+        rising.append(float(np.einsum("ij,ji->", n * m, m).real))
+        sandwiched = float(np.einsum("ij,ji->", lowered(m), m).real)
+        falling.append(sandwiched * (1.0 - t) / t)
+    rep = number_purity_monotonicity(rho1, grid)
+    assert rep.rhs == min(np.min(np.diff(rising)), np.min(-np.diff(falling)))
 
 
 def test_fock_hypergeometric_identity():

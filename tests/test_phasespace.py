@@ -131,6 +131,16 @@ def test_non_finite_alpha_rejected(bad):
         char_fn(rho, np.array([0.2j, bad]), 0.0)
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+def test_non_finite_order_rejected(s):
+    # refused before the kernel runs, so no arithmetic warns (an error here)
+    rho = random_mixed(53, 4, rank=2)
+    with pytest.raises(ValueError, match="order s must be finite"):
+        quasi_prob(rho, np.array([0.0, 0.3 - 0.1j]), s)
+    with pytest.raises(ValueError, match="order s must be finite"):
+        char_fn(rho, np.array([0.0, 0.3 - 0.1j]), s)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rho1=density_operators(), radius=st.floats(0.0, 3.0),
        angle=st.floats(0.0, 2.0 * np.pi), t=st.floats(0.05, 1.0),
@@ -382,7 +392,7 @@ def test_coherent_char_fn_at_large_photon_number(beta):
 
 def test_pair_kernel_values_do_not_depend_on_the_batch():
     rho = random_mixed(63, 8, 3)
-    pts = GridSpec(3.0, 15, center=0.2 - 0.1j).alphas()
+    pts = GridSpec(3.0, 15).alphas() + (0.2 - 0.1j)
     for fn, orders in ((quasi_prob, QUASI_ORDERS), (char_fn, CHI_ORDERS)):
         for s in orders:
             batch = fn(rho, pts, s)
@@ -479,8 +489,7 @@ def test_write_grid_csv_format(tmp_path):
 
 def per_cell_grid_csv(path, qgrid, state_label, transmissivity=None):
     """Oracle: the grid dump formatting both axis values in every cell."""
-    re_axis = qgrid.grid.re_axis()
-    im_axis = qgrid.grid.im_axis()
+    axis = np.linspace(-qgrid.grid.half_width, qgrid.grid.half_width, qgrid.grid.n)
     t_part = repr(float(transmissivity)) if transmissivity is not None else "none"
     with open(path, "w", newline="") as fh:
         fh.write(f"# s={qgrid.order!r},T={t_part},state={state_label}\n")
@@ -488,13 +497,13 @@ def per_cell_grid_csv(path, qgrid, state_label, transmissivity=None):
         writer.writerow(["re_alpha", "im_alpha", "value"])
         for i in range(qgrid.grid.n):
             for j in range(qgrid.grid.n):
-                writer.writerow([repr(float(re_axis[i])), repr(float(im_axis[j])),
+                writer.writerow([repr(float(axis[i])), repr(float(axis[j])),
                                  repr(float(qgrid.values[i, j].real))])
 
 
 def test_write_grid_csv_bytes_match_per_cell_writer(tmp_path):
     rho = apply_loss(random_mixed(5, 6, 2), 0.4)
-    qgrid = quasi_prob_grid(rho, -0.5, GridSpec(2.5, 9, center=0.3 - 0.2j))
+    qgrid = quasi_prob_grid(rho, -0.5, GridSpec(2.5, 9))
     for t in (0.4, None):
         out, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
         write_grid_csv(out, qgrid, "random-mixed:5", transmissivity=t)

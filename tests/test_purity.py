@@ -12,8 +12,8 @@ from scipy.stats import poisson
 
 from conftest import indefinite_convex_operator
 from lossylab import fock
-from lossylab.fock import (DensityOperator, make_coherent, make_fock, random_mixed,
-                           random_pure, thermal_state)
+from lossylab.fock import (DensityOperator, make_coherent, make_fock, make_squeezed_vacuum,
+                           random_mixed, random_pure, thermal_state)
 from lossylab.loss import apply_loss
 from lossylab.purity import (PurityPolynomial, lossy_overlap, min_purity_pure,
                              mutual_information_bs, overlap_polynomial,
@@ -233,9 +233,10 @@ def test_mutual_information_symmetry_and_peak():
 
 
 def test_scalar_evaluation_matches_polyval_bit_for_bit():
-    # a scalar lambda takes Horner's rule in Python floats; it must give the
-    # bits (and type) of npoly.polyval on the derivative's coefficients,
-    # NaN for NaN, including where polyval overflows or forms inf * 0
+    # one Horner loop evaluates a scalar lambda (in Python floats) and an
+    # array; both must give the bits (and type) of npoly.polyval on
+    # npoly.polyder's coefficients, NaN for NaN, including where polyval
+    # overflows or forms inf * 0
     rng = np.random.default_rng(5)
     lams = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.3, -1.3, 1e30, np.inf, -np.inf, np.nan]
     for degree in range(61):
@@ -244,6 +245,7 @@ def test_scalar_evaluation_matches_polyval_bit_for_bit():
         poly = PurityPolynomial(q)
         for order in range(4):
             derived = npoly.polyder(q, m=order)
+            assert np.array_equal(poly.derivative_coefficients(order), derived)
             with np.errstate(all="ignore"):
                 refs = [npoly.polyval(np.asarray(lam), derived) for lam in lams]
                 along = poly.at_lambda(np.array(lams), order)
@@ -254,6 +256,22 @@ def test_scalar_evaluation_matches_polyval_bit_for_bit():
                 assert same and np.array_equal(vector, ref, equal_nan=True), (
                     degree, order, lam, got, ref)
         assert np.array_equal(poly.coefficients, q) and not poly.coefficients.flags.writeable
+
+
+@pytest.mark.parametrize("r, cutoff", [(0.8, 128), (1.0, 256)])
+def test_squeezed_vacuum_matches_its_closed_forms_at_large_cutoff(
+        r, cutoff, squeezed_dark_populations, squeezed_purity_lambda):
+    # the truncated tail is below rounding at these (r, cutoff); at r = 1.0
+    # and cutoff 128 truncation alone puts P_lamlam off by 9.7e-14 relative
+    poly = purity_polynomial(make_squeezed_vacuum(r, cutoff).density())
+    q = poly.coefficients
+    np.testing.assert_allclose(q, squeezed_dark_populations(r, q.size), rtol=1e-13, atol=1e-14)
+    lam = np.linspace(-1.0, 1.0, 41)
+    for order in range(3):
+        ref = squeezed_purity_lambda(r, lam, order)
+        np.testing.assert_allclose(poly.at_lambda(lam, order), ref, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose([poly.at_lambda(x, order) for x in lam], ref,
+                                   rtol=1e-13, atol=1e-14)
 
 
 def test_derivative_consistency():
