@@ -49,8 +49,8 @@ from .purity import (purities, purity, purity_polynomial, renyi_entropy,
                      von_neumann)
 from .qcs import (commutator_norms, qcs_commutator, qcs_lindblad,
                   qcs_purity_rate, qcs_two_copy)
-from .reports import (equality_report, inequality_report, write_check_csv,
-                      write_scan_csv)
+from .reports import (CheckReport, equality_report, inequality_report,
+                      write_check_csv, write_scan_csv)
 
 DEFAULT_CUTOFF = 8
 DEFAULT_RANK = 3
@@ -66,7 +66,6 @@ MAX_RADIAL_NODES = 2 ** 10
 # the most nodes a quadrature may ask for in all, radial times angular: each
 # complex array over them is then 4 MiB; the largest rule in use has 10 240
 MAX_QUADRATURE_NODES = 2 ** 18
-SUITES = ("purity", "qcs", "phasespace", "inequalities", "all")
 CONJECTURES = ("log-convexity", "ell-log-convexity", "unfairness", "dark-port-g2")
 PAIR_BUILDERS = {
     "bell-like": bell_like_pair,
@@ -136,10 +135,10 @@ def _read_operator_file(path: str) -> np.ndarray:
     return np.array(mapped, dtype=complex)
 
 
-def _file_operator(mat: np.ndarray, allow_nonpositive: bool) -> DensityOperator:
-    """The state of a file's vector or matrix."""
+def _file_operator(mat: np.ndarray, allow_nonpositive: bool) -> PureState | DensityOperator:
+    """The state of a file's vector or matrix; a vector is a pure state."""
     if mat.ndim == 1:
-        return PureState(mat, mat.size).density()
+        return PureState(mat, mat.size)
     try:
         return DensityOperator(mat, mat.shape[0])
     except ValueError as exc:
@@ -297,106 +296,87 @@ def _density(state) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-def _purity_suite(state_id, state, t_grid):
-    rho1 = _density(state)
-    pure = isinstance(state, PureState)
+# the report kind, tolerance and claim of every check the purity, qcs and
+# phasespace suites build; each suite yields (check, params, lhs, rhs)
+CHECKS = {
+    "dark_coefficients": (inequality_report, 1e-10, "dark-port coefficients are nonnegative"),
+    "purity_convexity": (inequality_report, 1e-9, "P'' >= 0 on the applicable grid"),
+    "purity_symmetry": (equality_report, 1e-10, "P(T) = P(1-T) for pure inputs"),
+    "lossy_trace_match": (equality_report, 1e-10, "polynomial purity equals trace purity"),
+    "pure_min_at_half": (inequality_report, 1e-10, "pure-state purity is minimized at T = 1/2"),
+    "qcs_routes_agree": (equality_report, 1e-8, "independent coherence-scale routes agree"),
+    "qcs_balanced_pure": (equality_report, 1e-8,
+                          "pure input at half transmissivity gives unit scale"),
+    "qcs_half_loss_bound": (inequality_report, 1e-8,
+                            "at half loss or more every input stays at or below unit scale"),
+    "purity_route_chi": (equality_report, 1e-5,
+                         "characteristic-function integral reproduces purity"),
+    "purity_route_quasi": (equality_report, 1e-5,
+                           "squared quasiprobability integral reproduces purity"),
+    "purity_route_lossy_chi": (equality_report, 1e-5,
+                               "lossy purity via the damped characteristic integral"),
+    "purity_route_laplace": (equality_report, 1e-5,
+                             "lossy purity via the phase-averaged transform"),
+}
+
+
+def _report(state_id, check, params, lhs, rhs):
+    """The report of one suite row, of the kind, tolerance and claim CHECKS
+    gives its check."""
+    kind, tolerance, claim = CHECKS[check]
+    return kind(check, state_id, params, lhs, rhs, tolerance, claim=claim)
+
+
+def _purity_suite(state_id, state, rho1, pure, t_grid, quad):
     # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
     # monomials in T cancels catastrophically at large cutoff
     poly = purity_polynomial(rho1)
     values = poly.value(t_grid)
+    yield "dark_coefficients", {}, 0.0, float(np.min(poly.coefficients))
     # convexity holds everywhere for pure inputs but is only guaranteed up
     # to half transmissivity for mixed ones
     convex_grid = t_grid if pure else t_grid[t_grid <= 0.5]
-    reports = [
-        inequality_report("dark_coefficients", state_id, {},
-                          0.0, float(np.min(poly.coefficients)), 1e-10,
-                          claim="dark-port coefficients are nonnegative"),
-    ]
     if convex_grid.size:
-        reports.append(inequality_report(
-            "purity_convexity", state_id, {},
-            0.0, float(np.min(poly.derivative(convex_grid, 2))), 1e-9,
-            claim="P'' >= 0 on the applicable grid"))
+        yield "purity_convexity", {}, 0.0, float(np.min(poly.derivative(convex_grid, 2)))
     if pure:
         mirrored = poly.value(1.0 - t_grid)
-        reports.append(equality_report(
-            "purity_symmetry", state_id, {},
-            float(np.max(np.abs(values - mirrored))), 0.0, 1e-10,
-            claim="P(T) = P(1-T) for pure inputs"))
+        yield "purity_symmetry", {}, float(np.max(np.abs(values - mirrored))), 0.0
     t_match = [t for t in (float(t_grid[0]), float(t_grid[t_grid.size // 2]),
                            float(t_grid[-1])) if 0.0 <= t <= 1.0]
     for t, rho_t in zip(t_match, loss_path(rho1, t_match)):
-        reports.append(equality_report(
-            "lossy_trace_match", state_id, {"T": t},
-            poly.value(t), purity(rho_t), 1e-10,
-            claim="polynomial purity equals trace purity"))
+        yield "lossy_trace_match", {"T": t}, poly.value(t), purity(rho_t)
     if pure:
-        reports.append(inequality_report(
-            "pure_min_at_half", state_id, {}, poly.value(0.5), float(np.min(values)),
-            1e-10, claim="pure-state purity is minimized at T = 1/2"))
-    return reports
+        yield "pure_min_at_half", {}, poly.value(0.5), float(np.min(values))
 
 
-def _qcs_suite(state_id, state, t_grid):
-    rho1 = _density(state)
-    pure = isinstance(state, PureState)
-    agree_tol = 1e-8
+def _qcs_suite(state_id, state, rho1, pure, t_grid, quad):
     poly = purity_polynomial(rho1)
-    reports = []
     t_lossy = [float(t) for t in t_grid if 0.0 < t <= 1.0]
     for t, rho_t in zip(t_lossy, loss_path(rho1, t_lossy)):
         values = [qcs_commutator(rho_t).c_squared,
                   qcs_two_copy(rho_t).c_squared,
-                  qcs_lindblad(rho_t).c_squared]
-        rate = qcs_purity_rate(poly, t)
-        if not rate.degenerate:
-            values.append(rate.c_squared)
-        spread = max(values) - min(values)
-        reports.append(equality_report(
-            "qcs_routes_agree", state_id, {"T": t}, spread, 0.0, agree_tol,
-            claim="independent coherence-scale routes agree"))
+                  qcs_lindblad(rho_t).c_squared,
+                  qcs_purity_rate(poly, t).c_squared]
+        yield "qcs_routes_agree", {"T": t}, max(values) - min(values), 0.0
         if pure and abs(t - 0.5) < 1e-12:
-            reports.append(equality_report(
-                "qcs_balanced_pure", state_id, {"T": t},
-                values[0], 1.0, agree_tol,
-                claim="pure input at half transmissivity gives unit scale"))
+            yield "qcs_balanced_pure", {"T": t}, values[0], 1.0
         if t <= 0.5:
-            reports.append(inequality_report(
-                "qcs_half_loss_bound", state_id, {"T": t},
-                values[0], 1.0, agree_tol,
-                claim="at half loss or more every input stays at or below "
-                      "unit scale"))
-    return reports
+            yield "qcs_half_loss_bound", {"T": t}, values[0], 1.0
 
 
-def _phasespace_suite(state_id, state, quad):
-    rho1 = _density(state)
-    route_tol = 1e-5
+def _phasespace_suite(state_id, state, rho1, pure, t_grid, quad):
     exact = purity(rho1)
-    reports = [
-        equality_report("purity_route_chi", state_id, {"s": -0.4},
-                        purity_from_chi(rho1, -0.4, quad), exact, route_tol,
-                        claim="characteristic-function integral reproduces purity"),
-        equality_report("purity_route_quasi", state_id, {"s": 0.0},
-                        overlap_from_quasi(rho1, rho1, 0.0, quad), exact, route_tol,
-                        claim="squared quasiprobability integral reproduces purity"),
-    ]
+    yield "purity_route_chi", {"s": -0.4}, purity_from_chi(rho1, -0.4, quad), exact
+    yield "purity_route_quasi", {"s": 0.0}, overlap_from_quasi(rho1, rho1, 0.0, quad), exact
     t_lossy = (0.25, 0.6)
     for t, rho_t in zip(t_lossy, loss_path(rho1, t_lossy)):
         lossy = purity(rho_t)
-        reports.append(equality_report(
-            "purity_route_lossy_chi", state_id, {"T": t},
-            purity_lossy_from_chi(rho1, t, 0.0, quad), lossy, route_tol,
-            claim="lossy purity via the damped characteristic integral"))
-        reports.append(equality_report(
-            "purity_route_laplace", state_id, {"T": t},
-            laplace_purity(rho1, t, quad), lossy, route_tol,
-            claim="lossy purity via the phase-averaged transform"))
-    return reports
+        yield "purity_route_lossy_chi", {"T": t}, purity_lossy_from_chi(rho1, t, 0.0, quad), lossy
+        yield "purity_route_laplace", {"T": t}, laplace_purity(rho1, t, quad), lossy
 
 
-def _inequality_suite(state_id, state):
-    rho1 = _density(state)
+def _inequality_suite(state_id, state, rho1, pure, t_grid, quad):
+    """Reports of the inequality checks, each built with its own tolerance."""
     reports = [
         cauchy_schwarz_ladder(rho1, state_id),
         bernstein_check(rho1, state_id=state_id),
@@ -404,7 +384,7 @@ def _inequality_suite(state_id, state):
         ladder_loss_inequality(rho1, 0.3, state_id),
         second_derivative_forms(state, 0.3, state_id),
     ]
-    if isinstance(state, PureState):
+    if pure:
         reports += [
             transpose_trick_identity(state, 0.3, state_id),
             pure_number_ratio_inequality(state, 0.3, state_id),
@@ -413,20 +393,27 @@ def _inequality_suite(state_id, state):
     return reports
 
 
+# each suite takes one state as (state_id, state, rho1, pure) and the shared
+# t_grid and quad; it yields rows for _report, or returns its own reports
+BATTERIES = {
+    "purity": _purity_suite,
+    "qcs": _qcs_suite,
+    "phasespace": _phasespace_suite,
+    "inequalities": _inequality_suite,
+}
+
+
 def cmd_verify(args) -> int:
     states = parse_states(args.states, args.seed, args.allow_nonpositive)
     t_grid = parse_grid(args.grid)
     quad = parse_quadrature(args.quadrature)
+    suites = BATTERIES.values() if args.suite == "all" else [BATTERIES[args.suite]]
     reports = []
     for state_id, state in states:
-        if args.suite in ("purity", "all"):
-            reports += _purity_suite(state_id, state, t_grid)
-        if args.suite in ("qcs", "all"):
-            reports += _qcs_suite(state_id, state, t_grid)
-        if args.suite in ("phasespace", "all"):
-            reports += _phasespace_suite(state_id, state, quad)
-        if args.suite in ("inequalities", "all"):
-            reports += _inequality_suite(state_id, state)
+        rho1, pure = _density(state), isinstance(state, PureState)
+        for suite in suites:
+            reports += [row if isinstance(row, CheckReport) else _report(state_id, *row)
+                        for row in suite(state_id, state, rho1, pure, t_grid, quad)]
     if args.out:
         write_check_csv(args.out, reports)
     failed = sum(1 for r in reports if not r.passed)
@@ -579,7 +566,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         return p
 
     p_verify = subcommand("verify", "run a named check battery", cmd_verify)
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
+    p_verify.add_argument("--suite", choices=[*BATTERIES, "all"], default="all")
     p_verify.add_argument("--grid", default="0:1:21",
                           help="start:stop:steps, read by the purity and qcs suites")
     p_verify.add_argument("--quadrature", default="80:128", metavar="R:THETA",

@@ -26,6 +26,9 @@ QUAD_TOL = 1e-4
 PAIR_SIGN_TOL = 1e-5
 BALANCED_EXCLUSION = 0.02
 BERNSTEIN_ORDER = 4
+# pair-kernel entries per block of rows: bounds each block of |a - b|^2 and
+# of its weight at 512 KiB, whatever the number of quadrature nodes
+PAIR_BLOCK_ENTRIES = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +307,18 @@ def husimi_of_state(rho: DensityOperator):
 
 def _pair_quadrature(f_rho, f_sigma, weight_fn, quad: Quadrature2D,
                      radial_scale: float) -> float:
+    """sum_ij f_rho(a_i) w_i weight_fn(|a_i - a_j|^2) w_j f_sigma(a_j) over
+    the quadrature nodes, one block of rows of at most PAIR_BLOCK_ENTRIES
+    kernel entries at a time."""
     nodes, weights = quad.nodes_weights(radial_scale=radial_scale)
     va = np.asarray(f_rho(nodes)) * weights
     vb = np.asarray(f_sigma(nodes)) * weights
-    d = np.abs(nodes[:, None] - nodes[None, :]) ** 2
-    return float(va @ weight_fn(d) @ vb)
+    step = max(1, PAIR_BLOCK_ENTRIES // nodes.size)
+    total = 0.0
+    for i in range(0, nodes.size, step):
+        d = np.abs(nodes[i:i + step, None] - nodes[None, :]) ** 2
+        total += va[i:i + step] @ (weight_fn(d) @ vb)
+    return float(total)
 
 
 def husimi_pair_check(husimi_rho, husimi_sigma, transmissivity: float,

@@ -15,17 +15,10 @@ import numpy as np
 from .fock import DensityOperator, lowered, product_traces
 from .purity import PurityPolynomial, purity
 
-ROUTE_COMMUTATOR = "commutator"
-ROUTE_PURITY_RATE = "purity_rate"
-ROUTE_TWO_COPY = "two_copy"
-ROUTE_LINDBLAD = "lindblad"
-
 
 @dataclass(frozen=True)
 class QcsResult:
     c_squared: float
-    route: str
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.c_squared < -1e-9:
@@ -47,19 +40,17 @@ def commutator_norms(matrices: np.ndarray) -> np.ndarray:
 def qcs_commutator(rho: DensityOperator) -> QcsResult:
     """C^2 = ||[a, rho]||_F^2 / Tr[rho^2] = (Tr[rho,X][X,rho] + Tr[rho,P][P,rho]) / (2 Tr[rho^2]),
     as [a^dag, rho] = -[a, rho]^dag."""
-    return QcsResult(float(commutator_norms(rho.matrix)) / purity(rho), ROUTE_COMMUTATOR)
+    return QcsResult(float(commutator_norms(rho.matrix)) / purity(rho))
 
 
 def qcs_purity_rate(poly: PurityPolynomial, transmissivity: float) -> QcsResult:
     """C^2 of rho_T from the loss response of the purity polynomial P of rho_1:
-    C^2 = (T / P(T)) dP/dT + 1. The caller builds P once per input state."""
+    C^2 = (T / P(T)) dP/dT + 1. The caller builds P once per input state.
+    At T = 0 this is exactly 1, the vacuum's scale."""
     t = float(transmissivity)
-    if t == 0.0:
-        # all states have been contracted to vacuum; the scale degenerates to 1
-        return QcsResult(1.0, ROUTE_PURITY_RATE, degenerate=True)
     p = float(poly.value(t))
     rate = float(poly.derivative(t, 1))
-    return QcsResult(t * rate / p + 1.0, ROUTE_PURITY_RATE)
+    return QcsResult(t * rate / p + 1.0)
 
 
 def qcs_two_copy(rho: DensityOperator) -> QcsResult:
@@ -78,7 +69,7 @@ def qcs_two_copy(rho: DensityOperator) -> QcsResult:
     den = float(np.sum(diag).real)
     # D_n weighs diagonal entry k by k + (n - k) = n, and off-diagonals by -sqrt((i+1)(n-i))
     lowered = np.sum(n * diag) - np.sum(np.sqrt((i + 1.0) * (n1 - i)) * cross)
-    return QcsResult(float(lowered.real) / den + 1.0, ROUTE_TWO_COPY)
+    return QcsResult(float(lowered.real) / den + 1.0)
 
 
 def qcs_lindblad(rho_t: DensityOperator) -> QcsResult:
@@ -88,4 +79,4 @@ def qcs_lindblad(rho_t: DensityOperator) -> QcsResult:
     m = rho_t.matrix
     term_n = float(product_traces(np.arange(rho_t.cutoff)[:, None] * m, m))
     term_a = float(product_traces(lowered(m), m))
-    return QcsResult(2.0 / purity(rho_t) * (term_n - term_a) + 1.0, ROUTE_LINDBLAD)
+    return QcsResult(2.0 / purity(rho_t) * (term_n - term_a) + 1.0)

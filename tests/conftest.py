@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -17,7 +18,7 @@ from lossylab.inequalities import EXACT_TOL
 from lossylab.loss import _binomial_table, _t_blocks, apply_loss, loss_path
 from lossylab.phasespace import QuasiProbGrid, char_fn, quasi_prob
 from lossylab.purity import purity
-from lossylab.qcs import ROUTE_LINDBLAD, QcsResult
+from lossylab.qcs import QcsResult
 from lossylab.reports import CheckReport, equality_report
 
 # CI selects this with --hypothesis-profile=ci: a failure prints the blob
@@ -585,6 +586,46 @@ def squeezed_purity_lambda_fixture():
     return squeezed_purity_lambda
 
 
+def thermal_dark_populations(nbar: float, size: int) -> np.ndarray:
+    """Dark-port populations q_0, ..., q_(size-1) of the untruncated thermal
+    state of mean nbar > 0: q_m = (1 - x) x^m with x = nbar / (1 + nbar),
+    as P(lambda) = 1 / (1 + nbar (1 - lambda)). Each is built in log space
+    with math.log1p, so no power underflows before its value does."""
+    log_x = math.log(nbar) - math.log1p(nbar)
+    return np.array([math.exp(m * log_x - math.log1p(nbar)) for m in range(size)])
+
+
+def thermal_c_squared(nbar: float, transmissivity: float) -> float:
+    """C^2 of the thermal state of mean nbar after loss to T, itself thermal
+    of mean nbar T: 1 / (1 + 2 nbar T)."""
+    return 1.0 / (1.0 + 2.0 * nbar * transmissivity)
+
+
+def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """<n|alpha> = e^(-|alpha|^2/2) alpha^n / sqrt(n!) for n < cutoff and
+    alpha != 0, each magnitude built in log space with math.lgamma. Its
+    dark-port populations are q = (1, 0, 0, ...) and its C^2 is 1, before
+    and after loss."""
+    log_r, phase = math.log(abs(alpha)), cmath.phase(alpha)
+    return np.array([cmath.exp(n * (log_r + 1j * phase) - abs(alpha) ** 2 / 2.0
+                               - math.lgamma(n + 1) / 2.0) for n in range(cutoff)])
+
+
+@pytest.fixture(name="thermal_dark_populations", scope="session")
+def thermal_dark_populations_fixture():
+    return thermal_dark_populations
+
+
+@pytest.fixture(name="thermal_c_squared", scope="session")
+def thermal_c_squared_fixture():
+    return thermal_c_squared
+
+
+@pytest.fixture(name="coherent_amplitudes", scope="session")
+def coherent_amplitudes_fixture():
+    return coherent_amplitudes
+
+
 # A second closed form for the lossy Fock purity, checked against the first.
 def fock_hypergeometric_identity(n: int, t_grid=None, state_id: str = "") -> CheckReport:
     """Lossy Fock purity equals (1-T)^(2n) 2F1(-n, -n; 1; T^2/(T-1)^2), a
@@ -710,7 +751,7 @@ def qcs_kernel_form(rho: DensityOperator, x_max: float | None = None,
         kernel = phi @ m @ phi.T
         total += float(np.sum((w[:, None] * w[None, :]) * diff_sq * np.abs(kernel) ** 2))
     p = purity(rho)
-    return QcsResult(total / (2.0 * p), "kernel")
+    return QcsResult(total / (2.0 * p))
 
 
 @pytest.fixture(name="qcs_kernel_form", scope="session")
@@ -734,7 +775,7 @@ def qcs_lindblad_pure_variant(psi: PureState, transmissivity: float) -> QcsResul
     mom_t = float(np.einsum("ij,ji->", ops.number @ m_t, m_t).real)
     mom_r = float(np.einsum("ij,ji->", ops.number @ m_r, m_r).real)
     val = 2.0 * t / p * (mom_t / t - mom_r / (1.0 - t)) + 1.0
-    return QcsResult(val, ROUTE_LINDBLAD)
+    return QcsResult(val)
 
 
 @pytest.fixture(name="qcs_lindblad_pure_variant", scope="session")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV formats, config handling."""
 
+import ast
 import csv
 import filecmp
 import importlib
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 import lossylab
-from lossylab.cli import (MAX_CUTOFF, MAX_GRID_STEPS, MAX_QUADRATURE_NODES, MAX_RADIAL_NODES,
-                          SWEEP_COLUMNS, ConfigError, main, parse_grid, parse_quadrature,
-                          parse_states)
-from lossylab.fock import PureState
+from lossylab.cli import (CHECKS, MAX_CUTOFF, MAX_GRID_STEPS, MAX_QUADRATURE_NODES,
+                          MAX_RADIAL_NODES, SWEEP_COLUMNS, ConfigError, main, parse_grid,
+                          parse_quadrature, parse_states)
+from lossylab.fock import PureState, random_pure
 from lossylab.purity import purity, renyi_entropy, von_neumann
 from lossylab.qcs import qcs_commutator
 
@@ -46,6 +47,44 @@ def test_verify_suite_selection(capsys):
     assert run("verify", "--states", "fock:0") == 0
     n_all = int(capsys.readouterr().out.split("checks: ")[1].split(" ")[0])
     assert 0 < n_qcs < n_all
+
+
+def verify_rows(tmp_path, *argv):
+    """The CSV rows of one verify run, as dicts."""
+    out = tmp_path / "verify-rows.csv"
+    run("verify", *argv, "--out", str(out))
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_every_check_the_suites_build_is_a_table_key(tmp_path, capsys):
+    # statically: the first item of every tuple a suite yields
+    tree = ast.parse(Path(lossylab.cli.__file__).read_text(encoding="utf-8"))
+    yielded = {node.value.elts[0].value for node in ast.walk(tree)
+               if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple)}
+    assert yielded == set(CHECKS)
+    # at run time, on a pure and a mixed state: every key is emitted, and
+    # every other row comes from the inequality suite's own reports
+    argv = ("--states", "random:2", "--seed", "1", "--quadrature", "40:64")
+    emitted = {r["check_name"] for r in verify_rows(tmp_path, *argv, "--suite", "all")}
+    inequalities = {r["check_name"]
+                    for r in verify_rows(tmp_path, *argv, "--suite", "inequalities")}
+    assert set(CHECKS) <= emitted
+    assert emitted - set(CHECKS) == inequalities
+
+
+def test_file_vector_runs_the_pure_state_checks(tmp_path, capsys):
+    path = tmp_path / "vec.npy"
+    np.save(path, random_pure(7, 8).amplitudes)
+    common = ("--quadrature", "40:64")
+    from_file = verify_rows(tmp_path, "--states", f"file:{path}", *common)
+    built = verify_rows(tmp_path, "--states", "random:1:8:0", "--seed", "7", *common)
+    assert len(from_file) == len(built) == 52
+    for a, b in zip(from_file, built):
+        assert (a["check_name"], a["params"], a["pass"]) == (b["check_name"], b["params"],
+                                                             b["pass"])
+        for column in ("lhs", "rhs", "margin"):
+            assert float(a[column]) == pytest.approx(float(b[column]), rel=0, abs=1e-12)
 
 
 def test_purity_suite_at_cutoff_24(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Moment inequalities, derivative forms, pair integrals, and Bernstein bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from lossylab.phasespace import Quadrature2D
 from lossylab.purity import purity_polynomial
 from lossylab.inequalities import (CoherentMixture, ThermalPState,
                                    bernstein_check, cauchy_schwarz_ladder,
-                                   _form_terms, husimi_of_state,
+                                   _form_terms, _pair_quadrature, husimi_of_state,
                                    husimi_pair_check,
                                    husimi_pair_from_states,
                                    isotropic_gaussian, ladder_loss_inequality,
@@ -217,6 +219,50 @@ def test_order_pair_overlap_identity():
     with pytest.raises(ValueError):
         # 2 + (r + r' - 2) T = 0 exactly: singular existence boundary
         order_pair_overlap_identity(rho, sig, -1.0, -2.0, 0.4)
+
+
+def dense_pair_quadrature(f_rho, f_sigma, weight_fn, quad, radial_scale):
+    """The pair quadrature over the whole (N, N) matrix of |a - b|^2 at once."""
+    nodes, weights = quad.nodes_weights(radial_scale=radial_scale)
+    va = np.asarray(f_rho(nodes)) * weights
+    vb = np.asarray(f_sigma(nodes)) * weights
+    d = np.abs(nodes[:, None] - nodes[None, :]) ** 2
+    return float(va @ weight_fn(d) @ vb)
+
+
+# (48, 64) sums 3072 nodes in blocks of 21 rows and a last one of 6;
+# (4, 3) sums its 12 nodes as one block
+@pytest.mark.parametrize("quad", [Quadrature2D(48, 64), Quadrature2D(4, 3)])
+def test_blocked_pair_quadrature_matches_the_dense_sum(quad):
+    rho, sigma = random_mixed(1, 6, 2), random_mixed(2, 6, 2)
+    cases = [(husimi_of_state(rho), husimi_of_state(sigma),
+              lambda d: (5.0 - 6.25 * d) * np.exp(-0.75 * d), 2.0),
+             (isotropic_gaussian(1.0), isotropic_gaussian(0.5),
+              lambda d: np.exp(-0.6 * d / 0.5), 2.5)]
+    for f_rho, f_sigma, weight, scale in cases:
+        dense = dense_pair_quadrature(f_rho, f_sigma, weight, quad, scale)
+        blocked = _pair_quadrature(f_rho, f_sigma, weight, quad, scale)
+        assert abs(blocked - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def test_pair_checks_memory_stays_within_blocks():
+    # the dense (3072, 3072) kernel and its weighted copy peaked at 288 MiB;
+    # the first run is untraced, so one-time caches stay out of the peak
+    rho, sigma = random_mixed(1, 6, 2), random_mixed(2, 6, 2)
+
+    def both():
+        return (husimi_pair_from_states(rho, sigma, 0.3),
+                order_pair_overlap_identity(rho, sigma, -1.0, -1.5, 0.3))
+
+    both()
+    tracemalloc.start()
+    try:
+        reports = both()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reports)
+    assert peak < 16 * 2 ** 20
 
 
 def test_bernstein_check():

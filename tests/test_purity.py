@@ -12,13 +12,14 @@ from scipy.stats import poisson
 
 from conftest import indefinite_convex_operator
 from lossylab import fock
-from lossylab.fock import (DensityOperator, make_coherent, make_fock, make_squeezed_vacuum,
-                           random_mixed, random_pure, thermal_state)
-from lossylab.loss import apply_loss
+from lossylab.fock import (DensityOperator, PureState, make_coherent, make_fock,
+                           make_squeezed_vacuum, random_mixed, random_pure, thermal_state)
+from lossylab.loss import apply_loss, loss_path
 from lossylab.purity import (PurityPolynomial, lossy_overlap, min_purity_pure,
                              mutual_information_bs, overlap_polynomial,
                              pair_dark_populations, purity,
                              purity_polynomial, renyi_entropy, von_neumann)
+from lossylab.qcs import qcs_commutator, qcs_purity_rate
 
 
 def test_purity_and_entropy_on_known_states():
@@ -272,6 +273,33 @@ def test_squeezed_vacuum_matches_its_closed_forms_at_large_cutoff(
         np.testing.assert_allclose(poly.at_lambda(lam, order), ref, rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose([poly.at_lambda(x, order) for x in lam], ref,
                                    rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("family, param", [("thermal", 2.0), ("coherent", 3.0),
+                                           ("coherent", 1 + 2j)])
+def test_thermal_and_coherent_states_match_their_closed_forms_at_large_cutoff(
+        family, param, thermal_dark_populations, thermal_c_squared, coherent_amplitudes):
+    cutoff = 128
+    if family == "thermal":
+        rho = thermal_state(param, cutoff)
+        ref = thermal_dark_populations(param, 2 * cutoff - 1)
+    else:
+        rho = PureState(coherent_amplitudes(param, cutoff), cutoff).density()
+        ref = np.zeros(2 * cutoff - 1)
+        ref[0] = 1.0
+    q = pair_dark_populations(rho, rho)
+    # a coherent q_0 = 1 sums 128 blocks and is off by up to 3.3e-15, so
+    # the absolute gate carries a relative part for the entries near 1
+    np.testing.assert_allclose(q, ref, rtol=1e-13, atol=1e-15)
+    head = ref[: cutoff // 4] != 0.0
+    np.testing.assert_allclose(q[: cutoff // 4][head], ref[: cutoff // 4][head],
+                               rtol=1e-13, atol=0)
+    poly = purity_polynomial(rho)
+    t_grid = [0.1, 0.25, 0.5, 0.75, 1.0]
+    for t, rho_t in zip(t_grid, loss_path(rho, t_grid)):
+        c_squared = thermal_c_squared(param, t) if family == "thermal" else 1.0
+        assert qcs_purity_rate(poly, t).c_squared == pytest.approx(c_squared, rel=0, abs=1e-13)
+        assert qcs_commutator(rho_t).c_squared == pytest.approx(c_squared, rel=0, abs=1e-13)
 
 
 def test_derivative_consistency():
