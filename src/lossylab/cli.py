@@ -42,9 +42,7 @@ from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
                            second_derivative_forms, transpose_trick_identity)
 from .loss import apply_loss, loss_blocks, loss_path
 from .phasespace import (GridSpec, Quadrature2D, default_grid, laplace_purity,
-                         overlap_from_quasi, purity_from_chi,
-                         purity_lossy_from_chi, quasi_prob_grid,
-                         write_grid_csv)
+                         overlap_from_quasi, quasi_prob_grid, write_grid_csv)
 from .purity import (purities, purity, purity_polynomial, renyi_entropy,
                      von_neumann)
 from .qcs import (commutator_norms, qcs_commutator, qcs_lindblad,
@@ -60,6 +58,9 @@ DEFAULT_RANK = 3
 MAX_CUTOFF = 2 ** 11
 # the most points a grid may ask for; the largest grid in use has 401
 MAX_GRID_STEPS = 2 ** 16
+# the most points per axis a phasespace grid may ask for: its n x n complex
+# points are then 64 MiB; the largest grid in use has 201
+MAX_GRID_POINTS = 2 ** 11
 # the most radial nodes a quadrature may ask for: the rule's Jacobi matrix is
 # then 8 MiB; the largest rule in use has 80
 MAX_RADIAL_NODES = 2 ** 10
@@ -314,9 +315,7 @@ CHECKS = {
     "purity_route_quasi": (equality_report, 1e-5,
                            "squared quasiprobability integral reproduces purity"),
     "purity_route_lossy_chi": (equality_report, 1e-5,
-                               "lossy purity via the damped characteristic integral"),
-    "purity_route_laplace": (equality_report, 1e-5,
-                             "lossy purity via the phase-averaged transform"),
+                               "lossy purity via the characteristic-function integral"),
 }
 
 
@@ -366,13 +365,11 @@ def _qcs_suite(state_id, state, rho1, pure, t_grid, quad):
 
 def _phasespace_suite(state_id, state, rho1, pure, t_grid, quad):
     exact = purity(rho1)
-    yield "purity_route_chi", {"s": -0.4}, purity_from_chi(rho1, -0.4, quad), exact
+    yield "purity_route_chi", {}, laplace_purity(rho1, 1.0, quad), exact
     yield "purity_route_quasi", {"s": 0.0}, overlap_from_quasi(rho1, rho1, 0.0, quad), exact
     t_lossy = (0.25, 0.6)
     for t, rho_t in zip(t_lossy, loss_path(rho1, t_lossy)):
-        lossy = purity(rho_t)
-        yield "purity_route_lossy_chi", {"T": t}, purity_lossy_from_chi(rho1, t, 0.0, quad), lossy
-        yield "purity_route_laplace", {"T": t}, laplace_purity(rho1, t, quad), lossy
+        yield "purity_route_lossy_chi", {"T": t}, laplace_purity(rho1, t, quad), purity(rho_t)
 
 
 def _inequality_suite(state_id, state, rho1, pure, t_grid, quad):
@@ -471,6 +468,9 @@ def cmd_phasespace(args) -> int:
     t = args.transmissivity
     if t is not None and not 0.0 <= t <= 1.0:
         raise ConfigError(f"--T must lie in [0, 1], got {t!r}")
+    if args.points is not None and args.points > MAX_GRID_POINTS:
+        raise ConfigError(f"phasespace grid needs at most {MAX_GRID_POINTS} points per axis, "
+                          f"got {args.points}")
     states = parse_states(args.states, args.seed, args.allow_nonpositive)
     if len(states) != 1:
         raise ConfigError("phasespace expects exactly one state")

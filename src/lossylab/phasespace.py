@@ -1,5 +1,9 @@
 """Phase-space representations: characteristic functions, s-ordered
-quasiprobabilities, grids and their CSV export, and quadrature-based purity.
+quasiprobabilities, grids and their CSV export, and quadrature-based purity
+by two independent routes: laplace_purity, the one characteristic-function
+route, integrates |chi(., 1)|^2 for the purity after loss to transmissivity T
+(Tr[rho^2] at T = 1), and overlap_from_quasi pairs the quasiprobabilities of
+orders s and -s.
 
 Conventions. chi_rho(alpha, s) = Tr[rho D(alpha)] exp(s|alpha|^2 / 2). The
 s-ordered quasiprobability is P(alpha, s) = (2 / (pi (1-s))) Tr[rho X] with
@@ -321,55 +325,28 @@ class Quadrature2D:
         return alphas, weights
 
 
-def _outer_ring_growth(values: np.ndarray, n_angular: int) -> bool:
-    outer = np.max(np.abs(values[-n_angular:]))
-    inner = np.max(np.abs(values[:-n_angular])) if values.size > n_angular else 0.0
-    return outer > max(inner, 1e-300)
-
-
-def purity_from_chi(rho: DensityOperator, s: float,
-                    quad: Quadrature2D = Quadrature2D()) -> float:
-    """Tr[rho^2] = int (d^2 alpha / pi) e^{-s|alpha|^2} |chi(alpha, s)|^2."""
-    alphas, weights = quad.nodes_weights()
-    chi = char_fn(rho, alphas, s)
-    integrand = np.exp(-s * np.abs(alphas) ** 2) * np.abs(chi) ** 2
-    if _outer_ring_growth(integrand, quad.n_angular):
-        raise ValueError("integrand grows at the outermost radial ring; order unsuitable")
-    return math.fsum(weights * integrand) / np.pi
-
-
-def lossy_chi_integrand(rho1: DensityOperator, transmissivity: float, s: float,
-                        quad: Quadrature2D = Quadrature2D()):
-    """Nodes, weights, and the manifestly nonnegative lossy-purity integrand."""
-    t = float(transmissivity)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
-    alphas, weights = quad.nodes_weights(radial_scale=t)
-    chi = char_fn(rho1, alphas, s)
-    mod = np.abs(np.exp((1.0 - s) * np.abs(alphas) ** 2 / 2.0) * chi) ** 2
-    integrand = np.exp(-np.abs(alphas) ** 2 / t) / t * mod
-    return alphas, weights, integrand
-
-
-def purity_lossy_from_chi(rho1: DensityOperator, transmissivity: float, s: float,
-                          quad: Quadrature2D = Quadrature2D()) -> float:
-    """Purity of the lossy state from the input characteristic function alone."""
-    _, weights, integrand = lossy_chi_integrand(rho1, transmissivity, s, quad)
-    return math.fsum(weights * integrand) / np.pi
-
-
 def laplace_purity(rho1: DensityOperator, transmissivity: float,
                    quad: Quadrature2D = Quadrature2D()) -> float:
-    """Purity of the lossy state as (1/T) Laplace{|chi-bar|^2}(1/T), where
-    |chi-bar(tau)|^2 is the angular mean of |chi(sqrt(tau) e^{i theta}, 1)|^2 on
-    the trapezoid; one char_fn call covers every radial and angular node."""
+    """Purity Tr[rho_T^2] of the lossy state from the input's characteristic
+    function alone; at T = 1 it is Tr[rho1^2]. It is (1/T) Laplace{|chi-bar|^2}(1/T),
+    where |chi-bar(tau)|^2 is the angular mean of |chi(sqrt(tau) e^{i theta}, 1)|^2
+    on the trapezoid, so one char_fn call covers every radial and angular node.
+    Raises ValueError for T outside (0, 1], and where the integrand in the
+    radial variable t, e^{-t} mean_theta |chi|^2, is larger on the outermost
+    radial node than on every other: the radial rule is then too short to
+    see it decay."""
     t = float(transmissivity)
     if not 0.0 < t <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
     nodes, w = _laguerre_rule(quad.n_radial)
     thetas = 2.0 * np.pi * np.arange(quad.n_angular) / quad.n_angular
     chi = char_fn(rho1, np.outer(np.sqrt(t * nodes), np.exp(1j * thetas)), 1.0)
-    return math.fsum(w * np.mean(np.abs(chi) ** 2, axis=1))
+    ring_means = np.mean(np.abs(chi) ** 2, axis=1)
+    integrand = np.exp(-nodes) * ring_means
+    if integrand[-1] > max(np.max(integrand[:-1], initial=0.0), 1e-300):
+        raise ValueError("integrand grows at the outermost radial node; "
+                         "the radial rule is too short")
+    return math.fsum(w * ring_means)
 
 
 def overlap_from_quasi(rho: DensityOperator, sigma: DensityOperator, s: float,

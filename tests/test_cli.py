@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import lossylab
-from lossylab.cli import (CHECKS, MAX_CUTOFF, MAX_GRID_STEPS, MAX_QUADRATURE_NODES,
-                          MAX_RADIAL_NODES, SWEEP_COLUMNS, ConfigError, main, parse_grid,
-                          parse_quadrature, parse_states)
+from lossylab.cli import (CHECKS, MAX_CUTOFF, MAX_GRID_POINTS, MAX_GRID_STEPS,
+                          MAX_QUADRATURE_NODES, MAX_RADIAL_NODES, SWEEP_COLUMNS, ConfigError,
+                          main, parse_grid, parse_quadrature, parse_states)
 from lossylab.fock import PureState, random_pure
 from lossylab.purity import purity, renyi_entropy, von_neumann
 from lossylab.qcs import qcs_commutator
@@ -79,7 +79,7 @@ def test_file_vector_runs_the_pure_state_checks(tmp_path, capsys):
     common = ("--quadrature", "40:64")
     from_file = verify_rows(tmp_path, "--states", f"file:{path}", *common)
     built = verify_rows(tmp_path, "--states", "random:1:8:0", "--seed", "7", *common)
-    assert len(from_file) == len(built) == 52
+    assert len(from_file) == len(built) == 50
     for a, b in zip(from_file, built):
         assert (a["check_name"], a["params"], a["pass"]) == (b["check_name"], b["params"],
                                                              b["pass"])
@@ -555,6 +555,33 @@ def test_grid_beyond_max_steps_exits_two_before_allocating(argv, capsys):
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
     assert f"1 to {MAX_GRID_STEPS} steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [MAX_GRID_POINTS + 1, 10 ** 9])
+def test_grid_points_beyond_max_exit_two_before_allocating(points, capsys):
+    # 10^9 points per axis would be a 16 EB array of complex grid points
+    tracemalloc.start()
+    try:
+        assert run("phasespace", "--states", "fock:1", "--points", str(points)) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert f"at most {MAX_GRID_POINTS} points per axis" in capsys.readouterr().err
+
+
+def test_a_radial_rule_too_short_fails_closed(tmp_path, capsys):
+    # 40 radial nodes resolve neither phase-space route for a pure state at
+    # cutoff 40, and the integrand does not peak at the outermost node, so
+    # the guard in laplace_purity stays quiet: the equality rows fail instead
+    out = tmp_path / "short.csv"
+    assert run("verify", "--suite", "phasespace", "--states", "random:1:40:0", "--seed", "1",
+               "--quadrature", "40:64", "--out", str(out)) == 1
+    assert capsys.readouterr().out.strip().endswith("checks: 4 run, 2 passed, 2 failed")
+    with open(out, newline="") as fh:
+        [row] = [r for r in csv.DictReader(fh) if r["check_name"] == "purity_route_chi"]
+    assert (row["params"], row["pass"]) == ("", "false")
+    assert float(row["margin"]) < -0.02
 
 
 @pytest.mark.parametrize("spec, message", [

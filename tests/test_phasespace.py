@@ -16,10 +16,8 @@ from lossylab.fock import (displacement_matrix, laguerre_ladder, make_coherent,
                            make_fock, random_mixed, random_pure)
 from lossylab.loss import apply_loss
 from lossylab.phasespace import (GridSpec, Quadrature2D, char_fn, laplace_purity,
-                                 lossy_chi_integrand, overlap_from_quasi, purity_from_chi,
-                                 purity_lossy_from_chi, quasi_prob,
-                                 quasi_prob_grid, wigner_from_parity,
-                                 write_grid_csv)
+                                 overlap_from_quasi, quasi_prob, quasi_prob_grid,
+                                 wigner_from_parity, write_grid_csv)
 from lossylab.purity import hs_overlap, purity
 from strategies import density_operators
 
@@ -173,20 +171,31 @@ def test_loss_identity_chi(loss_identity_chi):
             assert report.lhs < 1e-10
 
 
-def test_purity_from_chi_routes():
+def test_laplace_purity_at_unit_transmissivity_is_purity():
     rho = apply_loss(random_mixed(23, 6, rank=3), 0.7)
-    ref = purity(rho)
-    assert purity_from_chi(rho, -0.4) == pytest.approx(ref, abs=1e-6)
-    assert purity_from_chi(rho, 0.0) == pytest.approx(ref, abs=1e-6)
+    assert laplace_purity(rho, 1.0) == pytest.approx(purity(rho), abs=1e-6)
 
 
-def test_purity_lossy_from_chi():
+def test_laplace_purity_of_lossy_mixed_state():
     rho1 = random_mixed(29, 6, rank=2)
     for t in (0.25, 0.6):
         ref = purity(apply_loss(rho1, t))
-        assert purity_lossy_from_chi(rho1, t, -0.3) == pytest.approx(ref, abs=1e-6)
-    _, _, integrand = lossy_chi_integrand(rho1, 0.3, -0.3)
-    assert np.all(integrand >= 0.0)
+        assert laplace_purity(rho1, t) == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1, 1.5, math.nan])
+def test_laplace_purity_refuses_transmissivity_outside_unit_interval(t):
+    with pytest.raises(ValueError, match=r"transmissivity must lie in \(0, 1\]"):
+        laplace_purity(make_fock(1, 2).density(), t)
+
+
+def test_laplace_purity_refuses_a_radial_rule_too_short_to_see_decay():
+    # for |5>, |chi(alpha, 1)|^2 = L_5(|alpha|^2)^2, and e^{-t} L_5(t)^2 still
+    # grows from node to node of the four-node rule (0.015 to 0.058)
+    fock5 = make_fock(5, 6).density()
+    with pytest.raises(ValueError, match="radial rule is too short"):
+        laplace_purity(fock5, 1.0, Quadrature2D(4, 8))
+    assert laplace_purity(fock5, 1.0, Quadrature2D(8, 8)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_laplace_purity_single_photon():
