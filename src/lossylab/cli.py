@@ -41,7 +41,7 @@ from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
                            pure_second_order_inequality,
                            second_derivative_forms, transpose_trick_identity)
 from .loss import apply_loss, loss_blocks, loss_path
-from .phasespace import (GridSpec, Quadrature2D, default_grid, laplace_purity,
+from .phasespace import (GridSpec, Quadrature2D, default_grid, exact_rule, laplace_purity,
                          overlap_from_quasi, quasi_prob_grid, write_grid_csv)
 from .purity import (purities, purity, purity_polynomial, renyi_entropy,
                      von_neumann)
@@ -62,10 +62,11 @@ MAX_GRID_STEPS = 2 ** 16
 # points are then 64 MiB; the largest grid in use has 201
 MAX_GRID_POINTS = 2 ** 11
 # the most radial nodes a quadrature may ask for: the rule's Jacobi matrix is
-# then 8 MiB; the largest rule in use has 80
+# then 8 MiB
 MAX_RADIAL_NODES = 2 ** 10
 # the most nodes a quadrature may ask for in all, radial times angular: each
-# complex array over them is then 4 MiB; the largest rule in use has 10 240
+# complex array over them is then 4 MiB; the exact rule (c, 2c - 1) of a
+# state on c levels fits for c <= 362
 MAX_QUADRATURE_NODES = 2 ** 18
 CONJECTURES = ("log-convexity", "ell-log-convexity", "unfairness", "dark-port-g2")
 PAIR_BUILDERS = {
@@ -104,21 +105,24 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def parse_quadrature(spec: str) -> Quadrature2D:
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"quadrature must be radial:angular, got {spec!r}")
     try:
-        radial, angular = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad quadrature {spec!r}: {exc}") from None
+        radial, angular = map(int, spec.split(":"))
+    except ValueError:
+        raise ConfigError(f"quadrature must be radial:angular integers, got {spec!r}") from None
+    return _within_node_budget(Quadrature2D(radial, angular), "quadrature")
+
+
+def _within_node_budget(quad: Quadrature2D, context: str) -> Quadrature2D:
+    """quad, refused before any node is built unless within the node budget."""
+    radial, angular = quad.n_radial, quad.n_angular
     if not 1 <= radial <= MAX_RADIAL_NODES:
-        raise ConfigError(f"quadrature needs 1 to {MAX_RADIAL_NODES} radial nodes, got {radial}")
+        raise ConfigError(f"{context} needs 1 to {MAX_RADIAL_NODES} radial nodes, got {radial}")
     if angular < 1:
-        raise ConfigError(f"quadrature needs at least 1 angular node, got {angular}")
+        raise ConfigError(f"{context} needs at least 1 angular node, got {angular}")
     if radial * angular > MAX_QUADRATURE_NODES:
-        raise ConfigError(f"quadrature needs at most {MAX_QUADRATURE_NODES} nodes in all, "
+        raise ConfigError(f"{context} needs at most {MAX_QUADRATURE_NODES} nodes in all, "
                           f"got {radial} x {angular}")
-    return Quadrature2D(radial, angular)
+    return quad
 
 
 def _read_operator_file(path: str) -> np.ndarray:
@@ -181,25 +185,25 @@ def _family(item: str, seed: int, allow_nonpositive: bool):
     pairs."""
     head, sep, tail = item.partition(":")
     if head == "fock":
-        n = _as_int(tail, item)
+        n = _as_number(int, tail, item)
         cutoff = _within_budget(max(n + 2, 4), item)
         return cutoff ** 2, lambda: [(item, make_fock(n, cutoff))]
     if head == "coherent":
-        alpha = _as_complex(tail, item)
+        alpha = _as_number(complex, tail, item)
         cutoff = _ladder_size(lambda: abs(alpha) ** 2 + 9.0 * abs(alpha) + 8.0, 8, item)
         return cutoff ** 2, lambda: [(item, make_coherent(alpha, cutoff))]
     if head == "squeezed":
-        r = _as_float(tail, item)
+        r = _as_number(float, tail, item)
         cutoff = _ladder_size(lambda: 16.0 * np.sinh(abs(r)) ** 2 + 12.0, 12, item)
         return cutoff ** 2, lambda: [(item, make_squeezed_vacuum(r, cutoff))]
     if head == "random":
         parts = tail.split(":") if tail else ["1"]
-        count = _as_int(parts[0], item)
+        count = _as_number(int, parts[0], item)
         if count < 1:
             raise ConfigError(f"{item!r} needs a COUNT of at least 1")
-        cutoff = _as_int(parts[1], item) if len(parts) > 1 else DEFAULT_CUTOFF
+        cutoff = _as_number(int, parts[1], item) if len(parts) > 1 else DEFAULT_CUTOFF
         _within_budget(cutoff, item)
-        rank = _as_int(parts[2], item) if len(parts) > 2 else None
+        rank = _as_number(int, parts[2], item) if len(parts) > 2 else None
         return count * cutoff ** 2, lambda: _random_family(seed, count, cutoff, rank)
     if head == "file":
         if not sep:
@@ -223,29 +227,14 @@ def _random_family(seed: int, count: int, cutoff: int, rank) -> list:
     return out
 
 
-def _as_int(text: str, context: str) -> int:
+def _as_number(kind, text: str, context: str):
+    """text read as kind (int, float or complex); a float or complex must be
+    finite."""
     try:
-        return int(text)
+        value = kind(text)
     except ValueError:
-        raise ConfigError(f"bad integer in {context!r}") from None
-
-
-def _as_float(text: str, context: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"bad number in {context!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite number in {context!r}")
-    return value
-
-
-def _as_complex(text: str, context: str) -> complex:
-    try:
-        value = complex(text)
-    except ValueError:
-        raise ConfigError(f"bad complex number in {context!r}") from None
-    if not cmath.isfinite(value):
+        raise ConfigError(f"bad {kind.__name__} in {context!r}") from None
+    if kind is not int and not cmath.isfinite(value):
         raise ConfigError(f"non-finite number in {context!r}")
     return value
 
@@ -310,11 +299,11 @@ CHECKS = {
                           "pure input at half transmissivity gives unit scale"),
     "qcs_half_loss_bound": (inequality_report, 1e-8,
                             "at half loss or more every input stays at or below unit scale"),
-    "purity_route_chi": (equality_report, 1e-5,
+    "purity_route_chi": (equality_report, 1e-10,
                          "characteristic-function integral reproduces purity"),
-    "purity_route_quasi": (equality_report, 1e-5,
+    "purity_route_quasi": (equality_report, 1e-10,
                            "squared quasiprobability integral reproduces purity"),
-    "purity_route_lossy_chi": (equality_report, 1e-5,
+    "purity_route_lossy_chi": (equality_report, 1e-10,
                                "lossy purity via the characteristic-function integral"),
 }
 
@@ -403,8 +392,12 @@ BATTERIES = {
 def cmd_verify(args) -> int:
     states = parse_states(args.states, args.seed, args.allow_nonpositive)
     t_grid = parse_grid(args.grid)
-    quad = parse_quadrature(args.quadrature)
+    quad = None if args.quadrature is None else parse_quadrature(args.quadrature)
     suites = BATTERIES.values() if args.suite == "all" else [BATTERIES[args.suite]]
+    if _phasespace_suite in suites and quad is None:
+        # the phasespace suite sizes each state's rule: bounded before any check runs
+        for state_id, state in states:
+            _within_node_budget(exact_rule(state), f"the exact quadrature of {state_id!r}")
     reports = []
     for state_id, state in states:
         rho1, pure = _density(state), isinstance(state, PureState)
@@ -569,8 +562,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=[*BATTERIES, "all"], default="all")
     p_verify.add_argument("--grid", default="0:1:21",
                           help="start:stop:steps, read by the purity and qcs suites")
-    p_verify.add_argument("--quadrature", default="80:128", metavar="R:THETA",
-                          help="radial:angular quadrature sizes")
+    p_verify.add_argument("--quadrature", metavar="R:THETA",
+                          help="radial:angular quadrature sizes, read by the phasespace "
+                               "suite (default: C:2C-1 for a state on C levels, exact)")
 
     p_sweep = subcommand("sweep", "tabulate observables against T", cmd_sweep)
     p_sweep.add_argument("--grid", default="0:1:21", help="start:stop:steps")

@@ -1,8 +1,8 @@
 """Phase-space representations: characteristic functions, s-ordered
-quasiprobabilities, grids and their CSV export, and quadrature-based purity
-by two independent routes: laplace_purity, the one characteristic-function
-route, integrates |chi(., 1)|^2 for the purity after loss to transmissivity T
-(Tr[rho^2] at T = 1), and overlap_from_quasi pairs the quasiprobabilities of
+quasiprobabilities, grids and their CSV export, and the purity by two
+independent quadratures, each exact on the state's rule (exact_rule):
+laplace_purity from the characteristic function, after loss to
+transmissivity T, and overlap_from_quasi from the quasiprobabilities of
 orders s and -s.
 
 Conventions. chi_rho(alpha, s) = Tr[rho D(alpha)] exp(s|alpha|^2 / 2). The
@@ -270,20 +270,20 @@ def quasi_prob_grid(rho: DensityOperator, s: float, grid: GridSpec) -> QuasiProb
 
 
 def _laguerre_pair(n: int, t: np.ndarray):
-    """(L_{n-1}(t), L_n(t)) / 2^e and the exponent e, entry by entry."""
-    start = ladder_start(t, 1, 0.0, 1.0)
+    """e^{-t/2} (L_{n-1}(t), L_n(t)) / 2^e and the exponent e, entry by entry."""
+    start = ladder_start(t, 1, -0.5, 1.0)
     *_, (before, e_before), (last, e_last) = laguerre_ladder([0], t, [n + 1], start)
     return np.ldexp(before, e_before - e_last)[0], last[0], e_last[0]
 
 
 @lru_cache(maxsize=16)
 def _laguerre_rule(n: int):
-    """Gauss-Laguerre nodes and weights for the weight e^{-t} on [0, inf), by
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Laguerre recurrence (diagonal 2i + 1, off-diagonal i), polished by one
-    Newton step on L_n; the weights are 1 / (t L_n'(t)^2) at the polished
-    nodes, with L_n' = n (L_n - L_{n-1}) / t, scaled to sum to 0! = 1. The
-    Jacobi matrix is dense, so the rule costs O(n^2) memory and O(n^3) time."""
+    """Gauss-Laguerre nodes t and scaled weights W = w e^t, by Golub-Welsch:
+    the eigenvalues of the Jacobi matrix of the Laguerre recurrence (diagonal
+    2i + 1, off-diagonal i), polished by one Newton step on L_n, and
+    W = e^t / (t L_n'^2) = t / (n e^{-t/2} (L_n - L_{n-1}))^2 with the ladder
+    carrying e^{-t/2}, scaled to sum W e^{-t} = 0! = 1. The dense Jacobi
+    matrix costs O(n^2) memory and O(n^3) time."""
     if n < 1:
         raise ValueError("the radial rule needs at least one node")
     jacobi = np.zeros((n, n))
@@ -293,11 +293,10 @@ def _laguerre_rule(n: int):
     before, last, _ = _laguerre_pair(n, t)
     t = t - t * last / (n * (last - before))
     before, last, exponent = _laguerre_pair(n, t)
-    w = np.ldexp(t / (n * (last - before)) ** 2, -2 * exponent)
-    w = w / w.sum()
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+    scaled = np.ldexp(t / (n * (last - before)) ** 2, -2 * exponent)
+    scaled = scaled / np.sum(scaled * np.exp(-t))
+    t.flags.writeable = scaled.flags.writeable = False
+    return t, scaled
 
 
 @dataclass(frozen=True)
@@ -309,56 +308,62 @@ class Quadrature2D:
     decaying like exp(-|alpha|^2 / radial_scale) are captured at full order.
     """
 
-    n_radial: int = 80
-    n_angular: int = 128
+    n_radial: int
+    n_angular: int
 
     def nodes_weights(self, radial_scale: float = 1.0):
         if radial_scale <= 0:
             raise ValueError("radial_scale must be positive")
-        t, w = _laguerre_rule(self.n_radial)
-        radii = np.sqrt(radial_scale * t)
-        with np.errstate(over="ignore"):
-            radial_w = 0.5 * radial_scale * w * np.exp(t) * (2.0 * np.pi / self.n_angular)
+        t, scaled = _laguerre_rule(self.n_radial)
+        radial_w = 0.5 * radial_scale * scaled * (2.0 * np.pi / self.n_angular)
         thetas = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
-        alphas = np.outer(radii, np.exp(1j * thetas)).ravel()
-        weights = np.repeat(radial_w, self.n_angular)
-        return alphas, weights
+        alphas = np.outer(np.sqrt(radial_scale * t), np.exp(1j * thetas)).ravel()
+        return alphas, np.repeat(radial_w, self.n_angular)
+
+
+def exact_rule(*states) -> Quadrature2D:
+    """(c, 2c - 1) for states on at most c levels: both purity integrands are
+    e^{-t} times a polynomial of degree <= 2(c - 1) in each of alpha and
+    conj(alpha), so of degree <= 2(c - 1) in t once averaged over the angle,
+    which c Gauss-Laguerre nodes integrate, with harmonics e^{ih theta} of
+    |h| <= 2(c - 1), which a trapezoid of 2c - 1 angles averages to zero."""
+    c = max(state.cutoff for state in states)
+    return Quadrature2D(c, 2 * c - 1)
+
+
+def _exact(quad: Quadrature2D | None, *states) -> Quadrature2D:
+    """quad, by default exact_rule(*states); ValueError if shorter than that."""
+    need = exact_rule(*states)
+    if quad is not None and (quad.n_radial < need.n_radial or quad.n_angular < need.n_angular):
+        raise ValueError(f"quadrature {quad.n_radial}:{quad.n_angular} is not exact for a state "
+                         f"on {need.n_radial} levels; it needs at least "
+                         f"{need.n_radial}:{need.n_angular}")
+    return quad or need
 
 
 def laplace_purity(rho1: DensityOperator, transmissivity: float,
-                   quad: Quadrature2D = Quadrature2D()) -> float:
+                   quad: Quadrature2D | None = None) -> float:
     """Purity Tr[rho_T^2] of the lossy state from the input's characteristic
-    function alone; at T = 1 it is Tr[rho1^2]. It is (1/T) Laplace{|chi-bar|^2}(1/T),
-    where |chi-bar(tau)|^2 is the angular mean of |chi(sqrt(tau) e^{i theta}, 1)|^2
-    on the trapezoid, so one char_fn call covers every radial and angular node.
-    Raises ValueError for T outside (0, 1], and where the integrand in the
-    radial variable t, e^{-t} mean_theta |chi|^2, is larger on the outermost
-    radial node than on every other: the radial rule is then too short to
-    see it decay."""
+    function alone (Tr[rho1^2] at T = 1): (1 / (pi T)) times the integral of
+    |chi(alpha, 1 - 1/T)|^2 = e^{-|alpha|^2 / T} |chi(alpha, 1)|^2, one char_fn
+    call over quad's nodes at radial scale T. Raises ValueError for T outside
+    (0, 1] or with 1/T not finite, and, like overlap_from_quasi, for a rule
+    shorter than exact_rule."""
     t = float(transmissivity)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
-    nodes, w = _laguerre_rule(quad.n_radial)
-    thetas = 2.0 * np.pi * np.arange(quad.n_angular) / quad.n_angular
-    chi = char_fn(rho1, np.outer(np.sqrt(t * nodes), np.exp(1j * thetas)), 1.0)
-    ring_means = np.mean(np.abs(chi) ** 2, axis=1)
-    integrand = np.exp(-nodes) * ring_means
-    if integrand[-1] > max(np.max(integrand[:-1], initial=0.0), 1e-300):
-        raise ValueError("integrand grows at the outermost radial node; "
-                         "the radial rule is too short")
-    return math.fsum(w * ring_means)
+    if not (0.0 < t <= 1.0 and math.isfinite(1.0 / t)):
+        raise ValueError("transmissivity must lie in (0, 1], with 1/T finite")
+    alphas, weights = _exact(quad, rho1).nodes_weights(t)
+    chi = char_fn(rho1, alphas, 1.0 - 1.0 / t)
+    return math.fsum(weights * np.abs(chi) ** 2) / (np.pi * t)
 
 
 def overlap_from_quasi(rho: DensityOperator, sigma: DensityOperator, s: float,
-                       quad: Quadrature2D = Quadrature2D()) -> float:
+                       quad: Quadrature2D | None = None) -> float:
     """Tr[rho sigma] = pi int P_rho(alpha, s) P_sigma(alpha, -s) d^2 alpha."""
     if abs(s) >= 1.0:
         raise ValueError("overlap pairing needs |s| < 1")
-    scale = (1.0 - s * s) / 4.0
-    alphas, weights = quad.nodes_weights(radial_scale=scale)
-    p_rho = quasi_prob(rho, alphas, s)
-    p_sigma = quasi_prob(sigma, alphas, -s)
-    return np.pi * math.fsum(weights * p_rho * p_sigma)
+    alphas, weights = _exact(quad, rho, sigma).nodes_weights((1.0 - s * s) / 4.0)
+    return np.pi * math.fsum(weights * quasi_prob(rho, alphas, s) * quasi_prob(sigma, alphas, -s))
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +377,13 @@ def write_grid_csv(path, qgrid: QuasiProbGrid, state_label: str,
 
     Rows end in \\r\\n as csv.writer's default dialect writes them; no cell
     needs quoting, since repr of a float holds no comma, quote or newline.
+    One grid row is formatted and written at a time.
     """
     cells = [repr(x) for x in qgrid.grid.axis().tolist()]
     t_part = repr(float(transmissivity)) if transmissivity is not None else "none"
-    rows = ["re_alpha,im_alpha,value\r\n"]
-    for re_cell, row in zip(cells, qgrid.values.real.tolist()):
-        rows.extend(f"{re_cell},{im_cell},{v!r}\r\n" for im_cell, v in zip(cells, row))
     with open(path, "w", newline="") as fh:
         fh.write(f"# s={qgrid.order!r},T={t_part},state={state_label}\n")
-        fh.write("".join(rows))
+        fh.write("re_alpha,im_alpha,value\r\n")
+        for re_cell, row in zip(cells, qgrid.values.real):
+            fh.write("".join(f"{re_cell},{im_cell},{v!r}\r\n"
+                             for im_cell, v in zip(cells, row.tolist())))

@@ -571,17 +571,50 @@ def test_grid_points_beyond_max_exit_two_before_allocating(points, capsys):
 
 
 def test_a_radial_rule_too_short_fails_closed(tmp_path, capsys):
-    # 40 radial nodes resolve neither phase-space route for a pure state at
-    # cutoff 40, and the integrand does not peak at the outermost node, so
-    # the guard in laplace_purity stays quiet: the equality rows fail instead
+    # 40:64 is below the exact rule 40:79 of a state at cutoff 40, where both
+    # phase-space routes are off by up to 0.027: it is refused, naming the
+    # exact rule, and no CSV is written
     out = tmp_path / "short.csv"
     assert run("verify", "--suite", "phasespace", "--states", "random:1:40:0", "--seed", "1",
-               "--quadrature", "40:64", "--out", str(out)) == 1
-    assert capsys.readouterr().out.strip().endswith("checks: 4 run, 2 passed, 2 failed")
-    with open(out, newline="") as fh:
-        [row] = [r for r in csv.DictReader(fh) if r["check_name"] == "purity_route_chi"]
-    assert (row["params"], row["pass"]) == ("", "false")
-    assert float(row["margin"]) < -0.02
+               "--quadrature", "40:64", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "needs at least 40:79" in captured.err
+    assert "checks:" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("--states", "squeezed:2.0"),
+                                  ("--states", "squeezed:2.0", "--quadrature", "223:445"),
+                                  ("--states", "fock:60", "--quadrature", "62:123")])
+def test_phasespace_suite_is_exact_at_and_above_the_state_rule(argv, tmp_path, capsys):
+    # squeezed:2.0 is on 223 levels; fock:60 on 62
+    rows = verify_rows(tmp_path, "--suite", "phasespace", *argv)
+    assert capsys.readouterr().out.strip().endswith("checks: 4 run, 4 passed, 0 failed")
+    assert len(rows) == 4
+    for row in rows:
+        assert abs(float(row["lhs"]) - float(row["rhs"])) <= 1e-12, row
+
+
+def test_a_state_beyond_the_quadrature_budget_exits_two_before_any_check(capsys,
+                                                                         monkeypatch):
+    # fock:400 is on 402 levels: its exact rule 402:803 has more than
+    # MAX_QUADRATURE_NODES nodes, and is refused before it is built
+    tracemalloc.start()
+    try:
+        assert run("verify", "--suite", "phasespace", "--states", "fock:400") == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    captured = capsys.readouterr()
+    assert f"at most {MAX_QUADRATURE_NODES} nodes in all, got 402 x 803" in captured.err
+    assert "checks:" not in captured.out
+    # the budget binds only where the phasespace suite runs: fock:8 is on 10
+    # levels, and its exact rule 10:19 has 190 nodes
+    monkeypatch.setattr(lossylab.cli, "MAX_QUADRATURE_NODES", 189)
+    assert run("verify", "--suite", "qcs", "--states", "fock:8") == 0
+    assert run("verify", "--suite", "all", "--states", "fock:8") == 2
+    assert "got 10 x 19" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -183,19 +184,61 @@ def test_laplace_purity_of_lossy_mixed_state():
         assert laplace_purity(rho1, t) == pytest.approx(ref, abs=1e-6)
 
 
-@pytest.mark.parametrize("t", [0.0, -0.1, 1.5, math.nan])
+# 5e-324 is in (0, 1], but the order 1 - 1/T of the characteristic
+# function it integrates is not finite
+@pytest.mark.parametrize("t", [0.0, -0.1, 1.5, math.nan, 5e-324])
 def test_laplace_purity_refuses_transmissivity_outside_unit_interval(t):
     with pytest.raises(ValueError, match=r"transmissivity must lie in \(0, 1\]"):
         laplace_purity(make_fock(1, 2).density(), t)
 
 
-def test_laplace_purity_refuses_a_radial_rule_too_short_to_see_decay():
-    # for |5>, |chi(alpha, 1)|^2 = L_5(|alpha|^2)^2, and e^{-t} L_5(t)^2 still
-    # grows from node to node of the four-node rule (0.015 to 0.058)
+def test_laplace_purity_refuses_a_rule_below_the_exact_rule():
+    # |5> on 6 levels: its exact rule is 6:11; a four-node rule is refused
+    # whatever its angles, and the exact rule gives 1
     fock5 = make_fock(5, 6).density()
-    with pytest.raises(ValueError, match="radial rule is too short"):
-        laplace_purity(fock5, 1.0, Quadrature2D(4, 8))
-    assert laplace_purity(fock5, 1.0, Quadrature2D(8, 8)) == pytest.approx(1.0, abs=1e-12)
+    for quad in (Quadrature2D(4, 8), Quadrature2D(4, 64), Quadrature2D(5, 11),
+                 Quadrature2D(6, 10)):
+        with pytest.raises(ValueError, match="needs at least 6:11"):
+            laplace_purity(fock5, 1.0, quad)
+    assert laplace_purity(fock5, 1.0, Quadrature2D(6, 11)) == pytest.approx(1.0, abs=1e-12)
+    assert laplace_purity(fock5, 1.0) == laplace_purity(fock5, 1.0, Quadrature2D(6, 11))
+
+
+def _phase_space_rows(rho1, quad):
+    """The four phasespace-suite rows, (route, trace) each: Tr rho^2 by both
+    routes and the lossy purity at T = 0.25 and 0.6."""
+    exact = purity(rho1)
+    rows = [(laplace_purity(rho1, 1.0, quad), exact),
+            (overlap_from_quasi(rho1, rho1, 0.0, quad), exact)]
+    for t in (0.25, 0.6):
+        rows.append((laplace_purity(rho1, t, quad), purity(apply_loss(rho1, t))))
+    return rows
+
+
+@pytest.mark.parametrize("cutoff, seed", [(12, 41), (40, 1)])
+def test_exact_rule_is_the_sharp_bound(cutoff, seed):
+    rho1 = random_pure(seed, cutoff).density()
+    assert phasespace.exact_rule(rho1) == Quadrature2D(cutoff, 2 * cutoff - 1)
+    for route, trace in _phase_space_rows(rho1, Quadrature2D(cutoff, 2 * cutoff - 1)):
+        assert abs(route - trace) <= 1e-12
+    bound = f"needs at least {cutoff}:{2 * cutoff - 1}"
+    for quad in (Quadrature2D(cutoff - 1, 2 * cutoff - 1), Quadrature2D(cutoff, 2 * cutoff - 2)):
+        with pytest.raises(ValueError, match=bound):
+            laplace_purity(rho1, 0.6, quad)
+        with pytest.raises(ValueError, match=bound):
+            overlap_from_quasi(rho1, rho1, 0.0, quad)
+        # the same sum, run below the bound: measurably wrong, so the bound
+        # is sharp, not just safe
+        assert abs(per_radius_laplace_purity(rho1, 1.0, quad) - 1.0) > 1e-9
+
+
+def test_overlap_rule_is_sized_from_the_larger_ladder():
+    rho, sigma = random_mixed(37, 5, rank=2), random_mixed(38, 9, rank=3)
+    assert phasespace.exact_rule(rho, sigma) == Quadrature2D(9, 17)
+    with pytest.raises(ValueError, match="needs at least 9:17"):
+        overlap_from_quasi(rho, sigma, 0.0, Quadrature2D(5, 9))
+    assert overlap_from_quasi(rho, sigma, 0.0) == pytest.approx(
+        hs_overlap(rho.embedded(9), sigma), abs=1e-12)
 
 
 def test_laplace_purity_single_photon():
@@ -207,15 +250,16 @@ def test_laplace_purity_single_photon():
 
 
 def per_radius_laplace_purity(rho1, t, quad):
-    """Oracle: the Laplace transform with one char_fn call per radial node,
-    each averaging |chi|^2 over the angular trapezoid, on the same radial
-    rule (gated against scipy's roots_laguerre on its own)."""
-    nodes, w = phasespace._laguerre_rule(quad.n_radial)
-    thetas = 2.0 * np.pi * np.arange(quad.n_angular) / quad.n_angular
-    vals = [float(np.mean(np.abs(char_fn(rho1, np.sqrt(t * ti) * np.exp(1j * thetas),
-                                         1.0)) ** 2))
-            for ti in nodes]
-    return math.fsum(w * np.asarray(vals))
+    """Oracle: laplace_purity's sum, (1 / (pi T)) sum W |chi(alpha, 1 - 1/T)|^2,
+    with one char_fn call per radial node over its ring of angles, the nodes
+    and weights built here from the radial rule (gated against scipy's
+    roots_laguerre on its own), and any rule run, however short."""
+    nodes, scaled = phasespace._laguerre_rule(quad.n_radial)
+    ring = np.exp(1j * 2.0 * np.pi * np.arange(quad.n_angular) / quad.n_angular)
+    terms = [0.5 * t * wi * (2.0 * np.pi / quad.n_angular)
+             * np.abs(char_fn(rho1, np.sqrt(t * ti) * ring, 1.0 - 1.0 / t)) ** 2
+             for ti, wi in zip(nodes, scaled)]
+    return math.fsum(np.concatenate(terms)) / (np.pi * t)
 
 
 @pytest.mark.parametrize("quad", [Quadrature2D(40, 64), Quadrature2D(80, 128)],
@@ -245,7 +289,8 @@ def test_laplace_purity_one_char_fn_call_per_transmissivity(monkeypatch):
 @pytest.mark.parametrize("n", [10, 20, 30])
 def test_laplace_purity_of_fock_states(n, fock_purity_closed_form):
     # |chi(alpha, 1)|^2 = L_n(|alpha|^2)^2 is a phase-free polynomial of
-    # degree 2n, which the 80-node Laguerre rule integrates exactly
+    # degree 2n, which the state's exact rule, of n + 1 Laguerre nodes
+    # (exact to degree 2n + 1), integrates exactly
     rho1 = make_fock(n, n + 1).density()
     for t in (0.2, 0.5, 0.85):
         assert laplace_purity(rho1, t) == pytest.approx(
@@ -460,21 +505,35 @@ def test_large_fock_matches_exact_rational_oracle(n, s, fock_quasi_exact):
     assert np.max(np.abs(quasi_prob(rho, pts, s) - ref)) <= 1e-13 * max(1.0, peak)
 
 
-@pytest.mark.parametrize("n", [40, 48, 64, 80, 128])
+@pytest.mark.parametrize("n", [40, 48, 64, 80, 128, 256, 362])
 def test_laguerre_rule_matches_scipy_and_integrates_polynomials(n):
-    nodes, weights = phasespace._laguerre_rule(n)
+    nodes, scaled = phasespace._laguerre_rule(n)
+    assert np.all(np.isfinite(scaled)) and np.all(scaled > 0.0)
     ref_nodes, ref_weights = roots_laguerre(n)
     assert np.max(np.abs(nodes - ref_nodes) / ref_nodes) <= 2e-13
-    assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 2e-12
-    # exact for every power below 2n, up to where x^j overflows
+    # scipy's weights times e^t, wherever scipy's weight is a normal float
+    normal = ref_weights >= np.finfo(float).tiny
+    ref_scaled = np.exp(np.log(ref_weights[normal]) + ref_nodes[normal])
+    assert np.max(np.abs(scaled[normal] - ref_scaled) / ref_scaled) <= 2e-12
+    # exact for every power below 2n, up to where x^(j/2) or j! overflows
+    weights = scaled * np.exp(-nodes)
     for j in range(2 * n):
         with np.errstate(over="ignore"):
-            power = nodes ** j
-        if not np.all(np.isfinite(power)):
+            half = nodes ** (j / 2)
+        if not np.all(np.isfinite(half)) or j > 170:
             break
         exact = math.factorial(j)
-        assert abs(math.fsum(weights * power) - exact) <= 1e-13 * exact, j
+        assert abs(math.fsum(weights * half * half) - exact) <= 1e-13 * exact, j
     assert j >= min(2 * n - 1, 100)
+
+
+def test_a_long_radial_rule_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nodes, scaled = phasespace._laguerre_rule.__wrapped__(256)
+        alphas, weights = Quadrature2D(256, 511).nodes_weights(radial_scale=0.25)
+    assert np.all(np.isfinite(scaled)) and np.all(scaled > 0.0)
+    assert np.all(np.isfinite(alphas)) and np.all(np.isfinite(weights))
 
 
 def test_write_grid_csv_format(tmp_path):
@@ -508,6 +567,21 @@ def per_cell_grid_csv(path, qgrid, state_label, transmissivity=None):
             for j in range(qgrid.grid.n):
                 writer.writerow([repr(float(axis[i])), repr(float(axis[j])),
                                  repr(float(qgrid.values[i, j].real))])
+
+
+def test_write_grid_csv_holds_one_row_at_a_time(tmp_path):
+    # a 400 x 400 grid: formatted whole, its rows take tens of MiB
+    grid = GridSpec(4.0, 400)
+    values = np.random.default_rng(3).normal(size=(grid.n, grid.n))
+    qgrid = phasespace.QuasiProbGrid(grid, 0.0, values)
+    tracemalloc.start()
+    try:
+        write_grid_csv(tmp_path / "grid.csv", qgrid, "fock:1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+    assert len((tmp_path / "grid.csv").read_bytes().splitlines()) == 2 + grid.n ** 2
 
 
 def test_write_grid_csv_bytes_match_per_cell_writer(tmp_path):
