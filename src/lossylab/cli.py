@@ -40,11 +40,10 @@ from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
                            pure_number_ratio_inequality,
                            pure_second_order_inequality,
                            second_derivative_forms, transpose_trick_identity)
-from .loss import apply_loss, loss_blocks, loss_path
+from .loss import apply_loss, loss_blocks
 from .phasespace import (GridSpec, Quadrature2D, default_grid, exact_rule, laplace_purity,
                          overlap_from_quasi, quasi_prob_grid, write_grid_csv)
-from .purity import (purities, purity, purity_polynomial, renyi_entropy,
-                     von_neumann)
+from .purity import StateRecord, purities, purity, renyi_entropy, von_neumann
 from .qcs import (commutator_norms, qcs_commutator, qcs_lindblad,
                   qcs_purity_rate, qcs_two_copy)
 from .reports import (CheckReport, equality_report, inequality_report,
@@ -315,10 +314,10 @@ def _report(state_id, check, params, lhs, rhs):
     return kind(check, state_id, params, lhs, rhs, tolerance, claim=claim)
 
 
-def _purity_suite(state_id, state, rho1, pure, t_grid, quad):
+def _purity_suite(record, t_grid, quad):
     # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
     # monomials in T cancels catastrophically at large cutoff
-    poly = purity_polynomial(rho1)
+    poly, pure = record.poly, record.pure
     values = poly.value(t_grid)
     yield "dark_coefficients", {}, 0.0, float(np.min(poly.coefficients))
     # convexity holds everywhere for pure inputs but is only guaranteed up
@@ -331,56 +330,57 @@ def _purity_suite(state_id, state, rho1, pure, t_grid, quad):
         yield "purity_symmetry", {}, float(np.max(np.abs(values - mirrored))), 0.0
     t_match = [t for t in (float(t_grid[0]), float(t_grid[t_grid.size // 2]),
                            float(t_grid[-1])) if 0.0 <= t <= 1.0]
-    for t, rho_t in zip(t_match, loss_path(rho1, t_match)):
+    for t, rho_t in zip(t_match, record.lossy(t_match)):
         yield "lossy_trace_match", {"T": t}, poly.value(t), purity(rho_t)
     if pure:
         yield "pure_min_at_half", {}, poly.value(0.5), float(np.min(values))
 
 
-def _qcs_suite(state_id, state, rho1, pure, t_grid, quad):
-    poly = purity_polynomial(rho1)
+def _qcs_suite(record, t_grid, quad):
     t_lossy = [float(t) for t in t_grid if 0.0 < t <= 1.0]
-    for t, rho_t in zip(t_lossy, loss_path(rho1, t_lossy)):
+    for t, rho_t in zip(t_lossy, record.lossy_path(t_lossy)):
         values = [qcs_commutator(rho_t).c_squared,
                   qcs_two_copy(rho_t).c_squared,
                   qcs_lindblad(rho_t).c_squared,
-                  qcs_purity_rate(poly, t).c_squared]
+                  qcs_purity_rate(record.poly, t).c_squared]
         yield "qcs_routes_agree", {"T": t}, max(values) - min(values), 0.0
-        if pure and abs(t - 0.5) < 1e-12:
+        if record.pure and abs(t - 0.5) < 1e-12:
             yield "qcs_balanced_pure", {"T": t}, values[0], 1.0
         if t <= 0.5:
             yield "qcs_half_loss_bound", {"T": t}, values[0], 1.0
 
 
-def _phasespace_suite(state_id, state, rho1, pure, t_grid, quad):
+def _phasespace_suite(record, t_grid, quad):
+    rho1 = record.rho1
     exact = purity(rho1)
     yield "purity_route_chi", {}, laplace_purity(rho1, 1.0, quad), exact
     yield "purity_route_quasi", {"s": 0.0}, overlap_from_quasi(rho1, rho1, 0.0, quad), exact
     t_lossy = (0.25, 0.6)
-    for t, rho_t in zip(t_lossy, loss_path(rho1, t_lossy)):
+    for t, rho_t in zip(t_lossy, record.lossy(t_lossy)):
         yield "purity_route_lossy_chi", {"T": t}, laplace_purity(rho1, t, quad), purity(rho_t)
 
 
-def _inequality_suite(state_id, state, rho1, pure, t_grid, quad):
+def _inequality_suite(record, t_grid, quad):
     """Reports of the inequality checks, each built with its own tolerance."""
     reports = [
-        cauchy_schwarz_ladder(rho1, state_id),
-        bernstein_check(rho1, state_id=state_id),
-        number_purity_monotonicity(rho1, np.linspace(0.05, 1.0, 20), state_id),
-        ladder_loss_inequality(rho1, 0.3, state_id),
-        second_derivative_forms(state, 0.3, state_id),
+        cauchy_schwarz_ladder(record.rho1, record.state_id),
+        bernstein_check(record),
+        number_purity_monotonicity(record, np.linspace(0.05, 1.0, 20)),
+        ladder_loss_inequality(record, 0.3),
+        second_derivative_forms(record, 0.3),
     ]
-    if pure:
+    if record.pure:
         reports += [
-            transpose_trick_identity(state, 0.3, state_id),
-            pure_number_ratio_inequality(state, 0.3, state_id),
-            pure_second_order_inequality(state, state_id),
+            transpose_trick_identity(record, 0.3),
+            pure_number_ratio_inequality(record, 0.3),
+            pure_second_order_inequality(record),
         ]
     return reports
 
 
-# each suite takes one state as (state_id, state, rho1, pure) and the shared
-# t_grid and quad; it yields rows for _report, or returns its own reports
+# each suite takes one state's StateRecord, which derives rho1, P and rho_T
+# once for all suites, and the shared t_grid and quad; it yields rows for
+# _report, or returns its own reports
 BATTERIES = {
     "purity": _purity_suite,
     "qcs": _qcs_suite,
@@ -397,13 +397,19 @@ def cmd_verify(args) -> int:
     if _phasespace_suite in suites and quad is None:
         # the phasespace suite sizes each state's rule: bounded before any check runs
         for state_id, state in states:
-            _within_node_budget(exact_rule(state), f"the exact quadrature of {state_id!r}")
+            _within_node_budget(exact_rule(state), f"the phasespace suite cannot run on "
+                                f"{state_id!r}, but --suite purity|qcs|inequalities can: "
+                                "its exact quadrature")
     reports = []
     for state_id, state in states:
-        rho1, pure = _density(state), isinstance(state, PureState)
-        for suite in suites:
-            reports += [row if isinstance(row, CheckReport) else _report(state_id, *row)
-                        for row in suite(state_id, state, rho1, pure, t_grid, quad)]
+        record = StateRecord(state_id, state)
+        # the other suites keep the lossy states of their fixed T, and the
+        # qcs suite streams the grid through them, so it runs last; the rows
+        # stay in suite order
+        rows = {suite: list(suite(record, t_grid, quad))
+                for suite in sorted(suites, key=lambda suite: suite is _qcs_suite)}
+        reports += [row if isinstance(row, CheckReport) else _report(state_id, *row)
+                    for suite in suites for row in rows[suite]]
     if args.out:
         write_check_csv(args.out, reports)
     failed = sum(1 for r in reports if not r.passed)

@@ -180,6 +180,12 @@ def product_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ji->...", x, y).real
 
 
+def ladder_traces(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Tr[N m m], Tr[a m a^dag m]) of each matrix m of a (..., c, c) stack."""
+    n = np.arange(matrices.shape[-1])[:, None]
+    return product_traces(n * matrices, matrices), product_traces(lowered(matrices), matrices)
+
+
 def lowering_trace(matrices: np.ndarray, power: int = 1) -> np.ndarray:
     """Tr[a^k m] = sum_j sqrt((j+1) ... (j+k)) m[j+k, j], k = power, of each
     matrix m of a (..., c, c) stack; a^k m is exact on the same ladder."""

@@ -4,7 +4,10 @@ inequalities that the loss-channel structure implies.
 Each operation returns a CheckReport whose margin is nonnegative when the
 claim holds. Exact trace and polynomial checks carry 1e-10 tolerances;
 double phase-space quadratures carry 1e-4 to 1e-5. Claims that only hold
-for restricted T ranges or pure inputs enforce those preconditions.
+for restricted T ranges or pure inputs enforce those preconditions. The
+verifiers ``verify`` runs on rho_T and P take one state's StateRecord and
+read rho1, P and rho_T from it, so each is derived once per state; the
+pure-only ones refuse a mixed record. The others take density operators.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (DensityOperator, PureState, lowered, lowering_trace, make_coherent,
+from .fock import (DensityOperator, ladder_traces, lowered, lowering_trace, make_coherent,
                    product_traces, thermal_state)
-from .loss import apply_loss, loss_blocks, loss_path
 from .phasespace import Quadrature2D, quasi_prob
-from .purity import PurityPolynomial, lossy_overlap, overlap_polynomial, purity_polynomial
+from .purity import (PurityPolynomial, StateRecord, lossy_overlap, overlap_polynomial,
+                     purity_polynomial)
 from .reports import CheckReport, equality_report, inequality_report
 
 EXACT_TOL = 1e-10
@@ -46,56 +49,57 @@ def cauchy_schwarz_ladder(rho: DensityOperator, state_id: str = "") -> CheckRepo
     )
 
 
-def ladder_loss_inequality(rho1: DensityOperator, transmissivity: float,
-                           state_id: str = "") -> CheckReport:
+def ladder_loss_inequality(record: StateRecord, transmissivity: float) -> CheckReport:
     """Tr[N rho_T rho_T] <= Tr[a rho_T a^dag rho_T] for T <= 1/2."""
     t = float(transmissivity)
     if t > 0.5:
         raise ValueError("the sandwiched-ladder bound is claimed only for T <= 1/2")
-    m = apply_loss(rho1, t).matrix
-    lhs = product_traces(np.arange(rho1.cutoff)[:, None] * m, m)
-    rhs = product_traces(lowered(m), m)
+    lhs, rhs = ladder_traces(record.lossy([t])[0].matrix)
     return inequality_report(
-        "ladder_loss_inequality", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
+        "ladder_loss_inequality", record.state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[N rho_T^2] <= Tr[a rho_T a^dag rho_T], T <= 1/2",
     )
 
 
-def pure_number_ratio_inequality(psi: PureState, transmissivity: float,
-                                 state_id: str = "") -> CheckReport:
+def pure_number_ratio_inequality(record: StateRecord, transmissivity: float) -> CheckReport:
     """Tr[N rho_T^2]/T <= Tr[N rho_{1-T}^2]/(1-T) for pure inputs, T <= 1/2."""
     t = float(transmissivity)
     if not 0.0 < t <= 0.5:
         raise ValueError("the ratio bound needs 0 < T <= 1/2")
-    n = np.arange(psi.cutoff)[:, None]
-    m_t, m_r = (rho.matrix for rho in loss_path(psi.density(), [t, 1.0 - t]))
+    if not record.pure:
+        raise ValueError("the ratio bound is claimed only for pure inputs")
+    n = np.arange(record.rho1.cutoff)[:, None]
+    m_t, m_r = (rho.matrix for rho in record.lossy([t, 1.0 - t]))
     lhs = product_traces(n * m_t, m_t) / t
     rhs = product_traces(n * m_r, m_r) / (1.0 - t)
     return inequality_report(
-        "pure_number_ratio", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
+        "pure_number_ratio", record.state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[N rho_T^2]/T <= Tr[N rho_{1-T}^2]/(1-T) for pure input",
     )
 
 
-def transpose_trick_identity(psi: PureState, transmissivity: float,
-                             state_id: str = "") -> CheckReport:
+def transpose_trick_identity(record: StateRecord, transmissivity: float) -> CheckReport:
     """Tr[a rho_T a^dag rho_T] = Tr[N rho_{1-T}^2] T/(1-T) for pure inputs."""
     t = float(transmissivity)
     if not 0.0 < t < 1.0:
         raise ValueError("the identity needs T strictly inside (0, 1)")
-    m_t, m_r = (rho.matrix for rho in loss_path(psi.density(), [t, 1.0 - t]))
+    if not record.pure:
+        raise ValueError("the transpose trick holds only for pure inputs")
+    m_t, m_r = (rho.matrix for rho in record.lossy([t, 1.0 - t]))
     lhs = product_traces(lowered(m_t), m_t)
-    rhs = product_traces(np.arange(psi.cutoff)[:, None] * m_r, m_r) * t / (1.0 - t)
+    rhs = product_traces(np.arange(record.rho1.cutoff)[:, None] * m_r, m_r) * t / (1.0 - t)
     return equality_report(
-        "transpose_trick", state_id, {"T": t}, lhs, rhs, EXACT_TOL,
+        "transpose_trick", record.state_id, {"T": t}, lhs, rhs, EXACT_TOL,
         claim="Tr[a rho_T a^dag rho_T] = Tr[N rho_{1-T}^2] T/(1-T)",
     )
 
 
-def pure_second_order_inequality(psi: PureState, state_id: str = "") -> CheckReport:
-    """4 Re<a^dag a^2><a^dag> - |<a^2>|^2 <= 2<N>^2 - <N> + <N^2>."""
-    m = psi.density().matrix
-    n = np.arange(psi.cutoff)
+def pure_second_order_inequality(record: StateRecord) -> CheckReport:
+    """4 Re<a^dag a^2><a^dag> - |<a^2>|^2 <= 2<N>^2 - <N> + <N^2>, for pure inputs."""
+    if not record.pure:
+        raise ValueError("the second-order bound is claimed only for pure inputs")
+    m = record.rho1.matrix
+    n = np.arange(record.rho1.cutoff)
     pops = np.diag(m).real
     mom_adag = np.conj(lowering_trace(m))  # rho is Hermitian
     mom_adaa = lowering_trace(lowered(m))  # Tr[a^dag a^2 rho] = Tr[a (a rho a^dag)]
@@ -105,7 +109,7 @@ def pure_second_order_inequality(psi: PureState, state_id: str = "") -> CheckRep
     lhs = 4.0 * (mom_adaa * mom_adag).real - abs(mom_aa) ** 2
     rhs = 2.0 * mom_n ** 2 - mom_n + mom_n2
     return inequality_report(
-        "pure_second_order", state_id, {}, lhs, rhs, EXACT_TOL,
+        "pure_second_order", record.state_id, {}, lhs, rhs, EXACT_TOL,
         claim="4Re<a^dag a^2><a^dag> - |<a^2>|^2 <= 2<N>^2 - <N> + <N^2>",
     )
 
@@ -132,8 +136,7 @@ def _form_terms(rho_t: DensityOperator):
     }
 
 
-def second_derivative_forms(state, transmissivity: float,
-                            state_id: str = "") -> CheckReport:
+def second_derivative_forms(record: StateRecord, transmissivity: float) -> CheckReport:
     """Evaluate the operator forms of d^2 P / dT^2 and cross-check them.
 
     Form one holds for any input; the two split forms additionally use the
@@ -144,11 +147,10 @@ def second_derivative_forms(state, transmissivity: float,
     t = float(transmissivity)
     if not 0.0 < t < 1.0:
         raise ValueError("the derivative forms need T strictly inside (0, 1)")
-    pure = isinstance(state, PureState)
-    rho1 = state.density() if pure else state
-    poly_value = purity_polynomial(rho1).derivative(t, order=2)
+    pure = record.pure
+    poly_value = record.poly.derivative(t, order=2)
 
-    lossy = list(loss_path(rho1, [t, 1.0 - t] if pure else [t]))
+    lossy = record.lossy([t, 1.0 - t] if pure else [t])
     f_t = _form_terms(lossy[0])
     form_one = 2.0 / t ** 2 * (-f_t["n_rho2"] + 2.0 * f_t["low_sq"] + f_t["nrho_sq"]
                                - 4.0 * f_t["cross"] + f_t["low_high"])
@@ -170,7 +172,7 @@ def second_derivative_forms(state, transmissivity: float,
     margin = min(FORM_TOL - deviation, sign_margin)
     return CheckReport(
         check_name="second_derivative_forms",
-        state_id=state_id,
+        state_id=record.state_id,
         params={"T": t, "forms": len(values), "pure": pure},
         lhs=form_one,
         rhs=poly_value,
@@ -433,7 +435,7 @@ def order_pair_overlap_identity(rho: DensityOperator, sigma: DensityOperator,
 # ---------------------------------------------------------------------------
 
 
-def bernstein_check(rho1: DensityOperator, state_id: str = "") -> CheckReport:
+def bernstein_check(record: StateRecord) -> CheckReport:
     """(T^2 d/dT)^k (T Tr[rho_T^2]) >= 0 for k <= BERNSTEIN_ORDER, by exact
     polynomials.
 
@@ -444,7 +446,7 @@ def bernstein_check(rho1: DensityOperator, state_id: str = "") -> CheckReport:
     out T^(k+1) keeps the values near T = 0 from cancelling in lambda.
     """
     # one zero on top, so that S_k' has one coefficient fewer than S_k
-    s_k = PurityPolynomial(np.append(purity_polynomial(rho1).coefficients, 0.0))
+    s_k = PurityPolynomial(np.append(record.poly.coefficients, 0.0))
     grid = np.arange(0.01, 1.0001, 0.01)
     lam = 1.0 - 2.0 * grid
     worst = np.inf
@@ -458,28 +460,25 @@ def bernstein_check(rho1: DensityOperator, state_id: str = "") -> CheckReport:
         s_k = PurityPolynomial((k + 1) * s_k.coefficients
                                - (np.append(slope, 0.0) - np.append(0.0, slope)))
     return inequality_report(
-        "bernstein_monotonic", state_id, {"k_max": BERNSTEIN_ORDER, "argmin_k": worst_k},
+        "bernstein_monotonic", record.state_id, {"k_max": BERNSTEIN_ORDER, "argmin_k": worst_k},
         0.0, worst, FORM_TOL,
         claim="(T^2 d/dT)^k (T purity) >= 0 on (0, 1], complete monotonicity "
               "in 1/T",
     )
 
 
-def number_purity_monotonicity(rho1: DensityOperator, t_grid,
-                               state_id: str = "") -> CheckReport:
+def number_purity_monotonicity(record: StateRecord, t_grid) -> CheckReport:
     """Tr[N rho_T^2] never decreases; Tr[a rho_T a^dag rho_T](1-T)/T never
     increases, along any grid inside (0, 1]."""
     grid = np.asarray(t_grid, dtype=float)
     if grid.size < 2 or np.any(grid <= 0) or np.any(grid > 1):
         raise ValueError("need at least two grid points inside (0, 1]")
     grid = np.sort(grid)
-    n = np.arange(rho1.cutoff)[:, None]
-    rising, sandwiched = np.concatenate([(product_traces(n * m, m), product_traces(lowered(m), m))
-                                         for m, _ in loss_blocks(rho1, grid)], axis=1)
+    rising, sandwiched = np.array([ladder_traces(rho.matrix) for rho in record.lossy(grid)]).T
     falling = sandwiched * (1.0 - grid) / grid
     margin = min(float(np.min(np.diff(rising))), float(np.min(-np.diff(falling))))
     return inequality_report(
-        "number_purity_monotonicity", state_id,
+        "number_purity_monotonicity", record.state_id,
         {"T_min": float(grid[0]), "T_max": float(grid[-1]), "points": grid.size},
         0.0, margin, EXACT_TOL,
         claim="Tr[N rho_T^2] nondecreasing and Tr[a rho_T a^dag rho_T](1-T)/T "

@@ -9,7 +9,9 @@ checks evaluate; coefficients are populations, hence nonnegative for states.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -139,6 +141,40 @@ def purity_polynomial(rho: DensityOperator) -> PurityPolynomial:
 
 def overlap_polynomial(rho: DensityOperator, sigma: DensityOperator) -> PurityPolynomial:
     return PurityPolynomial(pair_dark_populations(rho, sigma))
+
+
+class StateRecord:
+    """One state's inputs to the verify checks, each derived once: its
+    density operator ``rho1`` and whether it is ``pure``; the purity
+    polynomial ``poly`` of rho1, built on first use; and E_T[rho1] at each
+    of the few fixed T that ``lossy`` is asked for, kept by T.
+    ``lossy_path`` walks a grid of any length through the kept states and
+    keeps none of its own."""
+
+    def __init__(self, state_id: str, state: PureState | DensityOperator):
+        self.state_id = state_id
+        self.pure = isinstance(state, PureState)
+        self.rho1 = state.density() if self.pure else state
+        self._lossy: dict[float, DensityOperator] = {}
+
+    @cached_property
+    def poly(self) -> PurityPolynomial:
+        return purity_polynomial(self.rho1)
+
+    def lossy(self, transmissivities) -> list[DensityOperator]:
+        """E_T[rho1] for each T, in order; one ``loss_path`` call adds the T not kept yet."""
+        ts = [float(t) for t in transmissivities]
+        missing = [t for t in dict.fromkeys(ts) if t not in self._lossy]
+        self._lossy.update(zip(missing, loss_path(self.rho1, missing)))
+        return [self._lossy[t] for t in ts]
+
+    def lossy_path(self, transmissivities) -> Iterator[DensityOperator]:
+        """E_T[rho1] for each T, in order: the kept state where there is one,
+        else the next of one ``loss_path`` call, which holds one block at a time."""
+        ts = [float(t) for t in transmissivities]
+        kept = [self._lossy.get(t) for t in ts]
+        fresh = loss_path(self.rho1, [t for t, rho in zip(ts, kept) if rho is None])
+        return (next(fresh) if rho is None else rho for rho in kept)
 
 
 def min_purity_pure(psi: PureState) -> float:

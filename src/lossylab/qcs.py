@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, lowered, product_traces
+from .fock import DensityOperator, ladder_traces
 from .purity import PurityPolynomial, purity
 
 
@@ -76,7 +76,5 @@ def qcs_lindblad(rho_t: DensityOperator) -> QcsResult:
     """C^2 of a (lossy) state rho_T from dissipator moments:
     C^2 = (2 / Tr[rho_T^2]) (Tr[N rho_T rho_T] - Tr[a rho_T a^dag rho_T]) + 1.
     """
-    m = rho_t.matrix
-    term_n = float(product_traces(np.arange(rho_t.cutoff)[:, None] * m, m))
-    term_a = float(product_traces(lowered(m), m))
+    term_n, term_a = map(float, ladder_traces(rho_t.matrix))
     return QcsResult(2.0 / purity(rho_t) * (term_n - term_a) + 1.0)

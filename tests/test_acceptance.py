@@ -27,7 +27,7 @@ from lossylab.loss import apply_loss
 from lossylab.phasespace import (GridSpec, Quadrature2D, laplace_purity,
                                  overlap_from_quasi, quasi_prob,
                                  quasi_prob_grid)
-from lossylab.purity import (mutual_information_bs, pair_dark_populations,
+from lossylab.purity import (StateRecord, mutual_information_bs, pair_dark_populations,
                              purity, purity_polynomial, von_neumann)
 from lossylab.qcs import (qcs_commutator, qcs_lindblad, qcs_purity_rate,
                           qcs_two_copy)
@@ -180,16 +180,16 @@ def test_criterion_08_moment_inequality_family():
     for j in range(60):
         rho1 = random_mixed(3100 + j, 4 + (j % 5), rank=2 + (j % 3))
         ok &= cauchy_schwarz_ladder(rho1).passed
-        ok &= ladder_loss_inequality(rho1, 0.3).passed
-        ok &= second_derivative_forms(rho1, 0.3).passed
+        ok &= ladder_loss_inequality(StateRecord("", rho1), 0.3).passed
+        ok &= second_derivative_forms(StateRecord("", rho1), 0.3).passed
     for j in range(60):
         psi = random_pure(3300 + j, 4 + (j % 6))
-        ok &= pure_number_ratio_inequality(psi, 0.3).passed
-        ok &= pure_second_order_inequality(psi).passed
-        ok &= second_derivative_forms(psi, 0.62).passed
-        rep = transpose_trick_identity(psi, 0.3)
+        ok &= pure_number_ratio_inequality(StateRecord("", psi), 0.3).passed
+        ok &= pure_second_order_inequality(StateRecord("", psi)).passed
+        ok &= second_derivative_forms(StateRecord("", psi), 0.62).passed
+        rep = transpose_trick_identity(StateRecord("", psi), 0.3)
         ok &= rep.passed and abs(rep.lhs - rep.rhs) <= 1e-10
-    coh = pure_second_order_inequality(make_coherent(1.0, 26))
+    coh = pure_second_order_inequality(StateRecord("", make_coherent(1.0, 26)))
     ok &= abs(coh.rhs - coh.lhs) <= 1e-10
     _verdict("criterion 08 moment inequality family", ok,
              time.perf_counter() - start, 60.0)
@@ -204,8 +204,8 @@ def test_criterion_09_bernstein_and_monotonicity():
             rho1 = random_pure(3500 + j, 4 + (j % 6)).density()
         else:
             rho1 = random_mixed(3500 + j, 4 + (j % 6), rank=2 + (j % 3))
-        ok &= bernstein_check(rho1).passed
-        ok &= number_purity_monotonicity(rho1, t_grid).passed
+        ok &= bernstein_check(StateRecord("", rho1)).passed
+        ok &= number_purity_monotonicity(StateRecord("", rho1), t_grid).passed
     _verdict("criterion 09 Bernstein bounds and number monotonicity", ok,
              time.perf_counter() - start, 60.0)
 

@@ -73,6 +73,63 @@ def test_every_check_the_suites_build_is_a_table_key(tmp_path, capsys):
     assert emitted - set(CHECKS) == inequalities
 
 
+def _spy_on_engine_and_loss_kernel(monkeypatch):
+    """Lists that fill, during a run, with the operand of each dark-port
+    engine call and with (operand, T) for each T the loss kernel gets.
+    Holding the operands keeps their ids apart."""
+    engine, kernel = [], []
+    # by module path: lossylab.purity as an attribute is the function purity()
+    purity_module, loss_module = (importlib.import_module(f"lossylab.{name}")
+                                  for name in ("purity", "loss"))
+    pair, blocks = purity_module.pair_dark_populations, loss_module._loss_blocks
+
+    def counted_pair(rho, sigma):
+        engine.append(rho)
+        return pair(rho, sigma)
+
+    def counted_blocks(rho, grid):
+        kernel.extend((rho, float(t)) for t in grid)
+        return blocks(rho, grid)
+
+    monkeypatch.setattr(purity_module, "pair_dark_populations", counted_pair)
+    monkeypatch.setattr(loss_module, "_loss_blocks", counted_blocks)
+    return engine, kernel
+
+
+@pytest.mark.parametrize("spec, count", [(("random:3",), 3),
+                                         (("fock:3,coherent:1.2",), 2)])
+def test_verify_runs_the_engine_once_and_each_loss_once_per_state(spec, count, monkeypatch,
+                                                                   capsys):
+    engine, kernel = _spy_on_engine_and_loss_kernel(monkeypatch)
+    assert run("verify", "--states", *spec, "--seed", "1") == 0
+    assert len(engine) == len({id(rho) for rho in engine}) == count
+    # every state reaches the kernel, and no T reaches it twice for one state
+    assert {id(rho) for rho, _ in kernel} == {id(rho) for rho in engine}
+    per_state = {}
+    for rho, t in kernel:
+        per_state.setdefault(id(rho), []).append(t)
+    for ts in per_state.values():
+        assert len(ts) == len(set(ts)) > 20
+    engine.clear()
+    kernel.clear()
+    assert run("verify", "--suite", "phasespace", "--states", *spec, "--seed", "1") == 0
+    assert engine == []
+    assert len(kernel) == 2 * count
+
+
+@pytest.mark.parametrize("states", [("--states", "random:4", "--seed", "3"),
+                                    ("--states", "fock:3,coherent:1.2,squeezed:0.6")])
+def test_suites_in_isolation_write_the_rows_of_all_suites(states, tmp_path, capsys):
+    def rows(suite):
+        out = tmp_path / f"{suite}.csv"
+        assert run("verify", *states, "--suite", suite, "--out", str(out)) == 0
+        return out.read_bytes().splitlines()[1:]
+
+    alone = [row for suite in ("purity", "qcs", "phasespace", "inequalities")
+             for row in rows(suite)]
+    assert sorted(alone) == sorted(rows("all"))
+
+
 def test_file_vector_runs_the_pure_state_checks(tmp_path, capsys):
     path = tmp_path / "vec.npy"
     np.save(path, random_pure(7, 8).amplitudes)
@@ -164,6 +221,22 @@ def test_sweep_memory_stays_within_one_block(tmp_path, states, capsys):
     # run is untraced, so one-time imports and caches stay out of the peak
     argv = ("sweep", "--states", states, "--seed", "1", "--grid", "0:1:401",
             "--out", str(tmp_path / "sweep.csv"))
+    assert run(*argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("states", ["squeezed:0.8", "random:1:25:3"])
+def test_verify_memory_does_not_grow_with_the_grid(states, capsys):
+    # the qcs suite streams the grid one block at a time, and each state
+    # keeps only the lossy states of the fixed T the other suites share:
+    # keeping all 401 lossy states at cutoff 25 would add about 4 MB
+    argv = ("verify", "--states", states, "--seed", "1", "--grid", "0:1:401")
     assert run(*argv) == 0
     tracemalloc.start()
     try:
@@ -598,17 +671,23 @@ def test_phasespace_suite_is_exact_at_and_above_the_state_rule(argv, tmp_path, c
 def test_a_state_beyond_the_quadrature_budget_exits_two_before_any_check(capsys,
                                                                          monkeypatch):
     # fock:400 is on 402 levels: its exact rule 402:803 has more than
-    # MAX_QUADRATURE_NODES nodes, and is refused before it is built
-    tracemalloc.start()
-    try:
-        assert run("verify", "--suite", "phasespace", "--states", "fock:400") == 2
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
-    captured = capsys.readouterr()
-    assert f"at most {MAX_QUADRATURE_NODES} nodes in all, got 402 x 803" in captured.err
-    assert "checks:" not in captured.out
+    # MAX_QUADRATURE_NODES nodes, and is refused before it is built; the
+    # message names the phasespace suite as the one that cannot run, and
+    # the suites that can
+    for suite in ("phasespace", "all"):
+        tracemalloc.start()
+        try:
+            assert run("verify", "--suite", suite, "--states", "fock:400") == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the phasespace suite cannot run on 'fock:400', but --suite "
+            "purity|qcs|inequalities can: its exact quadrature needs at most "
+            f"{MAX_QUADRATURE_NODES} nodes in all, got 402 x 803\n")
+        assert "checks:" not in captured.out
     # the budget binds only where the phasespace suite runs: fock:8 is on 10
     # levels, and its exact rule 10:19 has 190 nodes
     monkeypatch.setattr(lossylab.cli, "MAX_QUADRATURE_NODES", 189)

@@ -16,7 +16,8 @@ from conftest import mode_operators
 from lossylab import fock
 from lossylab.fock import (DensityOperator, PureState, _validate_stack,
                            block_indices, displacement_matrix, ladder_start,
-                           laguerre_ladder, lowered, lowering_trace, make_coherent, make_fock,
+                           ladder_traces, laguerre_ladder, lowered, lowering_trace,
+                           make_coherent, make_fock, product_traces,
                            make_squeezed_vacuum, random_mixed, random_pure,
                            splitter_blocks, thermal_state)
 
@@ -158,6 +159,21 @@ def test_lowered_matches_dense_oracle(c):
     for m in _shift_inputs(c):
         dense = ops.annihilate @ m @ ops.create
         np.testing.assert_allclose(lowered(m), dense, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("c", [1, 2, 8, 64])
+def test_ladder_traces_match_dense_oracle(c):
+    ops = mode_operators(c)
+    for m in _shift_inputs(c):
+        number, sandwiched = ladder_traces(m)
+        np.testing.assert_allclose(number, np.trace(ops.number @ m @ m, axis1=-2, axis2=-1).real,
+                                   rtol=1e-13, atol=1e-13)
+        dense = np.trace(ops.annihilate @ m @ ops.create @ m, axis1=-2, axis2=-1).real
+        np.testing.assert_allclose(sandwiched, dense, rtol=1e-13, atol=1e-13)
+        # the same expressions as the callers wrote before: bit for bit
+        n = np.arange(c)[:, None]
+        assert np.array_equal(number, product_traces(n * m, m))
+        assert np.array_equal(sandwiched, product_traces(lowered(m), m))
 
 
 @pytest.mark.parametrize("c", [1, 2, 8, 64])

@@ -9,7 +9,7 @@ from conftest import fock_hypergeometric_identity, mode_operators
 from lossylab.fock import lowered, make_coherent, make_fock, random_mixed, random_pure
 from lossylab.loss import apply_loss
 from lossylab.phasespace import Quadrature2D
-from lossylab.purity import purity_polynomial
+from lossylab.purity import StateRecord, purity_polynomial
 from lossylab.inequalities import (CoherentMixture, ThermalPState,
                                    bernstein_check, cauchy_schwarz_ladder,
                                    _form_terms, _pair_quadrature, husimi_of_state,
@@ -38,34 +38,34 @@ def test_cauchy_schwarz_ladder():
 
 def test_single_photon_quarter_transmissivity_values():
     one = make_fock(1, 2)
-    ladder = ladder_loss_inequality(one.density(), 0.25)
+    ladder = ladder_loss_inequality(StateRecord("", one.density()), 0.25)
     assert ladder.passed
     assert ladder.lhs == pytest.approx(1.0 / 16.0, abs=1e-12)
     assert ladder.rhs == pytest.approx(3.0 / 16.0, abs=1e-12)
 
-    ratio = pure_number_ratio_inequality(one, 0.25)
+    ratio = pure_number_ratio_inequality(StateRecord("", one), 0.25)
     assert ratio.passed
     assert ratio.lhs == pytest.approx(0.25, abs=1e-12)
     assert ratio.rhs == pytest.approx(0.75, abs=1e-12)
 
-    transpose = transpose_trick_identity(one, 0.25)
+    transpose = transpose_trick_identity(StateRecord("", one), 0.25)
     assert transpose.passed
     assert transpose.lhs == pytest.approx(3.0 / 16.0, abs=1e-12)
     assert transpose.rhs == pytest.approx(3.0 / 16.0, abs=1e-12)
 
     with pytest.raises(ValueError):
-        ladder_loss_inequality(one.density(), 0.6)
+        ladder_loss_inequality(StateRecord("", one.density()), 0.6)
     with pytest.raises(ValueError):
-        pure_number_ratio_inequality(one, 0.7)
+        pure_number_ratio_inequality(StateRecord("", one), 0.7)
 
 
 def test_pure_second_order_inequality():
-    one = pure_second_order_inequality(make_fock(1, 3))
+    one = pure_second_order_inequality(StateRecord("", make_fock(1, 3)))
     assert one.passed
     assert one.lhs == pytest.approx(0.0, abs=1e-12)
     assert one.rhs == pytest.approx(2.0, abs=1e-12)
     # coherent states saturate the bound
-    coh = pure_second_order_inequality(make_coherent(1.0, 26))
+    coh = pure_second_order_inequality(StateRecord("", make_coherent(1.0, 26)))
     assert coh.passed
     assert abs(coh.rhs - coh.lhs) < 1e-10
 
@@ -73,16 +73,16 @@ def test_pure_second_order_inequality():
 def test_second_derivative_forms():
     one = make_fock(1, 2)
     for t in (0.2, 0.5, 0.8):
-        rep = second_derivative_forms(one, t)
+        rep = second_derivative_forms(StateRecord("", one), t)
         assert rep.passed
         assert rep.lhs == pytest.approx(4.0, abs=1e-10)
         assert rep.rhs == pytest.approx(4.0, abs=1e-10)
 
-    mixed = second_derivative_forms(random_mixed(5, 7, rank=3), 0.3)
+    mixed = second_derivative_forms(StateRecord("", random_mixed(5, 7, rank=3)), 0.3)
     assert mixed.passed
     assert mixed.lhs == pytest.approx(3.73282364768, abs=1e-9)
 
-    pure = second_derivative_forms(random_pure(7, 7), 0.62)
+    pure = second_derivative_forms(StateRecord("", random_pure(7, 7)), 0.62)
     assert pure.passed
     assert pure.lhs == pytest.approx(2.92763622907, abs=1e-9)
     assert pure.params["forms"] == 3
@@ -266,14 +266,14 @@ def test_pair_checks_memory_stays_within_blocks():
 
 
 def test_bernstein_check():
-    vac = bernstein_check(make_fock(0, 2).density())
+    vac = bernstein_check(StateRecord("", make_fock(0, 2).density()))
     assert vac.passed
     # worst term is 24 T^5 at the grid edge T = 0.01
     assert vac.rhs == pytest.approx(24.0 * 0.01 ** 5, rel=1e-6)
-    one = bernstein_check(make_fock(1, 2).density())
+    one = bernstein_check(StateRecord("", make_fock(1, 2).density()))
     assert one.passed
     assert one.rhs == pytest.approx(2.1672e-9, rel=1e-3)
-    mixed = bernstein_check(random_mixed(5, 7, rank=3))
+    mixed = bernstein_check(StateRecord("", random_mixed(5, 7, rank=3)))
     assert mixed.passed
     assert mixed.rhs == pytest.approx(1.73352765142e-9, rel=1e-6)
 
@@ -298,14 +298,14 @@ def test_bernstein_check_agrees_with_t_monomials_at_small_cutoff():
     for cutoff in (2, 5, 8, 12):
         for rho1 in (random_pure(cutoff, cutoff).density(),
                      random_mixed(cutoff + 1, cutoff, rank=2)):
-            rep = bernstein_check(rho1)
+            rep = bernstein_check(StateRecord("", rho1))
             assert abs(rep.rhs - _bernstein_in_t_monomials(rho1)) <= 1e-10
 
 
 @pytest.mark.parametrize("cutoff", [24, 32, 64])
 def test_bernstein_check_at_large_cutoff(cutoff):
     for rho1 in (random_pure(1, cutoff).density(), random_mixed(2, cutoff, rank=3)):
-        rep = bernstein_check(rho1)
+        rep = bernstein_check(StateRecord("", rho1))
         assert rep.passed
         assert rep.rhs > 0.0
 
@@ -330,7 +330,7 @@ def test_bernstein_recurrence_matches_numpy_polynomial_bit_for_bit():
                for f in (lambda s, c: random_pure(s, c).density(),
                          lambda s, c: random_mixed(s + 1, c, rank=2))]
     for rho1 in states:
-        rep = bernstein_check(rho1)
+        rep = bernstein_check(StateRecord("", rho1))
         worst, worst_k = _bernstein_by_numpy_polynomial(rho1)
         assert rep.rhs == worst and rep.params["argmin_k"] == worst_k
 
@@ -339,7 +339,7 @@ def test_number_purity_monotonicity():
     grid = np.linspace(0.05, 1.0, 20)
     for state in (make_fock(1, 2).density(), random_mixed(8, 7, rank=3),
                   make_coherent(0.8, 20).density()):
-        rep = number_purity_monotonicity(state, grid)
+        rep = number_purity_monotonicity(StateRecord("", state), grid)
         assert rep.passed
 
 
@@ -355,8 +355,22 @@ def test_number_purity_monotonicity_matches_per_state_traces():
         rising.append(float(np.einsum("ij,ji->", n * m, m).real))
         sandwiched = float(np.einsum("ij,ji->", lowered(m), m).real)
         falling.append(sandwiched * (1.0 - t) / t)
-    rep = number_purity_monotonicity(rho1, grid)
+    rep = number_purity_monotonicity(StateRecord("", rho1), grid)
     assert rep.rhs == min(np.min(np.diff(rising)), np.min(-np.diff(falling)))
+
+
+def test_pure_only_verifiers_refuse_a_mixed_record():
+    mixed = StateRecord("mixed:5", random_mixed(5, 7, rank=3))
+    for verify in (lambda r: transpose_trick_identity(r, 0.3),
+                   lambda r: pure_number_ratio_inequality(r, 0.3),
+                   pure_second_order_inequality):
+        with pytest.raises(ValueError, match="only for pure inputs"):
+            verify(mixed)
+    # the same operator as a pure record passes
+    pure = StateRecord("pure:7", random_pure(7, 7))
+    assert transpose_trick_identity(pure, 0.3).passed
+    assert pure_number_ratio_inequality(pure, 0.3).passed
+    assert pure_second_order_inequality(pure).passed
 
 
 def test_fock_hypergeometric_identity():

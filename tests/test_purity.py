@@ -1,5 +1,6 @@
 """Purity, entropies, the dark-port polynomial, and overlap identities."""
 
+import importlib
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -15,7 +16,7 @@ from lossylab import fock
 from lossylab.fock import (DensityOperator, PureState, make_coherent, make_fock,
                            make_squeezed_vacuum, random_mixed, random_pure, thermal_state)
 from lossylab.loss import apply_loss, loss_path
-from lossylab.purity import (PurityPolynomial, lossy_overlap, min_purity_pure,
+from lossylab.purity import (PurityPolynomial, StateRecord, lossy_overlap, min_purity_pure,
                              mutual_information_bs, overlap_polynomial,
                              pair_dark_populations, purity,
                              purity_polynomial, renyi_entropy, von_neumann)
@@ -319,3 +320,38 @@ def test_fock_purity_closed_form_at_large_photon_number(n, fock_purity_closed_fo
         tf = Fraction(t)
         exact = sum((comb(n, k) * tf ** k * (1 - tf) ** (n - k)) ** 2 for k in range(n + 1))
         assert fock_purity_closed_form(n, t) == pytest.approx(float(exact), rel=1e-14)
+
+
+def test_state_record_derives_each_input_once(monkeypatch):
+    psi = random_pure(3, 9)
+    record = StateRecord("pure:3", psi)
+    assert record.pure
+    np.testing.assert_array_equal(record.rho1.matrix, psi.density().matrix)
+    mixed = random_mixed(4, 9, rank=2)
+    assert not StateRecord("mixed:4", mixed).pure
+    assert StateRecord("mixed:4", mixed).rho1 is mixed
+    # lossy keeps each T: a repeated T, within a call or across calls, is the
+    # same state, and every state equals loss_path's bit for bit
+    first = record.lossy([0.3, 0.7, 0.3])
+    assert first[0] is first[2]
+    again = record.lossy(np.array([0.7, 0.25]))
+    assert again[0] is first[1]
+    for rho_t, fresh in zip(first[:2] + again[1:], loss_path(record.rho1, [0.3, 0.7, 0.25])):
+        np.testing.assert_array_equal(rho_t.matrix, fresh.matrix)
+    with pytest.raises(ValueError, match="finite"):
+        record.lossy([0.5, np.nan])
+    # lossy_path walks a grid through the kept states and keeps none of its own
+    path = list(record.lossy_path([0.25, 0.4, 0.3, 0.4]))
+    assert path[0] is again[1] and path[2] is first[0]
+    for rho_t, fresh in zip(path, loss_path(record.rho1, [0.25, 0.4, 0.3, 0.4])):
+        np.testing.assert_array_equal(rho_t.matrix, fresh.matrix)
+    assert record.lossy([0.4])[0] is not path[1]
+    # the polynomial is built on first use only, and then kept
+    calls = []
+    # by module path: lossylab.purity as an attribute is the function purity()
+    monkeypatch.setattr(importlib.import_module("lossylab.purity"), "pair_dark_populations",
+                        lambda rho, sigma: calls.append(rho) or np.array([1.0]))
+    fresh_record = StateRecord("pure:3", psi)
+    assert calls == []
+    assert fresh_record.poly is fresh_record.poly
+    assert calls == [fresh_record.rho1]
