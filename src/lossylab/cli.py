@@ -25,6 +25,7 @@ import argparse
 import cmath
 import csv
 import math
+import re
 import sys
 
 import numpy as np
@@ -46,8 +47,7 @@ from .phasespace import (GridSpec, Quadrature2D, default_grid, exact_rule, lapla
 from .purity import StateRecord, purities, purity, renyi_entropy, von_neumann
 from .qcs import (commutator_norms, qcs_commutator, qcs_lindblad,
                   qcs_purity_rate, qcs_two_copy)
-from .reports import (CheckReport, equality_report, inequality_report,
-                      write_check_csv, write_scan_csv)
+from .reports import check_report, write_check_csv, write_scan_csv
 
 DEFAULT_CUTOFF = 8
 DEFAULT_RANK = 3
@@ -285,102 +285,72 @@ def _density(state) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-# the report kind, tolerance and claim of every check the purity, qcs and
-# phasespace suites build; each suite yields (check, params, lhs, rhs)
-CHECKS = {
-    "dark_coefficients": (inequality_report, 1e-10, "dark-port coefficients are nonnegative"),
-    "purity_convexity": (inequality_report, 1e-9, "P'' >= 0 on the applicable grid"),
-    "purity_symmetry": (equality_report, 1e-10, "P(T) = P(1-T) for pure inputs"),
-    "lossy_trace_match": (equality_report, 1e-10, "polynomial purity equals trace purity"),
-    "pure_min_at_half": (inequality_report, 1e-10, "pure-state purity is minimized at T = 1/2"),
-    "qcs_routes_agree": (equality_report, 1e-8, "independent coherence-scale routes agree"),
-    "qcs_balanced_pure": (equality_report, 1e-8,
-                          "pure input at half transmissivity gives unit scale"),
-    "qcs_half_loss_bound": (inequality_report, 1e-8,
-                            "at half loss or more every input stays at or below unit scale"),
-    "purity_route_chi": (equality_report, 1e-10,
-                         "characteristic-function integral reproduces purity"),
-    "purity_route_quasi": (equality_report, 1e-10,
-                           "squared quasiprobability integral reproduces purity"),
-    "purity_route_lossy_chi": (equality_report, 1e-10,
-                               "lossy purity via the characteristic-function integral"),
-}
-
-
-def _report(state_id, check, params, lhs, rhs):
-    """The report of one suite row, of the kind, tolerance and claim CHECKS
-    gives its check."""
-    kind, tolerance, claim = CHECKS[check]
-    return kind(check, state_id, params, lhs, rhs, tolerance, claim=claim)
-
-
 def _purity_suite(record, t_grid, quad):
     # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
     # monomials in T cancels catastrophically at large cutoff
-    poly, pure = record.poly, record.pure
+    poly, pure, sid = record.poly, record.pure, record.state_id
     values = poly.value(t_grid)
-    yield "dark_coefficients", {}, 0.0, float(np.min(poly.coefficients))
+    yield check_report("dark_coefficients", sid, {}, 0.0, float(np.min(poly.coefficients)))
     # convexity holds everywhere for pure inputs but is only guaranteed up
     # to half transmissivity for mixed ones
     convex_grid = t_grid if pure else t_grid[t_grid <= 0.5]
     if convex_grid.size:
-        yield "purity_convexity", {}, 0.0, float(np.min(poly.derivative(convex_grid, 2)))
+        yield check_report("purity_convexity", sid, {}, 0.0,
+                           float(np.min(poly.derivative(convex_grid, 2))))
     if pure:
         mirrored = poly.value(1.0 - t_grid)
-        yield "purity_symmetry", {}, float(np.max(np.abs(values - mirrored))), 0.0
+        yield check_report("purity_symmetry", sid, {},
+                           float(np.max(np.abs(values - mirrored))), 0.0)
     t_match = [t for t in (float(t_grid[0]), float(t_grid[t_grid.size // 2]),
                            float(t_grid[-1])) if 0.0 <= t <= 1.0]
     for t, rho_t in zip(t_match, record.lossy(t_match)):
-        yield "lossy_trace_match", {"T": t}, poly.value(t), purity(rho_t)
+        yield check_report("lossy_trace_match", sid, {"T": t}, poly.value(t), purity(rho_t))
     if pure:
-        yield "pure_min_at_half", {}, poly.value(0.5), float(np.min(values))
+        yield check_report("pure_min_at_half", sid, {}, poly.value(0.5), float(np.min(values)))
 
 
 def _qcs_suite(record, t_grid, quad):
+    sid = record.state_id
     t_lossy = [float(t) for t in t_grid if 0.0 < t <= 1.0]
     for t, rho_t in zip(t_lossy, record.lossy_path(t_lossy)):
         values = [qcs_commutator(rho_t).c_squared,
                   qcs_two_copy(rho_t).c_squared,
                   qcs_lindblad(rho_t).c_squared,
                   qcs_purity_rate(record.poly, t).c_squared]
-        yield "qcs_routes_agree", {"T": t}, max(values) - min(values), 0.0
+        yield check_report("qcs_routes_agree", sid, {"T": t}, max(values) - min(values), 0.0)
         if record.pure and abs(t - 0.5) < 1e-12:
-            yield "qcs_balanced_pure", {"T": t}, values[0], 1.0
+            yield check_report("qcs_balanced_pure", sid, {"T": t}, values[0], 1.0)
         if t <= 0.5:
-            yield "qcs_half_loss_bound", {"T": t}, values[0], 1.0
+            yield check_report("qcs_half_loss_bound", sid, {"T": t}, values[0], 1.0)
 
 
 def _phasespace_suite(record, t_grid, quad):
-    rho1 = record.rho1
+    rho1, sid = record.rho1, record.state_id
     exact = purity(rho1)
-    yield "purity_route_chi", {}, laplace_purity(rho1, 1.0, quad), exact
-    yield "purity_route_quasi", {"s": 0.0}, overlap_from_quasi(rho1, rho1, 0.0, quad), exact
+    yield check_report("purity_route_chi", sid, {}, laplace_purity(rho1, 1.0, quad), exact)
+    yield check_report("purity_route_quasi", sid, {"s": 0.0},
+                       overlap_from_quasi(rho1, rho1, 0.0, quad), exact)
     t_lossy = (0.25, 0.6)
     for t, rho_t in zip(t_lossy, record.lossy(t_lossy)):
-        yield "purity_route_lossy_chi", {"T": t}, laplace_purity(rho1, t, quad), purity(rho_t)
+        yield check_report("purity_route_lossy_chi", sid, {"T": t},
+                           laplace_purity(rho1, t, quad), purity(rho_t))
 
 
 def _inequality_suite(record, t_grid, quad):
-    """Reports of the inequality checks, each built with its own tolerance."""
-    reports = [
-        cauchy_schwarz_ladder(record.rho1, record.state_id),
-        bernstein_check(record),
-        number_purity_monotonicity(record, np.linspace(0.05, 1.0, 20)),
-        ladder_loss_inequality(record, 0.3),
-        second_derivative_forms(record, 0.3),
-    ]
+    yield cauchy_schwarz_ladder(record)
+    yield bernstein_check(record)
+    yield number_purity_monotonicity(record, np.linspace(0.05, 1.0, 20))
+    yield ladder_loss_inequality(record, 0.3)
+    yield second_derivative_forms(record, 0.3)
     if record.pure:
-        reports += [
-            transpose_trick_identity(record, 0.3),
-            pure_number_ratio_inequality(record, 0.3),
-            pure_second_order_inequality(record),
-        ]
-    return reports
+        yield transpose_trick_identity(record, 0.3)
+        yield pure_number_ratio_inequality(record, 0.3)
+        yield pure_second_order_inequality(record)
 
 
 # each suite takes one state's StateRecord, which derives rho1, P and rho_T
-# once for all suites, and the shared t_grid and quad; it yields rows for
-# _report, or returns its own reports
+# once for all suites, and the shared t_grid and quad; it yields finished
+# reports, each of the kind, tolerance and claim of its reports.CHECKS row
 BATTERIES = {
     "purity": _purity_suite,
     "qcs": _qcs_suite,
@@ -406,10 +376,9 @@ def cmd_verify(args) -> int:
         # the other suites keep the lossy states of their fixed T, and the
         # qcs suite streams the grid through them, so it runs last; the rows
         # stay in suite order
-        rows = {suite: list(suite(record, t_grid, quad))
-                for suite in sorted(suites, key=lambda suite: suite is _qcs_suite)}
-        reports += [row if isinstance(row, CheckReport) else _report(state_id, *row)
-                    for suite in suites for row in rows[suite]]
+        by_suite = {suite: list(suite(record, t_grid, quad))
+                    for suite in sorted(suites, key=lambda suite: suite is _qcs_suite)}
+        reports += [report for suite in suites for report in by_suite[suite]]
     if args.out:
         write_check_csv(args.out, reports)
     failed = sum(1 for r in reports if not r.passed)
@@ -633,7 +602,20 @@ def _refuse_state_flags_with_phi(declared, argv, config: dict) -> None:
         raise ConfigError(f"--phi scans a named pair and takes no {', '.join(given)}")
 
 
+def _glue_negative_grid(argv) -> list[str]:
+    """argv with ``--grid SPEC`` written ``--grid=SPEC`` where SPEC starts with
+    a minus and a number, as ``-1:1:21`` does, which argparse reads as a flag."""
+    glued = []
+    for arg in argv:
+        if glued and glued[-1] == "--grid" and re.match(r"-[\d.]", arg):
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    return glued
+
+
 def main(argv=None) -> int:
+    argv = _glue_negative_grid(sys.argv[1:] if argv is None else argv)
     try:
         declared = args = build_parser().parse_args(argv)
         config = {}

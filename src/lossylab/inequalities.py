@@ -2,12 +2,12 @@
 inequalities that the loss-channel structure implies.
 
 Each operation returns a CheckReport whose margin is nonnegative when the
-claim holds. Exact trace and polynomial checks carry 1e-10 tolerances;
-double phase-space quadratures carry 1e-4 to 1e-5. Claims that only hold
-for restricted T ranges or pure inputs enforce those preconditions. The
-verifiers ``verify`` runs on rho_T and P take one state's StateRecord and
-read rho1, P and rho_T from it, so each is derived once per state; the
-pure-only ones refuse a mixed record. The others take density operators.
+claim holds. Claims that only hold for restricted T ranges or pure inputs
+enforce those preconditions. The eight verifiers ``verify`` runs take one
+state's StateRecord, read rho1, P and rho_T from it, and take their report
+kind, tolerance and claim from its ``reports.CHECKS`` row; the pure-only
+ones refuse a mixed record. The pair checks, which no suite runs yet, take
+density operators and carry their own tolerances.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .fock import (DensityOperator, ladder_traces, lowered, lowering_trace, make
 from .phasespace import Quadrature2D, quasi_prob
 from .purity import (PurityPolynomial, StateRecord, lossy_overlap, overlap_polynomial,
                      purity_polynomial)
-from .reports import CheckReport, equality_report, inequality_report
+from .reports import CHECKS, CheckReport, check_report, equality_report, inequality_report
 
-EXACT_TOL = 1e-10
 FORM_TOL = 1e-9
 QUAD_TOL = 1e-4
 PAIR_SIGN_TOL = 1e-5
@@ -39,14 +38,11 @@ PAIR_BLOCK_ENTRIES = 2 ** 16
 # ---------------------------------------------------------------------------
 
 
-def cauchy_schwarz_ladder(rho: DensityOperator, state_id: str = "") -> CheckReport:
+def cauchy_schwarz_ladder(record: StateRecord) -> CheckReport:
     """|Tr(rho a)|^2 <= Tr(rho a^dag a)."""
-    lhs = abs(lowering_trace(rho.matrix)) ** 2
-    rhs = float(np.arange(rho.cutoff) @ np.diag(rho.matrix).real)
-    return inequality_report(
-        "cauchy_schwarz_ladder", state_id, {}, lhs, rhs, EXACT_TOL,
-        claim="|<a>|^2 <= <N>",
-    )
+    lhs = abs(lowering_trace(record.rho1.matrix)) ** 2
+    rhs = float(np.arange(record.rho1.cutoff) @ np.diag(record.rho1.matrix).real)
+    return check_report("cauchy_schwarz_ladder", record.state_id, {}, lhs, rhs)
 
 
 def ladder_loss_inequality(record: StateRecord, transmissivity: float) -> CheckReport:
@@ -55,10 +51,7 @@ def ladder_loss_inequality(record: StateRecord, transmissivity: float) -> CheckR
     if t > 0.5:
         raise ValueError("the sandwiched-ladder bound is claimed only for T <= 1/2")
     lhs, rhs = ladder_traces(record.lossy([t])[0].matrix)
-    return inequality_report(
-        "ladder_loss_inequality", record.state_id, {"T": t}, lhs, rhs, EXACT_TOL,
-        claim="Tr[N rho_T^2] <= Tr[a rho_T a^dag rho_T], T <= 1/2",
-    )
+    return check_report("ladder_loss_inequality", record.state_id, {"T": t}, lhs, rhs)
 
 
 def pure_number_ratio_inequality(record: StateRecord, transmissivity: float) -> CheckReport:
@@ -72,10 +65,7 @@ def pure_number_ratio_inequality(record: StateRecord, transmissivity: float) -> 
     m_t, m_r = (rho.matrix for rho in record.lossy([t, 1.0 - t]))
     lhs = product_traces(n * m_t, m_t) / t
     rhs = product_traces(n * m_r, m_r) / (1.0 - t)
-    return inequality_report(
-        "pure_number_ratio", record.state_id, {"T": t}, lhs, rhs, EXACT_TOL,
-        claim="Tr[N rho_T^2]/T <= Tr[N rho_{1-T}^2]/(1-T) for pure input",
-    )
+    return check_report("pure_number_ratio", record.state_id, {"T": t}, lhs, rhs)
 
 
 def transpose_trick_identity(record: StateRecord, transmissivity: float) -> CheckReport:
@@ -88,10 +78,7 @@ def transpose_trick_identity(record: StateRecord, transmissivity: float) -> Chec
     m_t, m_r = (rho.matrix for rho in record.lossy([t, 1.0 - t]))
     lhs = product_traces(lowered(m_t), m_t)
     rhs = product_traces(np.arange(record.rho1.cutoff)[:, None] * m_r, m_r) * t / (1.0 - t)
-    return equality_report(
-        "transpose_trick", record.state_id, {"T": t}, lhs, rhs, EXACT_TOL,
-        claim="Tr[a rho_T a^dag rho_T] = Tr[N rho_{1-T}^2] T/(1-T)",
-    )
+    return check_report("transpose_trick", record.state_id, {"T": t}, lhs, rhs)
 
 
 def pure_second_order_inequality(record: StateRecord) -> CheckReport:
@@ -108,10 +95,7 @@ def pure_second_order_inequality(record: StateRecord) -> CheckReport:
     mom_n2 = float((n * n) @ pops)
     lhs = 4.0 * (mom_adaa * mom_adag).real - abs(mom_aa) ** 2
     rhs = 2.0 * mom_n ** 2 - mom_n + mom_n2
-    return inequality_report(
-        "pure_second_order", record.state_id, {}, lhs, rhs, EXACT_TOL,
-        claim="4Re<a^dag a^2><a^dag> - |<a^2>|^2 <= 2<N>^2 - <N> + <N^2>",
-    )
+    return check_report("pure_second_order", record.state_id, {}, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +153,16 @@ def second_derivative_forms(record: StateRecord, transmissivity: float) -> Check
     deviation = max(abs(v - poly_value) for v in values)
     sign_claim = pure or t <= 0.5
     sign_margin = form_one if sign_claim else np.inf
-    margin = min(FORM_TOL - deviation, sign_margin)
+    _, tolerance, claim = CHECKS["second_derivative_forms"]
     return CheckReport(
         check_name="second_derivative_forms",
         state_id=record.state_id,
         params={"T": t, "forms": len(values), "pure": pure},
         lhs=form_one,
         rhs=poly_value,
-        margin=float(margin),
-        tolerance=FORM_TOL,
-        claim="operator forms of d2P/dT2 agree; nonnegative for pure (all T) "
-              "and mixed (T <= 1/2) inputs",
+        margin=float(min(tolerance - deviation, sign_margin)),
+        tolerance=tolerance,
+        claim=claim,
     )
 
 
@@ -230,8 +213,7 @@ class ThermalPState:
 
 
 def phase_space_derivative_check(state_like, transmissivity: float, k: int,
-                                 state_id: str = "",
-                                 pure: bool | None = None) -> CheckReport:
+                                 state_id: str = "") -> CheckReport:
     """The pair integral of P densities weighted by |alpha-beta|^(2k) equals
     (-1)^k d^k P / dT^k, and its sign follows the purity convexity pattern.
 
@@ -242,9 +224,7 @@ def phase_space_derivative_check(state_like, transmissivity: float, k: int,
     t = float(transmissivity)
     has_direct = hasattr(state_like, "pair_integral")
     rho1 = state_like.density() if has_direct else state_like
-    if pure is None:
-        lam = np.linalg.eigvalsh(rho1.matrix)
-        pure = float(np.max(lam)) > 1.0 - 1e-10
+    pure = float(np.max(np.linalg.eigvalsh(rho1.matrix))) > 1.0 - 1e-10
     poly = purity_polynomial(rho1)
     operator_side = (-1.0) ** k * poly.derivative(t, order=k)
 
@@ -325,9 +305,7 @@ def _pair_quadrature(f_rho, f_sigma, weight_fn, quad: Quadrature2D,
 
 def husimi_pair_check(husimi_rho, husimi_sigma, transmissivity: float,
                       state_id: str = "",
-                      quad: Quadrature2D = Quadrature2D(48, 64),
-                      radial_scale: float = 2.0,
-                      tolerance: float = 1e-6) -> CheckReport:
+                      quad: Quadrature2D = Quadrature2D(48, 64)) -> CheckReport:
     """For Husimi functions of states and T < 1/2, the derivative-of-overlap
     double integral is nonpositive; a positive value certifies that one of
     the inputs is not the Husimi function of any state.
@@ -341,9 +319,10 @@ def husimi_pair_check(husimi_rho, husimi_sigma, transmissivity: float,
     def weight(d):
         return (2.0 / lam - d / lam ** 2) * np.exp(-t * d / lam)
 
-    value = _pair_quadrature(husimi_rho, husimi_sigma, weight, quad, radial_scale) / lam
+    # radial scale 2: full order for integrands that decay like exp(-|alpha|^2 / 2)
+    value = _pair_quadrature(husimi_rho, husimi_sigma, weight, quad, 2.0) / lam
     return inequality_report(
-        "husimi_pair", state_id, {"T": t}, value, 0.0, tolerance,
+        "husimi_pair", state_id, {"T": t}, value, 0.0, 1e-6,
         claim="(1/(1-2T)) iint Q_rho Q_sigma (2/(1-2T) - |a-b|^2/(1-2T)^2) "
               "e^(-T|a-b|^2/(1-2T)) <= 0 for states",
     )
@@ -459,12 +438,8 @@ def bernstein_check(record: StateRecord) -> CheckReport:
         slope = s_k.derivative_coefficients(1)
         s_k = PurityPolynomial((k + 1) * s_k.coefficients
                                - (np.append(slope, 0.0) - np.append(0.0, slope)))
-    return inequality_report(
-        "bernstein_monotonic", record.state_id, {"k_max": BERNSTEIN_ORDER, "argmin_k": worst_k},
-        0.0, worst, FORM_TOL,
-        claim="(T^2 d/dT)^k (T purity) >= 0 on (0, 1], complete monotonicity "
-              "in 1/T",
-    )
+    return check_report("bernstein_monotonic", record.state_id,
+                        {"k_max": BERNSTEIN_ORDER, "argmin_k": worst_k}, 0.0, worst)
 
 
 def number_purity_monotonicity(record: StateRecord, t_grid) -> CheckReport:
@@ -477,10 +452,6 @@ def number_purity_monotonicity(record: StateRecord, t_grid) -> CheckReport:
     rising, sandwiched = np.array([ladder_traces(rho.matrix) for rho in record.lossy(grid)]).T
     falling = sandwiched * (1.0 - grid) / grid
     margin = min(float(np.min(np.diff(rising))), float(np.min(-np.diff(falling))))
-    return inequality_report(
+    return check_report(
         "number_purity_monotonicity", record.state_id,
-        {"T_min": float(grid[0]), "T_max": float(grid[-1]), "points": grid.size},
-        0.0, margin, EXACT_TOL,
-        claim="Tr[N rho_T^2] nondecreasing and Tr[a rho_T a^dag rho_T](1-T)/T "
-              "nonincreasing in T",
-    )
+        {"T_min": float(grid[0]), "T_max": float(grid[-1]), "points": grid.size}, 0.0, margin)

@@ -1,9 +1,9 @@
 """Typed results for named checks and conjecture scans, plus CSV serialization.
 
-Every check produces a CheckReport; pass always means margin >= -tolerance,
-with the sign convention spelled out in the claim string. CSV output is
-deterministic: fixed column order, rows sorted before writing, and floats
-rendered with repr so identical runs are byte-identical.
+Every check produces a CheckReport; pass always means margin >= -tolerance.
+CHECKS gives each check ``verify`` writes its report kind, tolerance and
+claim. CSV output is deterministic: fixed column order, rows sorted before
+writing, and floats rendered with repr so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -42,6 +42,51 @@ def equality_report(check_name, state_id, params, lhs, rhs, tolerance, claim="")
     """Report for a claim lhs = rhs; margin = -|lhs - rhs|."""
     return CheckReport(check_name, state_id, dict(params), lhs, rhs, -abs(lhs - rhs),
                        tolerance, claim=claim)
+
+
+# the report kind, tolerance and claim of every check `verify` writes, keyed
+# by its CSV check_name; a row of kind None weighs more than lhs against rhs,
+# so its verifier builds its own margin from the row's tolerance
+CHECKS = {
+    "dark_coefficients": (inequality_report, 1e-10, "dark-port coefficients are nonnegative"),
+    "purity_convexity": (inequality_report, 1e-9, "P'' >= 0 on the applicable grid"),
+    "purity_symmetry": (equality_report, 1e-10, "P(T) = P(1-T) for pure inputs"),
+    "lossy_trace_match": (equality_report, 1e-10, "polynomial purity equals trace purity"),
+    "pure_min_at_half": (inequality_report, 1e-10, "pure-state purity is minimized at T = 1/2"),
+    "qcs_routes_agree": (equality_report, 1e-8, "independent coherence-scale routes agree"),
+    "qcs_balanced_pure": (equality_report, 1e-8,
+                          "pure input at half transmissivity gives unit scale"),
+    "qcs_half_loss_bound": (inequality_report, 1e-8,
+                            "at half loss or more every input stays at or below unit scale"),
+    "purity_route_chi": (equality_report, 1e-10,
+                         "characteristic-function integral reproduces purity"),
+    "purity_route_quasi": (equality_report, 1e-10,
+                           "squared quasiprobability integral reproduces purity"),
+    "purity_route_lossy_chi": (equality_report, 1e-10,
+                               "lossy purity via the characteristic-function integral"),
+    "cauchy_schwarz_ladder": (inequality_report, 1e-10, "|<a>|^2 <= <N>"),
+    "ladder_loss_inequality": (inequality_report, 1e-10,
+                               "Tr[N rho_T^2] <= Tr[a rho_T a^dag rho_T], T <= 1/2"),
+    "pure_number_ratio": (inequality_report, 1e-10,
+                          "Tr[N rho_T^2]/T <= Tr[N rho_{1-T}^2]/(1-T) for pure input"),
+    "transpose_trick": (equality_report, 1e-10,
+                        "Tr[a rho_T a^dag rho_T] = Tr[N rho_{1-T}^2] T/(1-T)"),
+    "pure_second_order": (inequality_report, 1e-10,
+                          "4Re<a^dag a^2><a^dag> - |<a^2>|^2 <= 2<N>^2 - <N> + <N^2>"),
+    "second_derivative_forms": (None, 1e-9, "operator forms of d2P/dT2 agree; nonnegative "
+                                "for pure (all T) and mixed (T <= 1/2) inputs"),
+    "bernstein_monotonic": (inequality_report, 1e-9, "(T^2 d/dT)^k (T purity) >= 0 on (0, 1], "
+                            "complete monotonicity in 1/T"),
+    "number_purity_monotonicity": (inequality_report, 1e-10,
+                                   "Tr[N rho_T^2] nondecreasing and Tr[a rho_T a^dag rho_T]"
+                                   "(1-T)/T nonincreasing in T"),
+}
+
+
+def check_report(check_name, state_id, params, lhs, rhs) -> CheckReport:
+    """The report of check_name, of the kind, tolerance and claim of its CHECKS row."""
+    kind, tolerance, claim = CHECKS[check_name]
+    return kind(check_name, state_id, params, lhs, rhs, tolerance, claim=claim)
 
 
 def format_params(params: dict) -> str:

@@ -14,7 +14,6 @@ from scipy.special import eval_genlaguerre, gammaln, hyp2f1
 
 from lossylab.conjectures import MEAN_N_FLOOR
 from lossylab.fock import DensityOperator, PureState, random_mixed, random_pure
-from lossylab.inequalities import EXACT_TOL
 from lossylab.loss import _binomial_table, _t_blocks, apply_loss, loss_path
 from lossylab.phasespace import QuasiProbGrid, char_fn, quasi_prob
 from lossylab.purity import purity
@@ -641,7 +640,7 @@ def fock_hypergeometric_identity(n: int, t_grid=None, state_id: str = "") -> Che
     deviation = float(np.max(np.abs(direct - hyper)))
     return equality_report(
         "fock_hypergeometric", state_id, {"n": n, "points": grid.size},
-        deviation, 0.0, EXACT_TOL,
+        deviation, 0.0, 1e-10,
         claim="binomial-square Fock purity = (1-T)^(2n) 2F1(-n,-n;1;T^2/(T-1)^2)",
     )
 

@@ -179,7 +179,7 @@ def test_criterion_08_moment_inequality_family():
     ok = True
     for j in range(60):
         rho1 = random_mixed(3100 + j, 4 + (j % 5), rank=2 + (j % 3))
-        ok &= cauchy_schwarz_ladder(rho1).passed
+        ok &= cauchy_schwarz_ladder(StateRecord("", rho1)).passed
         ok &= ladder_loss_inequality(StateRecord("", rho1), 0.3).passed
         ok &= second_derivative_forms(StateRecord("", rho1), 0.3).passed
     for j in range(60):

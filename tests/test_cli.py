@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 import lossylab
-from lossylab.cli import (CHECKS, MAX_CUTOFF, MAX_GRID_POINTS, MAX_GRID_STEPS,
+from lossylab.cli import (MAX_CUTOFF, MAX_GRID_POINTS, MAX_GRID_STEPS,
                           MAX_QUADRATURE_NODES, MAX_RADIAL_NODES, SWEEP_COLUMNS, ConfigError,
                           main, parse_grid, parse_quadrature, parse_states)
 from lossylab.fock import PureState, random_pure
 from lossylab.purity import purity, renyi_entropy, von_neumann
 from lossylab.qcs import qcs_commutator
+from lossylab.reports import CHECKS
 
 
 def run(*argv):
@@ -58,19 +59,22 @@ def verify_rows(tmp_path, *argv):
 
 
 def test_every_check_the_suites_build_is_a_table_key(tmp_path, capsys):
-    # statically: the first item of every tuple a suite yields
-    tree = ast.parse(Path(lossylab.cli.__file__).read_text(encoding="utf-8"))
-    yielded = {node.value.elts[0].value for node in ast.walk(tree)
-               if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple)}
-    assert yielded == set(CHECKS)
-    # at run time, on a pure and a mixed state: every key is emitted, and
-    # every other row comes from the inequality suite's own reports
+    # statically: the modules that build verify's reports name, as the first
+    # argument of a check_report call or as a CHECKS row they read, exactly
+    # the table's keys
+    built = set()
+    for name in ("cli", "inequalities"):
+        path = importlib.import_module(f"lossylab.{name}").__file__
+        for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "check_report":
+                built.add(node.args[0].value)
+            elif isinstance(node, ast.Subscript) and getattr(node.value, "id", "") == "CHECKS":
+                built.add(node.slice.value)
+    assert built == set(CHECKS)
+    # at run time, on a pure and a mixed state: the rows are exactly the keys
     argv = ("--states", "random:2", "--seed", "1", "--quadrature", "40:64")
     emitted = {r["check_name"] for r in verify_rows(tmp_path, *argv, "--suite", "all")}
-    inequalities = {r["check_name"]
-                    for r in verify_rows(tmp_path, *argv, "--suite", "inequalities")}
-    assert set(CHECKS) <= emitted
-    assert emitted - set(CHECKS) == inequalities
+    assert emitted == set(CHECKS)
 
 
 def _spy_on_engine_and_loss_kernel(monkeypatch):
@@ -540,6 +544,21 @@ def test_flags_a_subcommand_does_not_read_exit_two(command, flag, value, capsys)
     with pytest.raises(SystemExit) as info:
         run(command, "--states", "fock:1", flag, value)
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv, grid, code", [
+    (("verify", "--states", "random:3:12", "--seed", "5"), "-0:1:11", 0),
+    (("sweep", "--states", "fock:1"), "-0:1:11", 0),
+    (("sweep", "--states", "fock:1"), "-0.5:1:4", 2),
+    (("conjecture", "--name", "unfairness", "--states", "fock:1"), "-1:1:21", 0),
+])
+def test_a_negative_grid_start_reads_the_same_as_one_or_two_words(argv, grid, code,
+                                                                   tmp_path, capsys):
+    two_words, one_word = tmp_path / "two.csv", tmp_path / "one.csv"
+    assert run(*argv, "--grid", grid, "--out", str(two_words)) == code
+    assert run(*argv, f"--grid={grid}", "--out", str(one_word)) == code
+    assert two_words.exists() == one_word.exists() == (code == 0)
+    assert code or two_words.read_bytes() == one_word.read_bytes()
 
 
 def test_malformed_arguments_exit_two(capsys):

@@ -27,11 +27,11 @@ from lossylab.inequalities import (CoherentMixture, ThermalPState,
 
 
 def test_cauchy_schwarz_ladder():
-    rep = cauchy_schwarz_ladder(make_fock(2, 4).density())
+    rep = cauchy_schwarz_ladder(StateRecord("", make_fock(2, 4).density()))
     assert rep.passed and rep.lhs == pytest.approx(0.0, abs=1e-14)
     assert rep.rhs == pytest.approx(2.0)
     # coherent states saturate once the cutoff absorbs the truncation tail
-    coh = cauchy_schwarz_ladder(make_coherent(1.0, 26).density())
+    coh = cauchy_schwarz_ladder(StateRecord("", make_coherent(1.0, 26).density()))
     assert coh.passed
     assert abs(coh.rhs - coh.lhs) < 1e-10
 

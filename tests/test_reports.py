@@ -1,9 +1,13 @@
-"""The one pass rule: margin >= -tolerance, so a NaN margin fails."""
+"""The one pass rule: margin >= -tolerance, so a NaN margin fails; and the
+check table against README's claim table."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 
 from lossylab.conjectures import _scan
-from lossylab.reports import CheckReport
+from lossylab.reports import CHECKS, CheckReport
 
 
 def report(margin, tolerance=1e-9):
@@ -23,3 +27,11 @@ def test_scan_counts_failed_rows_at_its_tolerance():
     grid = [0.0, 0.5, 1.0]
     assert _scan("synthetic", [("s", None)], grid, margins_on, 1e-8).failed == 1
     assert _scan("synthetic", [("s", None)], grid, margins_on, 1e-9).failed == 2
+
+
+def test_readme_claim_table_names_every_check_once():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Claims and checks", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    named = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[-2])]
+    assert sorted(named) == sorted(CHECKS)
