@@ -604,10 +604,13 @@ def _refuse_state_flags_with_phi(declared, argv, config: dict) -> None:
 
 def _glue_negative_grid(argv) -> list[str]:
     """argv with ``--grid SPEC`` written ``--grid=SPEC`` where SPEC starts with
-    a minus and a number, as ``-1:1:21`` does, which argparse reads as a flag."""
+    a minus and a number, as ``-1:1:21`` does, which argparse reads as a flag.
+    Any prefix argparse takes for ``--grid`` (``--g``, ``--gr``, ``--gri``) is
+    glued alike."""
     glued = []
     for arg in argv:
-        if glued and glued[-1] == "--grid" and re.match(r"-[\d.]", arg):
+        if (glued and len(glued[-1]) > 2 and "--grid".startswith(glued[-1])
+                and re.match(r"-[\d.]", arg)):
             glued[-1] += "=" + arg
         else:
             glued.append(arg)

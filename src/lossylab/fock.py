@@ -230,18 +230,6 @@ def make_squeezed_vacuum(r: float, cutoff: int) -> PureState:
     return PureState(amps, cutoff, tail_weight=tail)
 
 
-def thermal_state(nbar: float, cutoff: int) -> DensityOperator:
-    """Truncated thermal state, renormalized on the ladder."""
-    if nbar < 0:
-        raise ValueError("mean occupation must be nonnegative")
-    if nbar == 0:
-        return make_fock(0, cutoff).density()
-    n = np.arange(cutoff, dtype=float)
-    pops = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
-    pops = pops / pops.sum()
-    return DensityOperator(np.diag(pops).astype(complex), cutoff)
-
-
 def random_pure(seed: int, cutoff: int) -> PureState:
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(cutoff) + 1j * rng.standard_normal(cutoff)

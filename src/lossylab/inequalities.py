@@ -7,29 +7,31 @@ enforce those preconditions. The eight verifiers ``verify`` runs take one
 state's StateRecord, read rho1, P and rho_T from it, and take their report
 kind, tolerance and claim from its ``reports.CHECKS`` row; the pure-only
 ones refuse a mixed record. The pair checks, which no suite runs yet, take
-density operators and carry their own tolerances.
+density operators and carry their own tolerances; each integrates on one
+product rule that is exact for its inputs (_pair_integral).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (DensityOperator, ladder_traces, lowered, lowering_trace, make_coherent,
-                   product_traces, thermal_state)
+from .fock import DensityOperator, ladder_traces, lowered, lowering_trace, product_traces
 from .phasespace import Quadrature2D, quasi_prob
-from .purity import (PurityPolynomial, StateRecord, lossy_overlap, overlap_polynomial,
-                     purity_polynomial)
+from .purity import PurityPolynomial, StateRecord, lossy_overlap, overlap_polynomial
 from .reports import CHECKS, CheckReport, check_report, equality_report, inequality_report
 
-FORM_TOL = 1e-9
-QUAD_TOL = 1e-4
-PAIR_SIGN_TOL = 1e-5
+QUAD_TOL = 1e-10
+PAIR_SIGN_TOL = 1e-10
+# the pair rules are exact at every T; the band only keeps T off the
+# singular 1/(1 - 2T) prefactor and the pair checks off their existence
+# boundary 2 + (r + r' - 2) T = 0
 BALANCED_EXCLUSION = 0.02
 BERNSTEIN_ORDER = 4
-# pair-kernel entries per block of rows: bounds each block of |a - b|^2 and
-# of its weight at 512 KiB, whatever the number of quadrature nodes
+# product-rule points per block of u nodes: bounds each block's a, b and
+# |a - b|^2 at 1 MiB, whatever the size of the rule
 PAIR_BLOCK_ENTRIES = 2 ** 16
 
 
@@ -172,169 +174,100 @@ def second_derivative_forms(record: StateRecord, transmissivity: float) -> Check
 
 
 @dataclass(frozen=True)
-class CoherentMixture:
-    """Mixture of coherent states: a manifestly regular P density."""
+class GaussianPolynomial:
+    """A function on the plane, e^{-rate |a|^2} times a polynomial of degree
+    <= degree in a and in conj(a); ``values`` evaluates it at an array of
+    points. The pair integrals size their rule from rate and degree."""
 
-    weights: tuple
-    alphas: tuple
-    cutoff: int = 24
-
-    def density(self) -> DensityOperator:
-        c = self.cutoff
-        mat = np.zeros((c, c), dtype=complex)
-        for w, al in zip(self.weights, self.alphas):
-            vec = make_coherent(al, c).amplitudes
-            mat += w * np.outer(vec, vec.conj())
-        return DensityOperator(mat, c)
-
-    def pair_integral(self, transmissivity: float, k: int) -> float:
-        """Closed form of the |alpha-beta|^(2k)-weighted double P integral."""
-        w = np.asarray(self.weights)
-        al = np.asarray(self.alphas, dtype=complex)
-        d = np.abs(al[:, None] - al[None, :]) ** 2
-        kernel = d ** k * np.exp(-transmissivity * d) if k else np.exp(-transmissivity * d)
-        return float(w @ kernel @ w)
+    values: Callable[[np.ndarray], np.ndarray]
+    rate: float
+    degree: int
 
 
-@dataclass(frozen=True)
-class ThermalPState:
-    """Thermal state: Gaussian P density with closed pair integrals."""
-
-    nbar: float
-    cutoff: int = 28
-
-    def density(self) -> DensityOperator:
-        return thermal_state(self.nbar, self.cutoff)
-
-    def pair_integral(self, transmissivity: float, k: int) -> float:
-        from math import factorial
-        nb = self.nbar
-        return factorial(k) * (2.0 * nb) ** k / (1.0 + 2.0 * nb * transmissivity) ** (k + 1)
-
-
-def phase_space_derivative_check(state_like, transmissivity: float, k: int,
-                                 state_id: str = "") -> CheckReport:
-    """The pair integral of P densities weighted by |alpha-beta|^(2k) equals
-    (-1)^k d^k P / dT^k, and its sign follows the purity convexity pattern.
-
-    ``state_like`` is either a DensityOperator (operator side only, sign
-    claims asserted where they apply) or a regular-P family object carrying
-    both a density() and a closed pair_integral() (both sides compared).
-    """
-    t = float(transmissivity)
-    has_direct = hasattr(state_like, "pair_integral")
-    rho1 = state_like.density() if has_direct else state_like
-    pure = float(np.max(np.linalg.eigvalsh(rho1.matrix))) > 1.0 - 1e-10
-    poly = purity_polynomial(rho1)
-    operator_side = (-1.0) ** k * poly.derivative(t, order=k)
-
-    if has_direct:
-        direct = state_like.pair_integral(t, k)
-        deviation = abs(direct - operator_side)
-    else:
-        direct = operator_side
-        deviation = 0.0
-
-    odd = k % 2 == 1
-    if pure and odd:
-        if abs(t - 0.5) <= 1e-12:
-            sign_margin = FORM_TOL - abs(operator_side)
-        elif t < 0.5:
-            sign_margin = operator_side
-        else:
-            sign_margin = -operator_side
-    elif pure:
-        sign_margin = operator_side
-    elif t <= 0.5:
-        sign_margin = operator_side
-    else:
-        raise ValueError("no sign claim for mixed inputs beyond T = 1/2")
-
-    tol = QUAD_TOL if has_direct else FORM_TOL
-    margin = min(tol - deviation, sign_margin)
-    return CheckReport(
-        check_name="phase_space_derivative",
-        state_id=state_id,
-        params={"T": t, "k": k, "pure": pure, "direct": has_direct},
-        lhs=direct,
-        rhs=operator_side,
-        margin=float(margin),
-        tolerance=tol,
-        claim="int P(a)P(b)|a-b|^(2k) e^(-T|a-b|^2) = (-1)^k d^k P/dT^k with "
-              "convexity-pattern signs",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Husimi and general-order pair checks
-# ---------------------------------------------------------------------------
-
-
-def isotropic_gaussian(concentration: float):
+def isotropic_gaussian(concentration: float) -> GaussianPolynomial:
     """Candidate Husimi function (c/pi) exp(-c |alpha|^2)."""
     c = float(concentration)
-
-    def husimi(alpha: np.ndarray) -> np.ndarray:
-        return c / np.pi * np.exp(-c * np.abs(alpha) ** 2)
-
-    return husimi
+    return GaussianPolynomial(lambda alpha: c / np.pi * np.exp(-c * np.abs(alpha) ** 2), c, 0)
 
 
-def husimi_of_state(rho: DensityOperator):
-    def husimi(alpha: np.ndarray) -> np.ndarray:
-        return quasi_prob(rho, alpha, -1.0)
+def _quasi(rho: DensityOperator, r: float) -> GaussianPolynomial:
+    """P_rho(., r), e^{-2|a|^2/(1 - r)} times a polynomial of degree < c for
+    a state on c levels (phasespace.quasi_prob's matrix elements)."""
+    return GaussianPolynomial(lambda alpha: quasi_prob(rho, alpha, r), 2.0 / (1.0 - r),
+                              rho.cutoff - 1)
 
-    return husimi
+
+def husimi_of_state(rho: DensityOperator) -> GaussianPolynomial:
+    return _quasi(rho, -1.0)
 
 
-def _pair_quadrature(f_rho, f_sigma, weight_fn, quad: Quadrature2D,
-                     radial_scale: float) -> float:
-    """sum_ij f_rho(a_i) w_i weight_fn(|a_i - a_j|^2) w_j f_sigma(a_j) over
-    the quadrature nodes, one block of rows of at most PAIR_BLOCK_ENTRIES
-    kernel entries at a time."""
-    nodes, weights = quad.nodes_weights(radial_scale=radial_scale)
-    va = np.asarray(f_rho(nodes)) * weights
-    vb = np.asarray(f_sigma(nodes)) * weights
-    step = max(1, PAIR_BLOCK_ENTRIES // nodes.size)
+def _pair_integral(f: GaussianPolynomial, g: GaussianPolynomial, rate: float,
+                   p0: float, p1: float = 0.0) -> float:
+    """iint f(a) g(b) (p0 + p1 |a-b|^2) e^{-rate |a-b|^2} d^2a d^2b, exact up
+    to rounding.
+
+    The exponent is -(a, b) M (a, b)^T on the real and on the imaginary
+    parts alike, M = [[f.rate + rate, -rate], [-rate, g.rate + rate]]
+    = R diag(mu) R^T. In (u, v) = R^T (a, b), an orthogonal change of
+    variables, the integrand is e^{-mu_1 |u|^2 - mu_2 |v|^2} times a
+    polynomial of degree <= D = f.degree + g.degree + deg p in each of u,
+    conj(u), v and conj(v), which Quadrature2D(ceil((D + 1)/2), D + 1) at
+    radial scale 1/mu_i integrates exactly (as phasespace.exact_rule argues).
+    The product rule is summed one block of u nodes at a time.
+    """
+    degree = f.degree + g.degree + (p1 != 0.0)
+    mu, rot = np.linalg.eigh([[f.rate + rate, -rate], [-rate, g.rate + rate]])
+    if not mu[0] > 0.0:
+        raise ValueError("the pair integrand does not decay in every direction")
+    rule = Quadrature2D(degree // 2 + 1, degree + 1)
+    (u, w_u), (v, w_v) = (rule.nodes_weights(1.0 / m) for m in mu)
+    step = max(1, PAIR_BLOCK_ENTRIES // v.size)
     total = 0.0
-    for i in range(0, nodes.size, step):
-        d = np.abs(nodes[i:i + step, None] - nodes[None, :]) ** 2
-        total += va[i:i + step] @ (weight_fn(d) @ vb)
+    for i in range(0, u.size, step):
+        a = rot[0, 0] * u[i:i + step, None] + rot[0, 1] * v
+        b = rot[1, 0] * u[i:i + step, None] + rot[1, 1] * v
+        d = np.abs(a - b) ** 2
+        total += w_u[i:i + step] @ (f.values(a) * g.values(b) * (p0 + p1 * d)
+                                     * np.exp(-rate * d) @ w_v)
     return float(total)
 
 
-def husimi_pair_check(husimi_rho, husimi_sigma, transmissivity: float,
-                      state_id: str = "",
-                      quad: Quadrature2D = Quadrature2D(48, 64)) -> CheckReport:
+def _order_pair_integral(f: GaussianPolynomial, g: GaussianPolynomial, r_t: float,
+                         t: float) -> float:
+    """iint f(a) g(b) (4(2|a-b|^2 + rt) + 2T rt^2)/(T rt + 2)^3
+    e^{-2T|a-b|^2/(2 + rt T)}: -d Tr[rho_T sigma_T]/dT for the
+    quasiprobabilities of orders r and r' of rho and sigma, rt = r + r' - 2."""
+    e = 2.0 + r_t * t
+    return _pair_integral(f, g, 2.0 * t / e, (4.0 * r_t + 2.0 * t * r_t ** 2) / e ** 3,
+                          8.0 / e ** 3)
+
+
+def husimi_pair_check(husimi_rho: GaussianPolynomial, husimi_sigma: GaussianPolynomial,
+                      transmissivity: float, state_id: str = "") -> CheckReport:
     """For Husimi functions of states and T < 1/2, the derivative-of-overlap
     double integral is nonpositive; a positive value certifies that one of
     the inputs is not the Husimi function of any state.
+
+    Its integrand is minus the order-pair one at r = r' = -1.
     """
     t = float(transmissivity)
     if t >= 0.5 or abs(t - 0.5) < BALANCED_EXCLUSION:
         raise ValueError("prefactor is singular at T = 1/2; stay below the "
                          f"excluded band |T - 1/2| < {BALANCED_EXCLUSION}")
-    lam = 1.0 - 2.0 * t
-
-    def weight(d):
-        return (2.0 / lam - d / lam ** 2) * np.exp(-t * d / lam)
-
-    # radial scale 2: full order for integrands that decay like exp(-|alpha|^2 / 2)
-    value = _pair_quadrature(husimi_rho, husimi_sigma, weight, quad, 2.0) / lam
+    value = -_order_pair_integral(husimi_rho, husimi_sigma, -4.0, t)
     return inequality_report(
-        "husimi_pair", state_id, {"T": t}, value, 0.0, 1e-6,
+        "husimi_pair", state_id, {"T": t}, value, 0.0, PAIR_SIGN_TOL,
         claim="(1/(1-2T)) iint Q_rho Q_sigma (2/(1-2T) - |a-b|^2/(1-2T)^2) "
               "e^(-T|a-b|^2/(1-2T)) <= 0 for states",
     )
 
 
 def husimi_pair_from_states(rho: DensityOperator, sigma: DensityOperator,
-                            transmissivity: float, state_id: str = "",
-                            quad: Quadrature2D = Quadrature2D(48, 64)) -> CheckReport:
+                            transmissivity: float, state_id: str = "") -> CheckReport:
     """husimi_pair_check on state-derived Husimi functions, cross-checked
     against the exact overlap derivative from the dark-port polynomial."""
     report = husimi_pair_check(husimi_of_state(rho), husimi_of_state(sigma),
-                               transmissivity, state_id=state_id, quad=quad)
+                               transmissivity, state_id=state_id)
     poly = overlap_polynomial(rho, sigma)
     exact = poly.derivative(transmissivity, order=1)
     deviation = abs(report.lhs - exact)
@@ -353,8 +286,7 @@ def husimi_pair_from_states(rho: DensityOperator, sigma: DensityOperator,
 
 def order_pair_overlap_check(rho: DensityOperator, sigma: DensityOperator,
                              r: float, r_prime: float, transmissivity: float,
-                             state_id: str = "",
-                             quad: Quadrature2D = Quadrature2D(48, 64)) -> CheckReport:
+                             state_id: str = "") -> CheckReport:
     """Generalized pair inequality at quasiprobability orders (r, r')."""
     t = float(transmissivity)
     r_t = r + r_prime - 2.0
@@ -365,14 +297,7 @@ def order_pair_overlap_check(rho: DensityOperator, sigma: DensityOperator,
     if 2.0 + r_t * t < 2.0 * BALANCED_EXCLUSION:
         raise ValueError("existence condition 2 + (r + r' - 2) T > 0 is too close "
                          "to singular")
-    scale = 1.0 - min(r, r_prime)
-
-    def weight(d):
-        return ((4.0 * (2.0 * d + r_t) + 2.0 * t * r_t ** 2) / (r_t * t + 2.0) ** 3
-                * np.exp(-2.0 * t * d / (2.0 + r_t * t)))
-
-    value = _pair_quadrature(lambda a: quasi_prob(rho, a, r),
-                             lambda a: quasi_prob(sigma, a, r_prime), weight, quad, scale)
+    value = _order_pair_integral(_quasi(rho, r), _quasi(sigma, r_prime), r_t, t)
     return inequality_report(
         "order_pair_overlap", state_id, {"T": t, "r": r, "r_prime": r_prime},
         0.0, value, PAIR_SIGN_TOL,
@@ -383,24 +308,17 @@ def order_pair_overlap_check(rho: DensityOperator, sigma: DensityOperator,
 
 def order_pair_overlap_identity(rho: DensityOperator, sigma: DensityOperator,
                                 r: float, r_prime: float, transmissivity: float,
-                                state_id: str = "",
-                                quad: Quadrature2D = Quadrature2D(48, 64)) -> CheckReport:
+                                state_id: str = "") -> CheckReport:
     """(2/(2 + rt T)) iint P_rho(a,r) P_sigma(b,r') e^(-2T|a-b|^2/(2+rt T))
     reproduces Tr[rho_T sigma_T]; regular orders r, r' <= -1 only."""
     t = float(transmissivity)
     r_t = r + r_prime - 2.0
     if r > -1.0 or r_prime > -1.0:
         raise ValueError("the direct integral needs regular orders r, r' <= -1")
-    if 2.0 + r_t * t < 2.0 * BALANCED_EXCLUSION:
+    e = 2.0 + r_t * t
+    if e < 2.0 * BALANCED_EXCLUSION:
         raise ValueError("too close to the singular existence boundary")
-    scale = 1.0 - min(r, r_prime)
-
-    def weight(d):
-        return np.exp(-2.0 * t * d / (2.0 + r_t * t))
-
-    value = (2.0 / (2.0 + r_t * t)
-             * _pair_quadrature(lambda a: quasi_prob(rho, a, r),
-                                lambda a: quasi_prob(sigma, a, r_prime), weight, quad, scale))
+    value = 2.0 / e * _pair_integral(_quasi(rho, r), _quasi(sigma, r_prime), 2.0 * t / e, 1.0)
     exact = lossy_overlap(rho, sigma, t)
     return equality_report(
         "order_pair_identity", state_id, {"T": t, "r": r, "r_prime": r_prime},

@@ -13,7 +13,7 @@ from scipy.ndimage import convolve1d
 from scipy.special import eval_genlaguerre, gammaln, hyp2f1
 
 from lossylab.conjectures import MEAN_N_FLOOR
-from lossylab.fock import DensityOperator, PureState, random_mixed, random_pure
+from lossylab.fock import DensityOperator, PureState, make_fock, random_mixed, random_pure
 from lossylab.loss import _binomial_table, _t_blocks, apply_loss, loss_path
 from lossylab.phasespace import QuasiProbGrid, char_fn, quasi_prob
 from lossylab.purity import purity
@@ -583,6 +583,36 @@ def squeezed_dark_populations_fixture():
 @pytest.fixture(name="squeezed_purity_lambda", scope="session")
 def squeezed_purity_lambda_fixture():
     return squeezed_purity_lambda
+
+
+def thermal_state(nbar: float, cutoff: int) -> DensityOperator:
+    """Truncated thermal state, renormalized on the ladder."""
+    if nbar < 0:
+        raise ValueError("mean occupation must be nonnegative")
+    if nbar == 0:
+        return make_fock(0, cutoff).density()
+    n = np.arange(cutoff, dtype=float)
+    pops = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
+    pops = pops / pops.sum()
+    return DensityOperator(np.diag(pops).astype(complex), cutoff)
+
+
+def thermal_pair_integral(nbar: float, transmissivity: float, k: int) -> float:
+    """iint P(a) P(b) |a-b|^(2k) e^(-T|a-b|^2) for the thermal state of mean
+    nbar, whose P density is the Gaussian e^(-|a|^2/nbar) / (pi nbar):
+    k! (2 nbar)^k / (1 + 2 nbar T)^(k+1), which is (-1)^k d^k P/dT^k."""
+    return (math.factorial(k) * (2.0 * nbar) ** k
+            / (1.0 + 2.0 * nbar * transmissivity) ** (k + 1))
+
+
+def coherent_mixture_pair_integral(weights, alphas, transmissivity: float, k: int) -> float:
+    """The same pair integral for sum_i w_i |alpha_i><alpha_i|, whose P
+    density is sum_i w_i delta(a - alpha_i): sum_ij w_i w_j d_ij^k
+    e^(-T d_ij), d_ij = |alpha_i - alpha_j|^2."""
+    w = np.asarray(weights)
+    al = np.asarray(alphas, dtype=complex)
+    d = np.abs(al[:, None] - al[None, :]) ** 2
+    return float(w @ (d ** k * np.exp(-transmissivity * d)) @ w)
 
 
 def thermal_dark_populations(nbar: float, size: int) -> np.ndarray:

@@ -561,6 +561,19 @@ def test_a_negative_grid_start_reads_the_same_as_one_or_two_words(argv, grid, co
     assert code or two_words.read_bytes() == one_word.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("conjecture", "--name", "unfairness", "--states", "fock:1"),
+    ("verify", "--states", "random:3:12", "--seed", "5"),
+])
+@pytest.mark.parametrize("flag", ["--g", "--gr", "--gri"])
+def test_an_abbreviated_grid_flag_takes_a_negative_start(argv, flag, tmp_path, capsys):
+    full, short = tmp_path / "full.csv", tmp_path / "short.csv"
+    code = run(*argv, "--grid=-1:1:21", "--out", str(full))
+    assert run(*argv, flag, "-1:1:21", "--out", str(short)) == code
+    assert full.exists() == short.exists() == (code == 0)
+    assert code or full.read_bytes() == short.read_bytes()
+
+
 def test_malformed_arguments_exit_two(capsys):
     assert run("sweep", "--states", "fock:1", "--grid", "0:1") == 2
     assert run("sweep", "--states", "fock:1", "--grid", "0:1:0") == 2

@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from conftest import mode_operators
+from conftest import mode_operators, thermal_state
 from lossylab import fock
 from lossylab.fock import (DensityOperator, PureState, _validate_stack,
                            block_indices, displacement_matrix, ladder_start,
                            ladder_traces, laguerre_ladder, lowered, lowering_trace,
                            make_coherent, make_fock, product_traces,
                            make_squeezed_vacuum, random_mixed, random_pure,
-                           splitter_blocks, thermal_state)
+                           splitter_blocks)
 
 
 def test_pure_state_normalizes_and_records_tail():

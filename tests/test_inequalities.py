@@ -5,21 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fock_hypergeometric_identity, mode_operators
-from lossylab.fock import lowered, make_coherent, make_fock, random_mixed, random_pure
+from conftest import (coherent_mixture_pair_integral, fock_hypergeometric_identity,
+                      mode_operators, thermal_pair_integral, thermal_state)
+from lossylab.fock import (DensityOperator, lowered, make_coherent, make_fock, random_mixed,
+                           random_pure)
 from lossylab.loss import apply_loss
-from lossylab.phasespace import Quadrature2D
-from lossylab.purity import StateRecord, purity_polynomial
-from lossylab.inequalities import (CoherentMixture, ThermalPState,
-                                   bernstein_check, cauchy_schwarz_ladder,
-                                   _form_terms, _pair_quadrature, husimi_of_state,
+from lossylab.purity import StateRecord, overlap_polynomial, purity_polynomial
+from lossylab.inequalities import (bernstein_check, cauchy_schwarz_ladder,
+                                   _form_terms, husimi_of_state,
                                    husimi_pair_check,
                                    husimi_pair_from_states,
                                    isotropic_gaussian, ladder_loss_inequality,
                                    number_purity_monotonicity,
                                    order_pair_overlap_check,
                                    order_pair_overlap_identity,
-                                   phase_space_derivative_check,
                                    pure_number_ratio_inequality,
                                    pure_second_order_inequality,
                                    second_derivative_forms,
@@ -111,35 +110,31 @@ def test_form_terms_match_dense_oracle_on_a_padded_ladder(cutoff):
 
 
 def test_phase_space_derivative_closed_families():
-    mix = CoherentMixture((0.6, 0.4), (0.8, -0.5 + 0.4j), cutoff=16)
+    # the pair integral of the P densities weighted by |a - b|^(2k) equals
+    # (-1)^k d^k P/dT^k, for two families whose P density is regular
+    weights, alphas = (0.6, 0.4), (0.8, -0.5 + 0.4j)
+    vecs = [make_coherent(al, 16).amplitudes for al in alphas]
+    mix = purity_polynomial(DensityOperator(
+        sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs)), 16))
     for t in (0.2, 0.45):
         for k in (0, 1, 2):
-            rep = phase_space_derivative_check(mix, t, k)
-            assert rep.passed, (t, k, rep.margin)
-            assert abs(rep.lhs - rep.rhs) < 1e-8
+            direct = coherent_mixture_pair_integral(weights, alphas, t, k)
+            assert abs(direct - (-1.0) ** k * mix.derivative(t, k)) < 1e-8, (t, k)
 
-    th = ThermalPState(0.4, cutoff=20)
+    thermal = purity_polynomial(thermal_state(0.4, 20))
     for t in (0.1, 0.35):
         for k in (0, 1, 2):
-            rep = phase_space_derivative_check(th, t, k)
-            assert rep.passed, (t, k, rep.margin)
-            assert abs(rep.lhs - rep.rhs) < 1e-8
-
-    # a mixed input past T = 1/2 has no sign claim for odd orders
-    with pytest.raises(ValueError):
-        phase_space_derivative_check(random_mixed(2, 6, rank=2), 0.7, 1)
+            direct = thermal_pair_integral(0.4, t, k)
+            assert abs(direct - (-1.0) ** k * thermal.derivative(t, k)) < 1e-8, (t, k)
 
 
 def test_phase_space_derivative_pure_pattern():
-    psi = random_pure(12, 7)
-    rho1 = psi.density()
-    rep_low = phase_space_derivative_check(rho1, 0.3, 1)
-    rep_high = phase_space_derivative_check(rho1, 0.7, 1)
-    assert rep_low.passed and rep_high.passed
+    poly = purity_polynomial(random_pure(12, 7).density())
+    low, high = poly.derivative(0.3, 1), poly.derivative(0.7, 1)
+    assert low <= 0.0 <= high
     # first derivative of purity is antisymmetric about T = 1/2 for pure input
-    assert rep_low.rhs == pytest.approx(-rep_high.rhs, abs=1e-10)
-    even = phase_space_derivative_check(rho1, 0.8, 2)
-    assert even.passed and even.rhs >= -1e-10
+    assert low == pytest.approx(-high, abs=1e-10)
+    assert poly.derivative(0.8, 2) >= 0.0
 
 
 def test_husimi_gaussian_pair_closed_form():
@@ -152,11 +147,13 @@ def test_husimi_gaussian_pair_closed_form():
         b = g + t / lam
         return g * (2.0 * g - 1.0) / (lam * b) ** 2
 
+    # the rule, 1:2 nodes per variable, is exact near T = 1/2 too
     cases = [(1.0, 1.0, 0.1), (1.0, 0.5, 0.3), (0.5, 0.5, 0.2),
-             (2.0, 1.0, 0.3), (2.0, 2.0, 0.4)]
+             (2.0, 1.0, 0.3), (2.0, 2.0, 0.4),
+             (1.0, 0.5, 0.45), (2.0, 1.0, 0.48), (4.0, 1.5, 0.47)]
     for c, cp, t in cases:
         rep = husimi_pair_check(isotropic_gaussian(c), isotropic_gaussian(cp), t)
-        assert rep.lhs == pytest.approx(exact(c, cp, t), abs=1e-6)
+        assert rep.lhs == pytest.approx(exact(c, cp, t), rel=1e-12, abs=1e-12)
 
     # vacuum pair sits exactly on the boundary
     vac_pair = husimi_pair_check(isotropic_gaussian(1.0), isotropic_gaussian(1.0), 0.2)
@@ -170,6 +167,8 @@ def test_husimi_gaussian_pair_closed_form():
 
     with pytest.raises(ValueError):
         husimi_pair_check(isotropic_gaussian(1.0), isotropic_gaussian(1.0), 0.49)
+    with pytest.raises(ValueError):
+        husimi_pair_check(isotropic_gaussian(-2.0), isotropic_gaussian(1.0), 0.3)
 
 
 def test_husimi_pair_matches_thermal_derivative():
@@ -189,17 +188,25 @@ def test_husimi_pair_from_states():
     assert rep.passed
     assert rep.lhs == pytest.approx(-0.861094706469, abs=1e-6)
     assert rep.params["exact_derivative"] == pytest.approx(rep.lhs, abs=1e-4)
+    coherent = make_coherent(1.0, 12).density()
+    rep = husimi_pair_from_states(coherent, coherent, 0.47)
+    assert rep.passed
+    assert abs(rep.lhs - overlap_polynomial(coherent, coherent).derivative(0.47, 1)) < 1e-10
 
 
 def test_order_pair_overlap_check():
-    quad = Quadrature2D(32, 48)
     rho = random_mixed(3, 6, rank=2)
     sig = random_mixed(9, 6, rank=2)
     # the integral value is -dO/dT, independent of the order split
     for r, rp in ((-1.0, -1.0), (-0.5, -1.5), (0.0, -2.0)):
-        rep = order_pair_overlap_check(rho, sig, r, rp, 0.3, quad=quad)
+        rep = order_pair_overlap_check(rho, sig, r, rp, 0.3)
         assert rep.passed, (r, rp, rep.margin)
         assert rep.rhs == pytest.approx(0.861094706469, abs=1e-4)
+    # exact near T = 1/2 too, for orders of either sign
+    slope = overlap_polynomial(rho, sig).derivative(0.48, 1)
+    for r, rp in ((-0.5, -1.5), (0.5, -0.5)):
+        rep = order_pair_overlap_check(rho, sig, r, rp, 0.48)
+        assert rep.passed and abs(rep.rhs + slope) < 1e-10, (r, rp)
     with pytest.raises(ValueError):
         order_pair_overlap_check(rho, sig, -1.0, -1.0, 0.7)
     with pytest.raises(ValueError):
@@ -207,11 +214,10 @@ def test_order_pair_overlap_check():
 
 
 def test_order_pair_overlap_identity():
-    quad = Quadrature2D(32, 48)
     rho = random_mixed(3, 6, rank=2)
     sig = random_mixed(9, 6, rank=2)
     for r, rp in ((-1.0, -1.0), (-1.5, -2.0)):
-        rep = order_pair_overlap_identity(rho, sig, r, rp, 0.3, quad=quad)
+        rep = order_pair_overlap_identity(rho, sig, r, rp, 0.3)
         assert rep.passed, (r, rp, rep.margin)
         assert rep.rhs == pytest.approx(0.35941672931, abs=1e-9)
     with pytest.raises(ValueError):
@@ -221,48 +227,47 @@ def test_order_pair_overlap_identity():
         order_pair_overlap_identity(rho, sig, -1.0, -2.0, 0.4)
 
 
-def dense_pair_quadrature(f_rho, f_sigma, weight_fn, quad, radial_scale):
-    """The pair quadrature over the whole (N, N) matrix of |a - b|^2 at once."""
-    nodes, weights = quad.nodes_weights(radial_scale=radial_scale)
-    va = np.asarray(f_rho(nodes)) * weights
-    vb = np.asarray(f_sigma(nodes)) * weights
-    d = np.abs(nodes[:, None] - nodes[None, :]) ** 2
-    return float(va @ weight_fn(d) @ vb)
+# the pair rules are exact, so every pair check meets the exact overlap
+# derivative near T = 1/2 too, where a fixed rule misses the narrowing kernel
+@pytest.mark.parametrize("t", [0.45, 0.47, 0.48])
+def test_vacuum_husimi_pair_is_exactly_zero_near_balance(t):
+    vacuum = make_fock(0, 1).density()
+    for q in (isotropic_gaussian(1.0), husimi_of_state(vacuum)):
+        rep = husimi_pair_check(q, q, t)
+        assert rep.passed and abs(rep.lhs) < 1e-10, (t, rep.lhs)
 
 
-# (48, 64) sums 3072 nodes in blocks of 21 rows and a last one of 6;
-# (4, 3) sums its 12 nodes as one block
-@pytest.mark.parametrize("quad", [Quadrature2D(48, 64), Quadrature2D(4, 3)])
-def test_blocked_pair_quadrature_matches_the_dense_sum(quad):
-    rho, sigma = random_mixed(1, 6, 2), random_mixed(2, 6, 2)
-    cases = [(husimi_of_state(rho), husimi_of_state(sigma),
-              lambda d: (5.0 - 6.25 * d) * np.exp(-0.75 * d), 2.0),
-             (isotropic_gaussian(1.0), isotropic_gaussian(0.5),
-              lambda d: np.exp(-0.6 * d / 0.5), 2.5)]
-    for f_rho, f_sigma, weight, scale in cases:
-        dense = dense_pair_quadrature(f_rho, f_sigma, weight, quad, scale)
-        blocked = _pair_quadrature(f_rho, f_sigma, weight, quad, scale)
-        assert abs(blocked - dense) <= 1e-12 * max(1.0, abs(dense))
+@pytest.mark.parametrize("cutoff", [6, 8, 12, 16])
+def test_husimi_pair_from_states_is_exact_near_balance(cutoff):
+    rho, sigma = random_mixed(3, cutoff, 3), random_mixed(4, cutoff, 3)
+    poly = overlap_polynomial(rho, sigma)
+    for t in (0.3, 0.45, 0.47, 0.48):
+        rep = husimi_pair_from_states(rho, sigma, t)
+        assert rep.passed, (t, rep.margin)
+        assert abs(rep.lhs - poly.derivative(t, 1)) < 1e-10, t
 
 
 def test_pair_checks_memory_stays_within_blocks():
-    # the dense (3072, 3072) kernel and its weighted copy peaked at 288 MiB;
-    # the first run is untraced, so one-time caches stay out of the peak
-    rho, sigma = random_mixed(1, 6, 2), random_mixed(2, 6, 2)
+    # each block of the product rule holds at most PAIR_BLOCK_ENTRIES points;
+    # at cutoff 16 the whole 512 x 512 rule peaked at 35.5 MiB. The first run
+    # is untraced, so one-time caches stay out of the peak
+    pairs = [(random_mixed(1, 6, 2), random_mixed(2, 6, 2)),
+             (random_mixed(1, 16, 2), random_mixed(2, 16, 2))]
 
-    def both():
+    def both(rho, sigma):
         return (husimi_pair_from_states(rho, sigma, 0.3),
                 order_pair_overlap_identity(rho, sigma, -1.0, -1.5, 0.3))
 
-    both()
-    tracemalloc.start()
-    try:
-        reports = both()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(rep.passed for rep in reports)
-    assert peak < 16 * 2 ** 20
+    for rho, sigma in pairs:
+        both(rho, sigma)
+        tracemalloc.start()
+        try:
+            reports = both(rho, sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(rep.passed for rep in reports)
+        assert peak < 16 * 2 ** 20, (rho.cutoff, peak)
 
 
 def test_bernstein_check():

@@ -11,10 +11,10 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from conftest import indefinite_convex_operator
+from conftest import indefinite_convex_operator, thermal_state
 from lossylab import fock
 from lossylab.fock import (DensityOperator, PureState, make_coherent, make_fock,
-                           make_squeezed_vacuum, random_mixed, random_pure, thermal_state)
+                           make_squeezed_vacuum, random_mixed, random_pure)
 from lossylab.loss import apply_loss, loss_path
 from lossylab.purity import (PurityPolynomial, StateRecord, lossy_overlap, min_purity_pure,
                              mutual_information_bs, overlap_polynomial,

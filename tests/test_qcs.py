@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import thermal_state
 from lossylab.fock import (make_coherent, make_fock, make_squeezed_vacuum,
-                           random_mixed, random_pure, thermal_state)
+                           random_mixed, random_pure)
 from lossylab.loss import apply_loss
 from lossylab.purity import purity_polynomial
 from lossylab.qcs import (qcs_commutator, qcs_lindblad, qcs_purity_rate,

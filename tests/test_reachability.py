@@ -35,9 +35,6 @@ AWAITING_SUITE = {
     ("inequalities", "isotropic_gaussian"): QUASIPROB_SUITE,
     ("inequalities", "order_pair_overlap_check"): QUASIPROB_SUITE,
     ("inequalities", "order_pair_overlap_identity"): QUASIPROB_SUITE,
-    ("inequalities", "phase_space_derivative_check"): QUASIPROB_SUITE,
-    ("inequalities", "CoherentMixture"): QUASIPROB_SUITE,
-    ("inequalities", "ThermalPState"): QUASIPROB_SUITE,
     ("purity", "overlap_polynomial"): SIMILARITY_SUITE,
     ("purity", "hs_overlap"): SIMILARITY_SUITE,
     ("purity", "lossy_overlap"): SIMILARITY_SUITE,
