@@ -38,9 +38,9 @@ from .fock import (DensityOperator, PureState, make_coherent, make_fock,
                    make_squeezed_vacuum, random_mixed, random_pure)
 from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
                            ladder_loss_inequality, number_purity_monotonicity,
-                           pure_number_ratio_inequality,
-                           pure_second_order_inequality,
-                           second_derivative_forms, transpose_trick_identity)
+                           pure_number_ratio_inequality, pure_second_order_inequality,
+                           second_derivative_forms, second_derivative_sign,
+                           transpose_trick_identity)
 from .loss import apply_loss, loss_blocks
 from .phasespace import (GridSpec, Quadrature2D, default_grid, exact_rule, laplace_purity,
                          overlap_from_quasi, quasi_prob_grid, write_grid_csv)
@@ -342,6 +342,7 @@ def _inequality_suite(record, t_grid, quad):
     yield number_purity_monotonicity(record, np.linspace(0.05, 1.0, 20))
     yield ladder_loss_inequality(record, 0.3)
     yield second_derivative_forms(record, 0.3)
+    yield second_derivative_sign(record, 0.3)
     if record.pure:
         yield transpose_trick_identity(record, 0.3)
         yield pure_number_ratio_inequality(record, 0.3)

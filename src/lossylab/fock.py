@@ -363,25 +363,23 @@ _balanced_prefix: list[np.ndarray] = []
 _prefix_lock = threading.Lock()
 
 
-def splitter_blocks(count: int, transmissivity: float):
-    """Blocks n = 0, ..., count - 1 of B(T) = exp(arccos(sqrt(T)) (a1 a2^dag - a1^dag a2))
-    over |k, n - k>, k = 0, ..., n: real, read-only, exact on any ladder that holds
-    n photons in each mode. With X1 = B a1^dag B^dag = sqrt(T) a1^dag + sqrt(1-T) a2^dag
-    and X2 = B a2^dag B^dag = sqrt(T) a2^dag - sqrt(1-T) a1^dag, column K of block n is
+def splitter_blocks(count: int):
+    """Blocks n = 0, ..., count - 1 of the balanced splitter
+    B = exp(pi/4 (a1 a2^dag - a1^dag a2)) over |k, n - k>, k = 0, ..., n: real,
+    read-only, exact on any ladder that holds n photons in each mode. With
+    X1 = B a1^dag B^dag = (a1^dag + a2^dag)/sqrt(2) and
+    X2 = B a2^dag B^dag = (a2^dag - a1^dag)/sqrt(2), column K of block n is
     [sqrt(K) X1 (column K-1) + sqrt(n-K) X2 (column K)] / n of block n - 1; either
     term alone is unstable (error 5e-3 at n = 100).
 
-    At T = 1/2 the blocks kept so far come first, and the recurrence goes on
-    from the last of them, keeping each new block while the kept ones hold
-    at most BALANCED_ENTRIES entries."""
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError("transmissivity must lie in [0, 1]")
-    keep = transmissivity == 0.5
-    kept = _balanced_prefix if keep else []
+    The blocks kept so far come first, and the recurrence goes on from the
+    last of them, keeping each new block while the kept ones hold at most
+    BALANCED_ENTRIES entries."""
+    kept = _balanced_prefix
     head = kept[:count]
     yield from head
     root = np.sqrt(np.arange(count + 1.0))
-    t_root, r_root = np.sqrt(transmissivity) * root, np.sqrt(1.0 - transmissivity) * root
+    half = np.sqrt(0.5) * root
     block = head[-1] if head else np.ones((1, 1))
     for n in range(len(head), count):
         if n:
@@ -390,12 +388,12 @@ def splitter_blocks(count: int, transmissivity: float):
             # sqrt(K) times column K - 1, and sqrt(n - K) times column K
             left, right = pad[:, :-1] * root[: n + 1], pad[:, 1:] * root[n::-1]
             # a1^dag takes row j - 1 to row j with sqrt(j); a2^dag keeps row j with sqrt(n - j)
-            block = (t_root[: n + 1, None] * left[:-1] + r_root[n::-1, None] * left[1:]
-                     + t_root[n::-1, None] * right[1:] - r_root[: n + 1, None] * right[:-1])
+            block = (half[: n + 1, None] * left[:-1] + half[n::-1, None] * left[1:]
+                     + half[n::-1, None] * right[1:] - half[: n + 1, None] * right[:-1])
             block /= n
         block = _readonly(block)
         # blocks 0, ..., n hold (n + 1)(n + 2)(2n + 3) / 6 entries
-        if keep and n == len(kept) and (n + 1) * (n + 2) * (2 * n + 3) // 6 <= BALANCED_ENTRIES:
+        if n == len(kept) and (n + 1) * (n + 2) * (2 * n + 3) // 6 <= BALANCED_ENTRIES:
             with _prefix_lock:  # another walk may have kept block n since
                 if n == len(kept):
                     kept.append(block)

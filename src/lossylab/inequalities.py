@@ -1,14 +1,14 @@
 """Verifiers for the ladder-operator, phase-space, and monotonicity
 inequalities that the loss-channel structure implies.
 
-Each operation returns a CheckReport whose margin is nonnegative when the
-claim holds. Claims that only hold for restricted T ranges or pure inputs
-enforce those preconditions. The eight verifiers ``verify`` runs take one
+Each operation returns a CheckReport that passes (margin >= -tolerance)
+when the claim holds. Claims that only hold for restricted T ranges or pure
+inputs enforce those preconditions. The nine verifiers ``verify`` runs take one
 state's StateRecord, read rho1, P and rho_T from it, and take their report
-kind, tolerance and claim from its ``reports.CHECKS`` row; the pure-only
-ones refuse a mixed record. The pair checks, which no suite runs yet, take
-density operators and carry their own tolerances; each integrates on one
-product rule that is exact for its inputs (_pair_integral).
+kind, tolerance and claim from its ``reports.CHECKS`` row; the restricted
+ones refuse a record or a T outside their claim. The pair checks, which no
+suite runs yet, take density operators and carry their own tolerances; each
+integrates on one product rule that is exact for its inputs (_pair_integral).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .fock import DensityOperator, ladder_traces, lowered, lowering_trace, product_traces
 from .phasespace import Quadrature2D, quasi_prob
 from .purity import PurityPolynomial, StateRecord, lossy_overlap, overlap_polynomial
-from .reports import CHECKS, CheckReport, check_report, equality_report, inequality_report
+from .reports import CheckReport, check_report, equality_report, inequality_report
 
 QUAD_TOL = 1e-10
 PAIR_SIGN_TOL = 1e-10
@@ -33,6 +33,9 @@ BERNSTEIN_ORDER = 4
 # product-rule points per block of u nodes: bounds each block's a, b and
 # |a - b|^2 at 1 MiB, whatever the size of the rule
 PAIR_BLOCK_ENTRIES = 2 ** 16
+# points of the largest product rule a pair integral may sum: a Husimi pair
+# on c levels takes 4 c^4, so cutoff 32 is the largest admitted
+PAIR_RULE_POINTS = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +125,17 @@ def _form_terms(rho_t: DensityOperator):
     }
 
 
+def _form_one(f_t: dict, t: float) -> float:
+    """Form one of d^2 P/dT^2 from the form terms of rho_T; it holds for any input."""
+    return 2.0 / t ** 2 * (-f_t["n_rho2"] + 2.0 * f_t["low_sq"] + f_t["nrho_sq"]
+                           - 4.0 * f_t["cross"] + f_t["low_high"])
+
+
 def second_derivative_forms(record: StateRecord, transmissivity: float) -> CheckReport:
-    """Evaluate the operator forms of d^2 P / dT^2 and cross-check them.
+    """The operator forms of d^2 P / dT^2 against the exact polynomial one.
 
     Form one holds for any input; the two split forms additionally use the
-    pure-input transpose trick. All available forms must agree with the
-    exact polynomial second derivative; the sign claim (nonnegative) applies
-    to pure inputs at every T and to mixed inputs at T <= 1/2.
+    pure-input transpose trick. lhs is the form farthest from P''(T).
     """
     t = float(transmissivity)
     if not 0.0 < t < 1.0:
@@ -138,9 +145,7 @@ def second_derivative_forms(record: StateRecord, transmissivity: float) -> Check
 
     lossy = record.lossy([t, 1.0 - t] if pure else [t])
     f_t = _form_terms(lossy[0])
-    form_one = 2.0 / t ** 2 * (-f_t["n_rho2"] + 2.0 * f_t["low_sq"] + f_t["nrho_sq"]
-                               - 4.0 * f_t["cross"] + f_t["low_high"])
-    values = [form_one]
+    values = [_form_one(f_t, t)]
     if pure:
         f_r = _form_terms(lossy[1])
         form_two = (2.0 / t ** 2 * (f_t["low_sq"] + f_t["low_high"] - 2.0 * f_t["cross"])
@@ -151,21 +156,21 @@ def second_derivative_forms(record: StateRecord, transmissivity: float) -> Check
                       + 2.0 / (1.0 - t) ** 2 * (-f_r["n_rho2"] + f_r["low_sq"]
                                                 + f_r["nrho_sq"] - 2.0 * f_r["cross"]))
         values += [form_two, form_three]
+    farthest = max(values, key=lambda v: abs(v - poly_value))
+    return check_report("second_derivative_forms", record.state_id,
+                        {"T": t, "forms": len(values), "pure": pure}, farthest, poly_value)
 
-    deviation = max(abs(v - poly_value) for v in values)
-    sign_claim = pure or t <= 0.5
-    sign_margin = form_one if sign_claim else np.inf
-    _, tolerance, claim = CHECKS["second_derivative_forms"]
-    return CheckReport(
-        check_name="second_derivative_forms",
-        state_id=record.state_id,
-        params={"T": t, "forms": len(values), "pure": pure},
-        lhs=form_one,
-        rhs=poly_value,
-        margin=float(min(tolerance - deviation, sign_margin)),
-        tolerance=tolerance,
-        claim=claim,
-    )
+
+def second_derivative_sign(record: StateRecord, transmissivity: float) -> CheckReport:
+    """0 <= form one of d^2 P / dT^2, for pure inputs at every T and for mixed
+    inputs at T <= 1/2."""
+    t = float(transmissivity)
+    if not 0.0 < t < 1.0:
+        raise ValueError("the derivative forms need T strictly inside (0, 1)")
+    if not (record.pure or t <= 0.5):
+        raise ValueError("the sign of d2P/dT2 is claimed for mixed inputs only at T <= 1/2")
+    form_one = _form_one(_form_terms(record.lossy([t])[0]), t)
+    return check_report("second_derivative_sign", record.state_id, {"T": t}, 0.0, form_one)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +218,14 @@ def _pair_integral(f: GaussianPolynomial, g: GaussianPolynomial, rate: float,
     polynomial of degree <= D = f.degree + g.degree + deg p in each of u,
     conj(u), v and conj(v), which Quadrature2D(ceil((D + 1)/2), D + 1) at
     radial scale 1/mu_i integrates exactly (as phasespace.exact_rule argues).
-    The product rule is summed one block of u nodes at a time.
+    The product rule is summed one block of u nodes at a time; a rule of more
+    than PAIR_RULE_POINTS points is refused before it is built.
     """
     degree = f.degree + g.degree + (p1 != 0.0)
+    points = ((degree // 2 + 1) * (degree + 1)) ** 2
+    if points > PAIR_RULE_POINTS:
+        raise ValueError(f"the exact pair rule needs {points} points, above the budget "
+                         f"of {PAIR_RULE_POINTS}")
     mu, rot = np.linalg.eigh([[f.rate + rate, -rate], [-rate, g.rate + rate]])
     if not mu[0] > 0.0:
         raise ValueError("the pair integrand does not decay in every direction")
@@ -264,24 +274,13 @@ def husimi_pair_check(husimi_rho: GaussianPolynomial, husimi_sigma: GaussianPoly
 
 def husimi_pair_from_states(rho: DensityOperator, sigma: DensityOperator,
                             transmissivity: float, state_id: str = "") -> CheckReport:
-    """husimi_pair_check on state-derived Husimi functions, cross-checked
-    against the exact overlap derivative from the dark-port polynomial."""
-    report = husimi_pair_check(husimi_of_state(rho), husimi_of_state(sigma),
-                               transmissivity, state_id=state_id)
-    poly = overlap_polynomial(rho, sigma)
-    exact = poly.derivative(transmissivity, order=1)
-    deviation = abs(report.lhs - exact)
-    margin = min(report.margin, QUAD_TOL - deviation)
-    return CheckReport(
-        check_name="husimi_pair_states",
-        state_id=state_id,
-        params={"T": float(transmissivity), "exact_derivative": exact},
-        lhs=report.lhs,
-        rhs=0.0,
-        margin=float(margin),
-        tolerance=QUAD_TOL,
-        claim="pair integral equals d Tr[rho_T sigma_T]/dT and is <= 0",
-    )
+    """husimi_pair_check's integral on state-derived Husimi functions against
+    the exact overlap derivative from the dark-port polynomial."""
+    t = float(transmissivity)
+    value = husimi_pair_check(husimi_of_state(rho), husimi_of_state(sigma), t).lhs
+    exact = overlap_polynomial(rho, sigma).derivative(t, order=1)
+    return equality_report("husimi_pair_states", state_id, {"T": t}, value, exact, QUAD_TOL,
+                           claim="pair integral equals d Tr[rho_T sigma_T]/dT")
 
 
 def order_pair_overlap_check(rho: DensityOperator, sigma: DensityOperator,

@@ -126,7 +126,7 @@ def pair_dark_populations(rho: DensityOperator, sigma: DensityOperator) -> np.nd
     # sigma[n - k, n - l] = flipped[k + s, l + s] with s = cs - 1 - n
     flipped = sigma.matrix[::-1, ::-1]
     pops = np.zeros(cr + cs - 1)
-    for n, block in enumerate(splitter_blocks(pops.size, 0.5)):
+    for n, block in enumerate(splitter_blocks(pops.size)):
         ks = block_indices(n, cr, cs)
         k, j = slice(ks.start, ks.stop), slice(ks.start + cs - 1 - n, ks.stop + cs - 1 - n)
         pair = (rho.matrix[k, k] * flipped[j, j]).real

@@ -45,8 +45,7 @@ def equality_report(check_name, state_id, params, lhs, rhs, tolerance, claim="")
 
 
 # the report kind, tolerance and claim of every check `verify` writes, keyed
-# by its CSV check_name; a row of kind None weighs more than lhs against rhs,
-# so its verifier builds its own margin from the row's tolerance
+# by its CSV check_name
 CHECKS = {
     "dark_coefficients": (inequality_report, 1e-10, "dark-port coefficients are nonnegative"),
     "purity_convexity": (inequality_report, 1e-9, "P'' >= 0 on the applicable grid"),
@@ -73,8 +72,10 @@ CHECKS = {
                         "Tr[a rho_T a^dag rho_T] = Tr[N rho_{1-T}^2] T/(1-T)"),
     "pure_second_order": (inequality_report, 1e-10,
                           "4Re<a^dag a^2><a^dag> - |<a^2>|^2 <= 2<N>^2 - <N> + <N^2>"),
-    "second_derivative_forms": (None, 1e-9, "operator forms of d2P/dT2 agree; nonnegative "
-                                "for pure (all T) and mixed (T <= 1/2) inputs"),
+    "second_derivative_forms": (equality_report, 1e-9,
+                                "operator forms of d2P/dT2 agree with the exact polynomial"),
+    "second_derivative_sign": (inequality_report, 1e-9, "d2P/dT2 >= 0 for pure (all T) and "
+                               "mixed (T <= 1/2) inputs"),
     "bernstein_monotonic": (inequality_report, 1e-9, "(T^2 d/dT)^k (T purity) >= 0 on (0, 1], "
                             "complete monotonicity in 1/T"),
     "number_purity_monotonicity": (inequality_report, 1e-10,

@@ -575,6 +575,16 @@ def squeezed_purity_lambda(r: float, lam, order: int = 0):
                    a * (1.0 + 2.0 * a * lam ** 2) * base ** -2.5)[order]
 
 
+def squeezed_qcs_squared(r: float, transmissivity: float) -> float:
+    """C_T^2 of the squeezed vacuum after loss: it stays Gaussian, with
+    covariance V_T = T V + (1 - T) I/2, and C^2 = Tr(V_T^-1)/4, that is
+    (1/2)[1/(1 + T(e^2r - 1)) + 1/(1 - T(1 - e^-2r))]; exactly 1 at T = 1/2
+    for every r, above 1 for every T > 1/2 and r > 0."""
+    t = float(transmissivity)
+    return 0.5 * (1.0 / (1.0 + t * math.expm1(2.0 * r))
+                  + 1.0 / (1.0 + t * math.expm1(-2.0 * r)))
+
+
 @pytest.fixture(name="squeezed_dark_populations", scope="session")
 def squeezed_dark_populations_fixture():
     return squeezed_dark_populations

@@ -21,7 +21,7 @@ from lossylab.inequalities import (bernstein_check, cauchy_schwarz_ladder,
                                    number_purity_monotonicity,
                                    pure_number_ratio_inequality,
                                    pure_second_order_inequality,
-                                   second_derivative_forms,
+                                   second_derivative_forms, second_derivative_sign,
                                    transpose_trick_identity)
 from lossylab.loss import apply_loss
 from lossylab.phasespace import (GridSpec, Quadrature2D, laplace_purity,
@@ -181,12 +181,16 @@ def test_criterion_08_moment_inequality_family():
         rho1 = random_mixed(3100 + j, 4 + (j % 5), rank=2 + (j % 3))
         ok &= cauchy_schwarz_ladder(StateRecord("", rho1)).passed
         ok &= ladder_loss_inequality(StateRecord("", rho1), 0.3).passed
-        ok &= second_derivative_forms(StateRecord("", rho1), 0.3).passed
+        record = StateRecord("", rho1)
+        ok &= second_derivative_forms(record, 0.3).passed
+        ok &= second_derivative_sign(record, 0.3).passed
     for j in range(60):
         psi = random_pure(3300 + j, 4 + (j % 6))
         ok &= pure_number_ratio_inequality(StateRecord("", psi), 0.3).passed
         ok &= pure_second_order_inequality(StateRecord("", psi)).passed
-        ok &= second_derivative_forms(StateRecord("", psi), 0.62).passed
+        record = StateRecord("", psi)
+        ok &= second_derivative_forms(record, 0.62).passed
+        ok &= second_derivative_sign(record, 0.62).passed
         rep = transpose_trick_identity(StateRecord("", psi), 0.3)
         ok &= rep.passed and abs(rep.lhs - rep.rhs) <= 1e-10
     coh = pure_second_order_inequality(StateRecord("", make_coherent(1.0, 26)))

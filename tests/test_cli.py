@@ -140,7 +140,7 @@ def test_file_vector_runs_the_pure_state_checks(tmp_path, capsys):
     common = ("--quadrature", "40:64")
     from_file = verify_rows(tmp_path, "--states", f"file:{path}", *common)
     built = verify_rows(tmp_path, "--states", "random:1:8:0", "--seed", "7", *common)
-    assert len(from_file) == len(built) == 50
+    assert len(from_file) == len(built) == 51
     for a, b in zip(from_file, built):
         assert (a["check_name"], a["params"], a["pass"]) == (b["check_name"], b["params"],
                                                              b["pass"])

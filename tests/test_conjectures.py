@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lossylab import conjectures
+from lossylab.cli import parse_states
 from lossylab.conjectures import (bell_like_pair, dark_port_g2_scan,
                                   ell_log_convexity_corpus, fair_pair,
                                   log_convexity_corpus, separable_01_pair,
@@ -330,10 +331,42 @@ def test_scans_match_the_tilted_moment_oracle(scan, grid, moment_margin):
         assert abs(margin - ref) <= 1e-13 * max(1.0, abs(ref)), (sid, x, margin, ref)
 
 
-def test_log_convexity_is_four_times_the_witness():
+def _equivalence_corpus(tmp_path):
+    """Random, Fock and squeezed states, and one indefinite operator loaded
+    from a file with allow_nonpositive, whose log-convexity fails on most of
+    [0, 1]."""
+    path = tmp_path / "indefinite.npy"
+    np.save(path, np.diag([0.9, 0.3, -0.2]))
+    (_, indefinite), = parse_states(f"file:{path}", 0, True)
+    assert not indefinite.physical
+    physical = ORACLE_STATES + [("mixed:8", random_mixed(8, 8, 3)),
+                                ("fock:1", make_fock(1, 3).density()),
+                                ("fock:3", make_fock(3, 5).density())]
+    return physical, ("indefinite", indefinite)
+
+
+def test_log_convexity_is_four_times_the_witness(tmp_path):
+    # P P'' - P'^2 in T is 4 (P P_lamlam - P_lam^2) at lam = 1 - 2T, on the
+    # fair pair's q: row by row, and so with the same verdicts
+    physical, indefinite = _equivalence_corpus(tmp_path)
+    corpus = physical + [indefinite]
     t_grid = np.linspace(0.0, 1.0, 21)
-    log_rows = log_convexity_corpus(ORACLE_STATES, t_grid).rows
-    pairs = [(sid, fair_pair(rho)) for sid, rho in ORACLE_STATES]
+    log_rows = log_convexity_corpus(corpus, t_grid).rows
+    pairs = [(sid, fair_pair(rho)) for sid, rho in corpus]
     witness_rows = unfairness_scan(pairs, 1.0 - 2.0 * t_grid).rows
     assert [(sid, m) for sid, _, m in log_rows] == [
         (sid, 4.0 * m) for sid, _, m in witness_rows]
+    assert [m >= 0.0 for *_, m in log_rows] == [m >= 0.0 for *_, m in witness_rows]
+    assert any(m < 0.0 for sid, _, m in log_rows if sid == "indefinite")
+
+
+def test_dark_port_g2_agrees_in_sign_with_log_convexity(tmp_path):
+    # g2 - 1 is (P P_lamlam - P_lam^2) / P_lam^2, so on T in [0, 1/2], where
+    # it is defined, it has the sign of log-convexity; the scan takes states only
+    physical, _ = _equivalence_corpus(tmp_path)
+    t_grid = np.linspace(0.0, 0.5, 11)
+    log_margins = {(sid, t): m for sid, t, m in log_convexity_corpus(physical, t_grid).rows}
+    g2_rows = dark_port_g2_scan(physical, t_grid).rows
+    assert len(g2_rows) >= len(physical) * (t_grid.size - 1)  # T = 1/2 is undefined
+    for sid, t, margin in g2_rows:
+        assert np.sign(margin) == np.sign(log_margins[sid, t]), (sid, t, margin)

@@ -1,5 +1,6 @@
 """Moment inequalities, derivative forms, pair integrals, and Bernstein bounds."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from conftest import (coherent_mixture_pair_integral, fock_hypergeometric_identity,
                       mode_operators, thermal_pair_integral, thermal_state)
+from lossylab import inequalities
 from lossylab.fock import (DensityOperator, lowered, make_coherent, make_fock, random_mixed,
                            random_pure)
 from lossylab.loss import apply_loss
-from lossylab.purity import StateRecord, overlap_polynomial, purity_polynomial
+from lossylab.purity import PurityPolynomial, StateRecord, overlap_polynomial, purity_polynomial
 from lossylab.inequalities import (bernstein_check, cauchy_schwarz_ladder,
                                    _form_terms, husimi_of_state,
                                    husimi_pair_check,
@@ -21,7 +23,7 @@ from lossylab.inequalities import (bernstein_check, cauchy_schwarz_ladder,
                                    order_pair_overlap_identity,
                                    pure_number_ratio_inequality,
                                    pure_second_order_inequality,
-                                   second_derivative_forms,
+                                   second_derivative_forms, second_derivative_sign,
                                    transpose_trick_identity)
 
 
@@ -80,11 +82,47 @@ def test_second_derivative_forms():
     mixed = second_derivative_forms(StateRecord("", random_mixed(5, 7, rank=3)), 0.3)
     assert mixed.passed
     assert mixed.lhs == pytest.approx(3.73282364768, abs=1e-9)
+    assert mixed.margin == -abs(mixed.lhs - mixed.rhs)
 
     pure = second_derivative_forms(StateRecord("", random_pure(7, 7)), 0.62)
     assert pure.passed
     assert pure.lhs == pytest.approx(2.92763622907, abs=1e-9)
     assert pure.params["forms"] == 3
+
+
+def _shifted_second_derivative(record, shift):
+    # a c lambda^2 term moves P''(T) = 4 P_lambda_lambda by 8 c at every T
+    coefficients = record.poly.coefficients.copy()
+    coefficients[2] += shift / 8.0
+    record.poly = PurityPolynomial(coefficients)
+    return record
+
+
+@pytest.mark.parametrize("shift, passed", [(0.5e-9, True), (1.5e-9, False), (-1.5e-9, False)])
+def test_second_derivative_forms_fail_beyond_their_tolerance(shift, passed):
+    # the margin is minus the largest deviation, so a P'' off by more than
+    # the tolerance of 1e-9 fails, whatever the sign of form one
+    record = _shifted_second_derivative(StateRecord("", random_mixed(5, 7, rank=3)), shift)
+    rep = second_derivative_forms(record, 0.3)
+    assert rep.passed is passed, rep.margin
+    assert abs(rep.margin + abs(shift)) < 1e-13
+
+
+def test_second_derivative_sign(monkeypatch):
+    mixed = StateRecord("", random_mixed(5, 7, rank=3))
+    rep = second_derivative_sign(mixed, 0.3)
+    assert rep.passed and rep.lhs == 0.0
+    assert rep.rhs == rep.margin == pytest.approx(3.73282364768, abs=1e-9)
+    assert second_derivative_sign(StateRecord("", random_pure(7, 7)), 0.62).passed
+    # the sign is claimed for a mixed input only at T <= 1/2
+    with pytest.raises(ValueError):
+        second_derivative_sign(mixed, 0.6)
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            second_derivative_sign(mixed, t)
+    for form_one, passed in ((-0.5e-9, True), (-2e-9, False)):
+        monkeypatch.setattr(inequalities, "_form_one", lambda f_t, t: form_one)
+        assert second_derivative_sign(mixed, 0.3).passed is passed
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 8, 24])
@@ -187,11 +225,37 @@ def test_husimi_pair_from_states():
                                   random_mixed(9, 6, rank=2), 0.3)
     assert rep.passed
     assert rep.lhs == pytest.approx(-0.861094706469, abs=1e-6)
-    assert rep.params["exact_derivative"] == pytest.approx(rep.lhs, abs=1e-4)
+    assert rep.rhs == pytest.approx(rep.lhs, abs=1e-10)
     coherent = make_coherent(1.0, 12).density()
     rep = husimi_pair_from_states(coherent, coherent, 0.47)
     assert rep.passed
     assert abs(rep.lhs - overlap_polynomial(coherent, coherent).derivative(0.47, 1)) < 1e-10
+
+
+@pytest.mark.parametrize("shift, passed", [(0.5e-10, True), (1.5e-10, False)])
+def test_husimi_pair_from_states_fails_beyond_its_tolerance(shift, passed, monkeypatch):
+    # a c lambda term moves dO/dT by -2 c; the margin is minus the deviation
+    # from the pair integral, so an exact derivative off by more than the
+    # tolerance of 1e-10 fails, though the integral keeps its sign
+    rho, sigma = random_mixed(5, 7, rank=3), random_mixed(6, 7, rank=3)
+    coefficients = overlap_polynomial(rho, sigma).coefficients.copy()
+    coefficients[1] -= shift / 2.0
+    monkeypatch.setattr(inequalities, "overlap_polynomial",
+                        lambda *_: PurityPolynomial(coefficients))
+    rep = husimi_pair_from_states(rho, sigma, 0.3)
+    assert rep.lhs < 0.0
+    assert rep.passed is passed, rep.margin
+    assert abs(rep.margin + shift) < 1e-14
+
+
+def test_pair_rule_above_its_budget_is_refused_before_it_is_built():
+    # a Husimi pair on 40 levels needs (40 * 80)^2 points, over 2^22; the
+    # Husimi functions are lazy, so nothing is evaluated before the refusal
+    rho, sigma = random_mixed(1, 40, rank=2), random_mixed(2, 40, rank=2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"10240000 points, above the budget of 4194304"):
+        husimi_pair_from_states(rho, sigma, 0.3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_order_pair_overlap_check():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import thermal_state
+from conftest import squeezed_qcs_squared, thermal_state
 from lossylab.fock import (make_coherent, make_fock, make_squeezed_vacuum,
                            random_mixed, random_pure)
 from lossylab.loss import apply_loss
@@ -125,6 +125,42 @@ def test_exact_routes_at_large_photon_number(rho, c_squared):
     # tails hold at most ~1e-22 of the weight
     assert qcs_commutator(rho).c_squared == pytest.approx(c_squared, rel=1e-12)
     assert qcs_two_copy(rho).c_squared == pytest.approx(c_squared, rel=1e-12)
+
+
+@pytest.mark.parametrize("r, cutoff, tol", [(0.5, 60, 2e-15), (1.0, 120, 5e-13)])
+def test_four_routes_match_the_squeezed_vacuum_closed_form(r, cutoff, tol):
+    # the closed form is exactly 1 at T = 1/2 for every r: the 50 % threshold
+    # is attained
+    rho = make_squeezed_vacuum(r, cutoff).density()
+    poly = purity_polynomial(rho)
+    for t in (0.3, 0.5, 0.6, 0.9, 1.0):
+        rho_t = apply_loss(rho, t)
+        values = [qcs_commutator(rho_t).c_squared, qcs_two_copy(rho_t).c_squared,
+                  qcs_purity_rate(poly, t).c_squared, qcs_lindblad(rho_t).c_squared]
+        ref = squeezed_qcs_squared(r, t)
+        assert max(abs(v - ref) for v in values) <= tol, (t, values, ref)
+
+
+def test_half_loss_threshold_is_sharp():
+    # every squeezed vacuum sits at unit scale at T = 1/2 and above it at any
+    # T > 1/2, so no threshold below 50 % loss bounds every state
+    for r in (0.05, 0.5, 1.0, 2.0):
+        assert squeezed_qcs_squared(r, 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert all(squeezed_qcs_squared(r, t) > 1.0 for t in np.linspace(0.51, 1.0, 50))
+    rho = make_squeezed_vacuum(0.5, 60).density()
+    assert all(qcs_commutator(apply_loss(rho, t)).c_squared > 1.0
+               for t in np.linspace(0.51, 1.0, 50))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_half_loss_identity_on_mixed_states(seed):
+    # C^2 = T P'(T)/P(T) + 1 with P = sum q_m (1 - 2T)^m gives
+    # C_1/2^2 = 1 - q_1/q_0 for every state
+    rho = random_mixed(seed, 8, 3)
+    q = purity_polynomial(rho).coefficients
+    assert q[1] > 0.0
+    c_squared = qcs_commutator(apply_loss(rho, 0.5)).c_squared
+    assert abs(c_squared - (1.0 - q[1] / q[0])) <= 1e-15
 
 
 def test_two_copy_memory_stays_per_block():
