@@ -44,7 +44,8 @@ from .inequalities import (bernstein_check, cauchy_schwarz_ladder,
 from .loss import apply_loss, loss_blocks
 from .phasespace import (GridSpec, Quadrature2D, default_grid, exact_rule, laplace_purity,
                          overlap_from_quasi, quasi_prob_grid, write_grid_csv)
-from .purity import StateRecord, purities, purity, renyi_entropy, von_neumann
+from .purity import (StateRecord, min_purity_pure, purities, purity, renyi_entropy,
+                     von_neumann)
 from .qcs import (commutator_norms, qcs_commutator, qcs_lindblad,
                   qcs_purity_rate, qcs_two_copy)
 from .reports import check_report, write_check_csv, write_scan_csv
@@ -96,11 +97,16 @@ def parse_grid(spec: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid {spec!r}: {exc}") from None
-    if not (np.isfinite(start) and np.isfinite(stop)):
-        raise ConfigError(f"grid {spec!r} needs a finite start and stop")
+    # the grid's step is a fraction of stop - start, which overflows for
+    # finite ends more than the largest float apart
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(stop - start)):
+        raise ConfigError(f"grid {spec!r} needs a finite start, stop and stop - start")
     if not 1 <= steps <= MAX_GRID_STEPS:
         raise ConfigError(f"grid needs 1 to {MAX_GRID_STEPS} steps, got {steps}")
-    return np.linspace(start, stop, steps)
+    # near the largest float linspace overflows in a product it then
+    # discards, setting its last point to stop: every point is finite
+    with np.errstate(over="ignore"):
+        return np.linspace(start, stop, steps)
 
 
 def parse_quadrature(spec: str) -> Quadrature2D:
@@ -289,28 +295,40 @@ def _purity_suite(record, t_grid, quad):
     # evaluated in the lambda = 1 - 2T basis: expanding (1 - 2T)^m into
     # monomials in T cancels catastrophically at large cutoff
     poly, pure, sid = record.poly, record.pure, record.state_id
-    values = poly.value(t_grid)
-    yield check_report("dark_coefficients", sid, {}, 0.0, float(np.min(poly.coefficients)))
     # convexity holds everywhere for pure inputs but is only guaranteed up
     # to half transmissivity for mixed ones
     convex_grid = t_grid if pure else t_grid[t_grid <= 0.5]
+    # a T far outside [0, 1] overflows P to inf and a margin to NaN, so its
+    # row fails closed without a warning, as a conjecture scan's row does
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = poly.value(t_grid)
+        curvature = poly.derivative(convex_grid, 2)
+        asymmetry = np.abs(values - poly.value(1.0 - t_grid)) if pure else None
+    yield check_report("dark_coefficients", sid, {}, 0.0, float(np.min(poly.coefficients)))
     if convex_grid.size:
-        yield check_report("purity_convexity", sid, {}, 0.0,
-                           float(np.min(poly.derivative(convex_grid, 2))))
+        yield check_report("purity_convexity", sid, {}, 0.0, float(np.min(curvature)))
     if pure:
-        mirrored = poly.value(1.0 - t_grid)
-        yield check_report("purity_symmetry", sid, {},
-                           float(np.max(np.abs(values - mirrored))), 0.0)
+        yield check_report("purity_symmetry", sid, {}, float(np.max(asymmetry)), 0.0)
     t_match = [t for t in (float(t_grid[0]), float(t_grid[t_grid.size // 2]),
                            float(t_grid[-1])) if 0.0 <= t <= 1.0]
     for t, rho_t in zip(t_match, record.lossy(t_match)):
         yield check_report("lossy_trace_match", sid, {"T": t}, poly.value(t), purity(rho_t))
     if pure:
-        yield check_report("pure_min_at_half", sid, {}, poly.value(0.5), float(np.min(values)))
+        # P(1/2) by the closed form on the amplitudes, not by the polynomial
+        yield check_report("pure_min_at_half", sid, {}, min_purity_pure(record.psi),
+                           float(np.min(values)))
 
 
 def _qcs_suite(record, t_grid, quad):
     sid = record.state_id
+    # C^2 = T P'(T) / P(T) + 1 with P = sum_m q_m (1 - 2T)^m gives C_1/2^2 =
+    # 1 - q_1 / q_0 for every state; q_0 = Tr[rho_1/2^2] > 0, and a state on
+    # one level has no q_1. rho_1/2 is kept, so the walk below reuses it
+    (rho_half,) = record.lossy([0.5])
+    q = record.poly.coefficients
+    q1 = q[1] if q.size > 1 else 0.0
+    yield check_report("qcs_half_loss_identity", sid, {"T": 0.5},
+                       qcs_commutator(rho_half).c_squared, 1.0 - q1 / q[0])
     t_lossy = [float(t) for t in t_grid if 0.0 < t <= 1.0]
     for t, rho_t in zip(t_lossy, record.lossy_path(t_lossy)):
         values = [qcs_commutator(rho_t).c_squared,
@@ -318,8 +336,6 @@ def _qcs_suite(record, t_grid, quad):
                   qcs_lindblad(rho_t).c_squared,
                   qcs_purity_rate(record.poly, t).c_squared]
         yield check_report("qcs_routes_agree", sid, {"T": t}, max(values) - min(values), 0.0)
-        if record.pure and abs(t - 0.5) < 1e-12:
-            yield check_report("qcs_balanced_pure", sid, {"T": t}, values[0], 1.0)
         if t <= 0.5:
             yield check_report("qcs_half_loss_bound", sid, {"T": t}, values[0], 1.0)
 
@@ -351,12 +367,14 @@ def _inequality_suite(record, t_grid, quad):
 
 # each suite takes one state's StateRecord, which derives rho1, P and rho_T
 # once for all suites, and the shared t_grid and quad; it yields finished
-# reports, each of the kind, tolerance and claim of its reports.CHECKS row
+# reports, each of the kind, tolerance and claim of its reports.CHECKS row.
+# The other suites keep the lossy states of their fixed T, and the qcs suite
+# streams the grid through them, so it runs last
 BATTERIES = {
     "purity": _purity_suite,
-    "qcs": _qcs_suite,
     "phasespace": _phasespace_suite,
     "inequalities": _inequality_suite,
+    "qcs": _qcs_suite,
 }
 
 
@@ -374,12 +392,8 @@ def cmd_verify(args) -> int:
     reports = []
     for state_id, state in states:
         record = StateRecord(state_id, state)
-        # the other suites keep the lossy states of their fixed T, and the
-        # qcs suite streams the grid through them, so it runs last; the rows
-        # stay in suite order
-        by_suite = {suite: list(suite(record, t_grid, quad))
-                    for suite in sorted(suites, key=lambda suite: suite is _qcs_suite)}
-        reports += [report for suite in suites for report in by_suite[suite]]
+        for suite in suites:
+            reports += suite(record, t_grid, quad)
     if args.out:
         write_check_csv(args.out, reports)
     failed = sum(1 for r in reports if not r.passed)
@@ -603,15 +617,23 @@ def _refuse_state_flags_with_phi(declared, argv, config: dict) -> None:
         raise ConfigError(f"--phi scans a named pair and takes no {', '.join(given)}")
 
 
-def _glue_negative_grid(argv) -> list[str]:
-    """argv with ``--grid SPEC`` written ``--grid=SPEC`` where SPEC starts with
-    a minus and a number, as ``-1:1:21`` does, which argparse reads as a flag.
-    Any prefix argparse takes for ``--grid`` (``--g``, ``--gr``, ``--gri``) is
-    glued alike."""
+def _glue_negative_values(parser: argparse.ArgumentParser, argv) -> list[str]:
+    """argv with ``--flag VALUE`` written ``--flag=VALUE`` where the flag takes
+    a value and VALUE starts with a minus and a number, as ``-1:1:21``,
+    ``-1e-3`` and ``-inf`` do, which argparse reads as a flag. A prefix that
+    argparse takes for such a flag (``--g``, ``--gr``, ``--gri``) is glued
+    alike; the subcommand, argv's first word, names the flags."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices.get(argv[0]) if argv else None
+    flags = command._option_string_actions if command else {}
     glued = []
     for arg in argv:
-        if (glued and len(glued[-1]) > 2 and "--grid".startswith(glued[-1])
-                and re.match(r"-[\d.]", arg)):
+        prev = glued[-1] if glued else ""
+        named = ({flags[prev]} if prev in flags else
+                 {action for flag, action in flags.items()
+                  if prev.startswith("--") and flag.startswith(prev)})
+        if (len(named) == 1 and named.pop().nargs != 0
+                and re.match(r"-([\d.]|inf|nan)", arg, re.IGNORECASE)):
             glued[-1] += "=" + arg
         else:
             glued.append(arg)
@@ -619,9 +641,10 @@ def _glue_negative_grid(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = _glue_negative_grid(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    argv = _glue_negative_values(parser, sys.argv[1:] if argv is None else argv)
     try:
-        declared = args = build_parser().parse_args(argv)
+        declared = args = parser.parse_args(argv)
         config = {}
         if args.config:
             # parsed again with the file's values as defaults: explicit flags win

@@ -64,10 +64,12 @@ def _scan(conjecture: str, items, grid, margins_on, tolerance: float,
     if grid.size == 0:
         raise ValueError("empty scan grid")
     items = list(items)
-    fine = np.linspace(grid[0], grid[-1], REFINE_FACTOR * grid.size)
     rows = []
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):
+        # near the largest float linspace overflows in a product it then
+        # discards, setting its last point to stop: every point is finite
+        fine = np.linspace(grid[0], grid[-1], REFINE_FACTOR * grid.size)
         for state_id, item in items:
             points = _points(grid, margins_on(item, grid))
             rows.extend((state_id, t, m) for t, m in points)

@@ -145,7 +145,8 @@ def overlap_polynomial(rho: DensityOperator, sigma: DensityOperator) -> PurityPo
 
 class StateRecord:
     """One state's inputs to the verify checks, each derived once: its
-    density operator ``rho1`` and whether it is ``pure``; the purity
+    density operator ``rho1``, whether it is ``pure`` and, if so, its
+    PureState ``psi``; the purity
     polynomial ``poly`` of rho1, built on first use; and E_T[rho1] at each
     of the few fixed T that ``lossy`` is asked for, kept by T.
     ``lossy_path`` walks a grid of any length through the kept states and
@@ -153,7 +154,8 @@ class StateRecord:
 
     def __init__(self, state_id: str, state: PureState | DensityOperator):
         self.state_id = state_id
-        self.pure = isinstance(state, PureState)
+        self.psi = state if isinstance(state, PureState) else None
+        self.pure = self.psi is not None
         self.rho1 = state.density() if self.pure else state
         self._lossy: dict[float, DensityOperator] = {}
 

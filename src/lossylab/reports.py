@@ -53,8 +53,8 @@ CHECKS = {
     "lossy_trace_match": (equality_report, 1e-10, "polynomial purity equals trace purity"),
     "pure_min_at_half": (inequality_report, 1e-10, "pure-state purity is minimized at T = 1/2"),
     "qcs_routes_agree": (equality_report, 1e-8, "independent coherence-scale routes agree"),
-    "qcs_balanced_pure": (equality_report, 1e-8,
-                          "pure input at half transmissivity gives unit scale"),
+    "qcs_half_loss_identity": (equality_report, 1e-10,
+                               "at half loss every input has scale 1 - q_1/q_0"),
     "qcs_half_loss_bound": (inequality_report, 1e-8,
                             "at half loss or more every input stays at or below unit scale"),
     "purity_route_chi": (equality_report, 1e-10,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, CSV formats, config handling."""
 
 import ast
+import contextlib
 import csv
 import filecmp
 import importlib
@@ -9,18 +10,23 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import float_spellings, grid_spellings, huge_step_counts
 
 import lossylab
 from lossylab.cli import (MAX_CUTOFF, MAX_GRID_POINTS, MAX_GRID_STEPS,
                           MAX_QUADRATURE_NODES, MAX_RADIAL_NODES, SWEEP_COLUMNS, ConfigError,
                           main, parse_grid, parse_quadrature, parse_states)
 from lossylab.fock import PureState, random_pure
-from lossylab.purity import purity, renyi_entropy, von_neumann
+from lossylab.purity import min_purity_pure, purity, purity_polynomial, renyi_entropy, von_neumann
 from lossylab.qcs import qcs_commutator
 from lossylab.reports import CHECKS
 
@@ -178,6 +184,36 @@ def test_qcs_suite_at_cutoff_64(tmp_path, capsys):
     assert run("verify", "--states", "random:2:64", "--seed", "1", "--suite", "qcs",
                "--out", str(tmp_path / "qcs.csv")) == 0
     assert capsys.readouterr().out.strip().splitlines()[-1].endswith(" 0 failed")
+
+
+@pytest.mark.parametrize("spec", ["random:6", "random:4:24", "random:2:64:5", "random:1:1",
+                                  "fock:1,fock:7,coherent:1.3,squeezed:1.0,squeezed:2.0"])
+def test_qcs_half_loss_identity_holds_for_every_state_off_the_grid(spec, tmp_path, capsys):
+    # C_1/2^2 = 1 - q_1/q_0 for pure and mixed inputs alike: one row per
+    # state although T = 1/2 is not on the grid
+    rows = verify_rows(tmp_path, "--suite", "qcs", "--states", spec, "--grid", "0:1:20")
+    identity = [r for r in rows if r["check_name"] == "qcs_half_loss_identity"]
+    state_ids = [state_id for state_id, _ in parse_states(spec, 7, False)]
+    assert sorted(r["state_id"] for r in identity) == sorted(state_ids)
+    for r in identity:
+        assert (r["params"], r["tolerance"], r["pass"]) == ("T=0.5", "1e-10", "true")
+        assert abs(float(r["lhs"]) - float(r["rhs"])) <= 1e-10
+        # a mixed input's scale falls below 1 by q_1/q_0
+        assert r["state_id"].startswith("random-mixed") == (float(r["rhs"]) < 0.99)
+
+
+def test_pure_min_at_half_reads_the_closed_form_against_the_polynomial(tmp_path, capsys):
+    spec = "random:2:24:0,fock:7,coherent:1.3,squeezed:1.0"
+    rows = {r["state_id"]: r for r in verify_rows(tmp_path, "--suite", "purity",
+                                                  "--states", spec)
+            if r["check_name"] == "pure_min_at_half"}
+    states = parse_states(spec, 7, False)
+    assert sorted(rows) == sorted(state_id for state_id, _ in states)
+    for state_id, psi in states:
+        lhs = float(rows[state_id]["lhs"])
+        assert lhs == min_purity_pure(psi)
+        assert lhs == pytest.approx(purity_polynomial(psi.density()).value(0.5), abs=1e-14)
+        assert rows[state_id]["pass"] == "true"
 
 
 def counting(monkeypatch, owner, name):
@@ -561,6 +597,76 @@ def test_a_negative_grid_start_reads_the_same_as_one_or_two_words(argv, grid, co
     assert code or two_words.read_bytes() == one_word.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-5e-1", "-1E-2", "-.5", "-0.5", "-1", "0.3",
+                                   "-inf", "-nan", "-1e400"])
+def test_an_order_reads_the_same_as_one_or_two_words(value, tmp_path, capsys):
+    # argparse on its own reads only -12 and -1.5 as values: -1e-3 after
+    # --s would be a flag
+    two_words, one_word = tmp_path / "two.csv", tmp_path / "one.csv"
+    argv = ("phasespace", "--state", "fock:1", "--points", "3")
+    code = run(*argv, "--s", value, "--out", str(two_words))
+    assert run(*argv, f"--s={value}", "--out", str(one_word)) == code
+    assert code in (0, 2) and two_words.exists() == one_word.exists() == (code == 0)
+    assert code or two_words.read_bytes() == one_word.read_bytes()
+    assert (code == 0) == (value not in ("-inf", "-nan", "-1e400"))
+
+
+def _outcome(argv, out):
+    """(exit status, stdout, CSV bytes or None) of one in-process run of argv
+    writing out, with every warning an error. Any exception but argparse's
+    exit escapes, so a traceback fails the caller."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
+        warnings.simplefilter("error")
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    return code, stdout.getvalue(), out.read_bytes() if out.exists() else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=float_spellings())
+def test_any_order_spelling_reads_the_same_as_one_or_two_words(value):
+    argv = ("phasespace", "--state", "fock:1", "--points", "3")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "grid.csv"
+        assert _outcome([*argv, "--s", value], out) == _outcome([*argv, f"--s={value}"], out)
+
+
+GRID_COMMANDS = [("verify", "--suite", "purity"), ("verify", "--suite", "qcs"), ("sweep",),
+                 *[("conjecture", "--name", name) for name in
+                   ("log-convexity", "ell-log-convexity", "unfairness", "dark-port-g2")]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(GRID_COMMANDS), flag=st.sampled_from(["--grid", "--gri", "--g"]),
+       grid=grid_spellings(max_steps=5))
+def test_any_grid_spelling_reads_the_same_as_one_or_two_words(command, flag, grid):
+    argv = (*command, "--states", "fock:1")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "rows.csv"
+        assert _outcome([*argv, flag, grid], out) == _outcome([*argv, f"{flag}={grid}"], out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=float_spellings(), stop=float_spellings(),
+       steps=huge_step_counts(MAX_GRID_STEPS))
+def test_a_huge_step_count_is_refused_before_any_grid_is_built(start, stop, steps):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            parse_grid(f"{start}:{stop}:{steps}")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
 @pytest.mark.parametrize("argv", [
     ("conjecture", "--name", "unfairness", "--states", "fock:1"),
     ("verify", "--states", "random:3:12", "--seed", "5"),
@@ -803,8 +909,9 @@ def test_one_level_operator_file_passes(suite, tmp_path, capsys):
     assert run("verify", "--suite", suite, "--states", f"file:{path}") == 0
 
 
-@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3"])
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "1.7e308:-1.7e308:3"])
 def test_non_finite_grid_exits_two(capsys, grid):
+    # the last grid's ends are finite, but stop - start overflows its step
     assert run("verify", "--states", "fock:1", "--grid", grid) == 2
     assert run("sweep", "--states", "fock:1", "--grid", grid) == 2
     for name in ("log-convexity", "dark-port-g2", "unfairness"):
@@ -813,10 +920,26 @@ def test_non_finite_grid_exits_two(capsys, grid):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["-1e300:1e300:3", "0:1.7976931348623157e308:4"])
+def test_overflowing_purity_rows_fail_closed(grid, tmp_path, capsys):
+    # P overflows at T = 1e300, and P(T) - P(1 - T) is inf - inf: the
+    # symmetry row fails on NaN without a warning (an error under pytest).
+    # The second grid is finite, although linspace overflows building it,
+    # and 1 - 2T overflows at its end, so more rows fail on NaN there
+    assert np.all(np.isfinite(parse_grid(grid)))
+    rows = verify_rows(tmp_path, "--suite", "purity", "--states", "fock:1", f"--grid={grid}")
+    failed = {r["check_name"]: r["margin"] for r in rows if r["pass"] == "false"}
+    assert "purity_symmetry" in failed and set(failed.values()) == {"nan"}
+    assert capsys.readouterr().out.strip().endswith(f" {len(failed)} failed")
+
+
 def test_overflowing_scan_fails_closed(capsys):
     for name, grid, count in [
         # the purity polynomial overflows to inf - inf = NaN margins at these T
         ("log-convexity", "1e30:1e40:3", 3),
+        # P overflows at the largest float, where the grid and its
+        # refinement overflow inside linspace
+        ("log-convexity", "0:1.7976931348623157e308:2", 1),
         # the tilt base 1 - 2T overflows the tilted moments to inf
         ("ell-log-convexity", "-1e12:-1e12:1", 1),
     ]:

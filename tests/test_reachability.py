@@ -39,7 +39,6 @@ AWAITING_SUITE = {
     ("purity", "hs_overlap"): SIMILARITY_SUITE,
     ("purity", "lossy_overlap"): SIMILARITY_SUITE,
     ("purity", "mutual_information_bs"): SIMILARITY_SUITE,
-    ("purity", "min_purity_pure"): SIMILARITY_SUITE,
     ("fock", "PureState.truncation_warning"): TRUNCATION_REPORT,
 }
 
